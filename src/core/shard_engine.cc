@@ -1,12 +1,14 @@
 #include "core/shard_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
 
 #include "base/check.h"
-#include "geom/dominance.h"
+#include "base/timer.h"
+#include "geom/dominance_kernel.h"
 
 namespace psky {
 
@@ -91,22 +93,23 @@ int ShardEngine::ShardOf(const UncertainElement& e) const {
                           static_cast<uint64_t>(n));
 }
 
+void ShardEngine::Send(Shard* shard, Command cmd) {
+  shard->queue.Push(std::move(cmd));
+  ++shard->routed;
+}
+
 void ShardEngine::SendExpireOldest(uint8_t shard) {
   Command cmd;
   cmd.kind = Command::kExpireOldest;
-  Shard& s = *shards_[shard];
-  s.queue.Push(std::move(cmd));
-  ++s.routed;
+  Send(shards_[shard].get(), std::move(cmd));
 }
 
 void ShardEngine::SendInsert(const UncertainElement& e, uint8_t shard) {
   Command cmd;
   cmd.kind = Command::kInsert;
   cmd.element = e;
-  Shard& s = *shards_[shard];
-  s.queue.Push(std::move(cmd));
-  ++s.routed;
-  ++s.inserted;
+  Send(shards_[shard].get(), std::move(cmd));
+  ++shards_[shard]->inserted;
 }
 
 bool ShardEngine::Route(const UncertainElement& e,
@@ -148,6 +151,7 @@ bool ShardEngine::Route(const UncertainElement& e,
 }
 
 void ShardEngine::Restore(std::span<const UncertainElement> window) {
+  PSKY_CHECK(!shutdown_);
   PSKY_CHECK(ring_.empty());
   for (const UncertainElement& e : window) {
     PSKY_CHECK(options_.window_capacity == 0 ||
@@ -161,7 +165,12 @@ void ShardEngine::Restore(std::span<const UncertainElement> window) {
 }
 
 void ShardEngine::Barrier() {
+  PSKY_CHECK(!shutdown_);
   ++barriers_;
+  WaitApplied();
+}
+
+void ShardEngine::WaitApplied() {
   for (auto& shard : shards_) {
     // Workers park in PopBatch when drained, so poll with a short sleep
     // instead of spinning — barriers sit off the per-element hot path
@@ -195,6 +204,10 @@ void ShardEngine::WorkerLoop(Shard* shard) {
 }
 
 void ShardEngine::ApplyCommand(Shard* shard, const Command& cmd) {
+  if (cmd.kind == Command::kMergeProbe) {
+    ProbeMergeCandidates(shard);
+    return;
+  }
   if (cmd.kind == Command::kExpireOldest) {
     PSKY_CHECK(!shard->fifo.empty());
     const UncertainElement oldest = shard->fifo.front();
@@ -266,78 +279,129 @@ bool ShardEngine::ShardMayRefute(const Shard& shard,
   }
 }
 
+void ShardEngine::ProbeMergeCandidates(Shard* shard) const {
+  shard->merge_sums.resize(merge_u_.size());
+  shard->merge_probes = 0;
+  const SkyTree& tree = shard->op.tree();
+  for (size_t k = 0; k < merge_u_.size(); ++k) {
+    const UncertainElement& a = merge_u_[k];
+    if (!ShardMayRefute(*shard, grid_.CellOf(a.pos))) {
+      shard->merge_sums[k] = SkyTree::DominatorSums{};
+      continue;
+    }
+    ++shard->merge_probes;
+    shard->merge_sums[k] = tree.ExactDominators(a.pos, a.seq);
+  }
+}
+
 std::vector<SkylineMember> ShardEngine::GlobalSkyline(
     size_t* candidate_count) {
   Barrier();
+  const Timer timer;
   ++merges_;
-  const int n = shards();
   const double q_log = std::log(options_.q);
 
   // U = union of shard-local candidate sets, each sorted by seq.
-  struct MergeCandidate {
-    SkylineMember local;
-    double newer_log = 0.0;
-    double older_log = 0.0;
-    bool in_sstar = false;
-  };
-  std::vector<MergeCandidate> u;
-  for (int i = 0; i < n; ++i) {
-    for (const SkylineMember& m :
-         shards_[static_cast<size_t>(i)]->op.Candidates()) {
-      MergeCandidate mc;
-      mc.local = m;
-      u.push_back(mc);
+  merge_u_.clear();
+  for (const auto& shard : shards_) {
+    for (const SkylineMember& m : shard->op.Candidates()) {
+      merge_u_.push_back(m.element);
     }
   }
-  merge_candidates_ += u.size();
+  const size_t u_size = merge_u_.size();
+  merge_candidates_ += u_size;
 
-  // Phase 1: exact dominator sums over U, accumulated in shard-index
-  // order so the summation is deterministic.
-  for (MergeCandidate& mc : u) {
-    const CellGrid::Cell cell = grid_.CellOf(mc.local.element.pos);
-    for (int j = 0; j < n; ++j) {
-      const Shard& shard = *shards_[static_cast<size_t>(j)];
-      if (!ShardMayRefute(shard, cell)) {
-        ++merge_cell_skips_;
-        continue;
-      }
-      ++merge_probes_;
-      const SkyTree::DominatorSums sums = shard.op.tree().ExactDominators(
-          mc.local.element.pos, mc.local.element.seq);
-      mc.newer_log += sums.newer_log;
-      mc.older_log += sums.older_log;
+  // Phase 1: exact dominator sums over U. Every shard's tree is probed
+  // for all of U: shard 0's by the router itself (its worker is parked
+  // after the barrier), the others' by their workers. The router then
+  // folds the per-shard sums in shard-index order, so each candidate's
+  // additions happen in the same order as a serial (candidate, shard)
+  // loop (see file comment).
+  Command probe;
+  probe.kind = Command::kMergeProbe;
+  for (size_t j = 1; j < shards_.size(); ++j) Send(shards_[j].get(), probe);
+  ProbeMergeCandidates(shards_[0].get());
+  WaitApplied();
+  std::vector<SkyTree::DominatorSums> sums(u_size);
+  uint64_t probes = 0;
+  for (const auto& shard : shards_) {
+    probes += shard->merge_probes;
+    for (size_t k = 0; k < u_size; ++k) {
+      // order-sensitive: shard-index order per candidate; the
+      // bit-identity contract of the merge rests on it.
+      sums[k].newer_log += shard->merge_sums[k].newer_log;
+      // order-sensitive: same fold order as newer_log above.
+      sums[k].older_log += shard->merge_sums[k].older_log;
     }
-    // S* membership: full-window P_new >= q (see file comment for why
-    // the U-sum equals the full-window sum exactly for true members).
-    mc.in_sstar = mc.newer_log >= q_log;
   }
+  merge_probes_ += probes;
+  merge_cell_skips_ += shards_.size() * u_size - probes;
+
+  // S* membership: full-window P_new >= q (see file comment for why the
+  // U-sum equals the full-window sum exactly for true members). The
+  // rejected U \ S* members are packed, in U order, into dim-major blocks
+  // for the dominance kernel, with their seq and log(1 - P) factor.
+  const int dims = options_.dims;
+  constexpr int kBlock = kDominanceKernelMaxBlock;
+  const size_t block_size = static_cast<size_t>(dims) * kBlock;
+  std::vector<double> block_coords;
+  std::vector<uint64_t> rejected_seq;
+  std::vector<double> rejected_factor;
+  for (size_t k = 0; k < u_size; ++k) {
+    if (sums[k].newer_log >= q_log) continue;
+    const UncertainElement& e = merge_u_[k];
+    const size_t r = rejected_seq.size();
+    if (r % kBlock == 0) block_coords.resize(block_coords.size() + block_size);
+    double* block = block_coords.data() + (r / kBlock) * block_size;
+    for (int d = 0; d < dims; ++d) {
+      block[static_cast<size_t>(d) * kBlock + r % kBlock] = e.pos[d];
+    }
+    rejected_seq.push_back(e.seq);
+    rejected_factor.push_back(LogOneMinusProb(e.prob));
+  }
+  const size_t num_rejected = rejected_seq.size();
+  const size_t num_blocks = block_coords.size() / block_size;
+  if (candidate_count != nullptr) *candidate_count = u_size - num_rejected;
 
   // Phase 2: restrict the sums to S* by removing the factors of
   // U \ S* dominators, then decide membership on restricted P_sky.
-  std::vector<const MergeCandidate*> rejected;
-  for (const MergeCandidate& mc : u) {
-    if (!mc.in_sstar) rejected.push_back(&mc);
-  }
-  if (candidate_count != nullptr) *candidate_count = u.size() - rejected.size();
+  // Blocks are taken in order and mask bits walked ascending, so the
+  // subtractions happen in rejected-list order.
   std::vector<SkylineMember> out;
-  for (MergeCandidate& mc : u) {
-    if (!mc.in_sstar) continue;
-    for (const MergeCandidate* r : rejected) {
-      if (!Dominates(r->local.element.pos, mc.local.element.pos)) continue;
-      const double factor = LogOneMinusProb(r->local.element.prob);
-      if (r->local.element.seq > mc.local.element.seq) {
-        mc.newer_log -= factor;
-      } else {
-        mc.older_log -= factor;
+  uint64_t dominators[kDominanceKernelMaskWords];
+  uint64_t dominated[kDominanceKernelMaskWords];
+  for (size_t k = 0; k < u_size; ++k) {
+    if (!(sums[k].newer_log >= q_log)) continue;
+    const UncertainElement& a = merge_u_[k];
+    double newer_log = sums[k].newer_log;
+    double older_log = sums[k].older_log;
+    for (size_t b = 0; b < num_blocks; ++b) {
+      const size_t left = num_rejected - b * kBlock;
+      const int n = left < kBlock ? static_cast<int>(left) : kBlock;
+      DominanceBlockCompare(a.pos.data(), dims,
+                            block_coords.data() + b * block_size, kBlock, n,
+                            dominators, dominated);
+      for (int w = 0; w < (n + 63) / 64; ++w) {
+        for (uint64_t bits = dominators[w]; bits != 0; bits &= bits - 1) {
+          const size_t r = b * kBlock + static_cast<size_t>(w) * 64 +
+                           static_cast<size_t>(std::countr_zero(bits));
+          if (rejected_seq[r] > a.seq) {
+            // order-sensitive: rejected-list order, as the serial loop.
+            newer_log -= rejected_factor[r];
+          } else {
+            // order-sensitive: rejected-list order, as the serial loop.
+            older_log -= rejected_factor[r];
+          }
+        }
       }
     }
-    const double prob_log = std::log(mc.local.element.prob);
-    const double psky_log = prob_log + mc.newer_log + mc.older_log;
+    const double prob_log = std::log(a.prob);
+    const double psky_log = prob_log + newer_log + older_log;
     if (psky_log >= q_log) {
       SkylineMember m;
-      m.element = mc.local.element;
-      m.pnew = std::exp(mc.newer_log);
-      m.pold = std::exp(mc.older_log);
+      m.element = a;
+      m.pnew = std::exp(newer_log);
+      m.pold = std::exp(older_log);
       m.psky = std::exp(psky_log);
       m.in_skyline = true;
       out.push_back(m);
@@ -347,6 +411,7 @@ std::vector<SkylineMember> ShardEngine::GlobalSkyline(
             [](const SkylineMember& a, const SkylineMember& b) {
               return a.element.seq < b.element.seq;
             });
+  merge_ns_ += static_cast<uint64_t>(timer.ElapsedNanos());
   return out;
 }
 
@@ -408,6 +473,7 @@ ShardEngine::Stats ShardEngine::GetStats() const {
   stats.merge_candidates = merge_candidates_;
   stats.merge_probes = merge_probes_;
   stats.merge_cell_skips = merge_cell_skips_;
+  stats.merge_ns = merge_ns_;
   stats.barriers = barriers_;
   return stats;
 }

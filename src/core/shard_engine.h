@@ -13,7 +13,10 @@
 //     pop expired ring entries ->        kInsert -> FIFO push,
 //       kExpireOldest to owner shard       occupancy++, op.Insert(),
 //     kInsert(e) to owner shard             audit.Step()
-//                                        publish applied counter
+//                                        kMergeProbe -> dominator sums
+//   GlobalSkyline():                       of merge_u_ against own tree
+//     kMergeProbe to shards 1..n-1,      publish applied counter
+//     probes shard 0 itself
 //
 // The router owns every windowing decision: it keeps a global ring of
 // (owner shard, time) entries mirroring CountWindow / TimeWindow
@@ -71,11 +74,49 @@
 // candidate a only if j occupies some cell in the region dominating
 // cell(a). Skips are exact negatives, never false ones.
 //
-// Thread-safety: Route/Barrier/GlobalSkyline/WindowSnapshot/Restore must
-// all be called from one thread (the router). Stats() is safe from any
-// thread. Barrier() returns only after every routed command is applied,
-// with acquire/release ordering on the per-shard applied counters, so
-// reading shard state after a barrier is race-free.
+// Where the merge runs
+// --------------------
+//
+// GlobalSkyline first barriers (every routed command applied), then:
+//
+//   router: gathers U into merge_u_ (shard-index order, each shard's
+//     candidates by arrival sequence) and pushes one kMergeProbe
+//     command through the SPSC queue of every shard but shard 0.
+//   worker j >= 1: for every a in U, runs the cell precheck and
+//     ExactDominators against its *own* tree and occupancy tables,
+//     writing the sums into its own Shard::merge_sums[k] (a skipped
+//     probe writes zeros) and its probe count into Shard::merge_probes.
+//   router, meanwhile: does the same for shard 0, whose worker stays
+//     parked (it has no command), instead of idling.
+//   router: waits until every shard has applied its probe command (an
+//     internal round, not counted in Stats::barriers), then folds
+//     merge_sums shard by shard in shard-index order and runs phase 2
+//     alone, testing each S* member against dim-major blocks of the
+//     U \ S* coordinates with DominanceBlockCompare.
+//
+// During the probe round every shard's tree, occupancy tables and
+// merge_sums have exactly one user (shard 0's: the router; the others':
+// their workers), and merge_u_ is read-only. The queue push (release) /
+// pop (acquire) publishes merge_u_ to the workers, and the applied
+// counter's release / acquire publishes merge_sums back — no lock or
+// atomic beyond the existing ones. (Shard 0's sums need neither: the
+// router wrote them.) The fold adds the same terms in the same order as
+// a serial loop over (candidate, shard): a skipped probe contributes
+// +0.0, which leaves every partial sum bitwise unchanged (sums start at
+// +0.0 and so are never -0.0). The blocks hold U \ S* in U order and
+// phase 2 walks them in order, mask bits ascending, so every subtraction
+// keeps the serial restriction loop's order. The merged output is
+// therefore bit-identical to the single-threaded merge for any shard
+// count.
+//
+// Thread-safety: Route/Barrier/GlobalSkyline/WindowSnapshot/Restore/
+// GetStats must all be called from one thread (the router): GetStats
+// reads router-side counters. Barrier() returns only after every routed
+// command is applied, with acquire/release ordering on the per-shard
+// applied counters, so reading shard state after a barrier is
+// race-free. After Shutdown(), Route/Barrier/GlobalSkyline/
+// WindowSnapshot/Restore fail a PSKY_CHECK instead of waiting on a
+// closed queue.
 
 #ifndef PSKY_CORE_SHARD_ENGINE_H_
 #define PSKY_CORE_SHARD_ENGINE_H_
@@ -150,7 +191,8 @@ class ShardEngine {
   /// Blocks until every routed command has been applied by its shard.
   void Barrier();
 
-  /// Barrier + exact cross-shard merge (see file comment). Sorted by
+  /// Barrier + exact cross-shard merge (see file comment), its dominator
+  /// probes spread over the router and the shard workers. Sorted by
   /// arrival sequence; only q-skyline members are returned (every entry
   /// has in_skyline = true). When `candidate_count` is non-null it
   /// receives |S*| — exactly the sequential operator's candidate count.
@@ -166,7 +208,8 @@ class ShardEngine {
   void Restore(std::span<const UncertainElement> window);
 
   /// Drains and joins all shard workers. Idempotent; called by the
-  /// destructor. The engine cannot be reused afterwards.
+  /// destructor. The engine cannot be reused afterwards: Route, Barrier,
+  /// GlobalSkyline, WindowSnapshot and Restore then fail a PSKY_CHECK.
   void Shutdown();
 
   int shards() const { return static_cast<int>(shards_.size()); }
@@ -187,7 +230,7 @@ class ShardEngine {
   double watermark() const { return watermark_; }
 
   struct ShardStats {
-    uint64_t routed = 0;       ///< commands sent (inserts + expiries)
+    uint64_t routed = 0;       ///< commands sent (inserts, expiries, probes)
     uint64_t applied = 0;      ///< commands the worker has applied
     uint64_t inserted = 0;     ///< insert commands sent
     size_t queue_depth = 0;    ///< commands waiting in the SPSC queue
@@ -205,10 +248,14 @@ class ShardEngine {
     uint64_t merge_candidates = 0;  ///< |U| summed over merges
     uint64_t merge_probes = 0;      ///< ExactDominators calls
     uint64_t merge_cell_skips = 0;  ///< shard probes pruned by the grid
-    uint64_t barriers = 0;
+    /// Wall time inside GlobalSkyline after its leading barrier, summed
+    /// over merges.
+    uint64_t merge_ns = 0;
+    uint64_t barriers = 0;  ///< Barrier calls, merge rounds excluded
   };
 
-  /// Heartbeat snapshot, callable from the router thread at any time
+  /// Heartbeat snapshot for the router thread only (the routing and
+  /// merge counters are router-side plain fields), callable at any time
   /// without a barrier: worker-side fields come from atomics published
   /// per command batch (slightly stale, never torn).
   Stats GetStats() const;
@@ -224,7 +271,7 @@ class ShardEngine {
 
  private:
   struct Command {
-    enum Kind : uint8_t { kInsert, kExpireOldest };
+    enum Kind : uint8_t { kInsert, kExpireOldest, kMergeProbe };
     Kind kind = kInsert;
     UncertainElement element;
   };
@@ -260,6 +307,12 @@ class ShardEngine {
     std::atomic<uint64_t> window_elements{0};
     std::atomic<uint64_t> candidates{0};
     std::atomic<uint64_t> audit_violations{0};
+    /// Merge-round output, indexed like merge_u_: this shard's dominator
+    /// sums per candidate and its probe count. Written during the probe
+    /// round (by the worker for a kMergeProbe command, by the router for
+    /// shard 0); the router reads them after the round.
+    std::vector<SkyTree::DominatorSums> merge_sums;
+    uint64_t merge_probes = 0;
     uint64_t routed = 0;    ///< router-side; commands enqueued
     uint64_t inserted = 0;  ///< router-side; insert commands enqueued
     std::thread worker;
@@ -267,8 +320,15 @@ class ShardEngine {
 
   void WorkerLoop(Shard* shard);
   void ApplyCommand(Shard* shard, const Command& cmd);
+  /// One shard's part of a merge round: dominator sums of every
+  /// merge_u_ member against this shard's tree. Runs on the shard's
+  /// worker, or on the router for shard 0.
+  void ProbeMergeCandidates(Shard* shard) const;
+  void Send(Shard* shard, Command cmd);
   void SendExpireOldest(uint8_t shard);
   void SendInsert(const UncertainElement& e, uint8_t shard);
+  /// Waits until every shard has applied every command routed to it.
+  void WaitApplied();
 
   /// True when shard `j` holds a window element in some cell dominating
   /// `cell` (conservative; exact when the dominating region is small).
@@ -276,6 +336,9 @@ class ShardEngine {
 
   Options options_;
   CellGrid grid_;
+  /// Merge candidate union U, rebuilt by the router per GlobalSkyline;
+  /// read-only for the workers during the probe round.
+  std::vector<UncertainElement> merge_u_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::deque<RingEntry> ring_;  ///< global window mirror, oldest first
   double watermark_;
@@ -285,6 +348,7 @@ class ShardEngine {
   uint64_t merge_candidates_ = 0;
   uint64_t merge_probes_ = 0;
   uint64_t merge_cell_skips_ = 0;
+  uint64_t merge_ns_ = 0;
   uint64_t barriers_ = 0;
   bool shutdown_ = false;
 };

@@ -9,7 +9,9 @@
 // 1e-9 — far above ulp noise, far below any honest probability gap —
 // while membership and ordering are compared exactly. Window snapshots,
 // by contrast, pass elements through untouched and must be
-// byte-identical (checkpoint interchangeability).
+// byte-identical (checkpoint interchangeability), and the merge itself
+// must be bitwise equal to a single-threaded reference of the same
+// algorithm (MergeBitIdentity below), whichever threads ran its probes.
 
 #include "core/shard_engine.h"
 
@@ -18,7 +20,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -26,6 +31,7 @@
 #include "core/operator.h"
 #include "core/ssky_operator.h"
 #include "geom/cell_grid.h"
+#include "geom/dominance_kernel.h"
 #include "stream/generator.h"
 #include "stream/window.h"
 
@@ -319,8 +325,17 @@ TEST(ShardEngine, StatsExposeDepthImbalanceAndMergeCounters) {
   ShardEngine engine(CountOptions(4));
   for (const UncertainElement& e : stream) ASSERT_TRUE(engine.Route(e));
   (void)engine.GlobalSkyline();
+  // The merge's internal probe round leaves every shard fully applied
+  // and is not a barrier of its own: only GlobalSkyline's leading
+  // Barrier() counts.
+  const ShardEngine::Stats merged = engine.GetStats();
+  for (const ShardEngine::ShardStats& s : merged.shards) {
+    EXPECT_EQ(s.routed, s.applied);
+  }
+  EXPECT_EQ(merged.barriers, 1u);
   engine.Barrier();
   const ShardEngine::Stats stats = engine.GetStats();
+  EXPECT_EQ(stats.barriers, 2u);
   ASSERT_EQ(stats.shards.size(), 4u);
   uint64_t window_total = 0;
   uint64_t inserted_total = 0;
@@ -339,6 +354,210 @@ TEST(ShardEngine, StatsExposeDepthImbalanceAndMergeCounters) {
   // Anti-correlated data occupies a thin diagonal band of cells, so the
   // grid precheck must actually skip some shard probes.
   EXPECT_GT(stats.merge_cell_skips, 0u);
+  // Every (candidate, shard) pair is either probed or skipped.
+  EXPECT_EQ(stats.merge_probes + stats.merge_cell_skips,
+            stats.shards.size() * stats.merge_candidates);
+  EXPECT_GT(stats.merge_ns, 0u);
+}
+
+TEST(ShardEngineDeathTest, RouterCallsAfterShutdownFailLoudly) {
+  ShardEngine engine(CountOptions(2));
+  ASSERT_TRUE(engine.Route(StreamGenerator(StreamConfig{}).Next()));
+  engine.Shutdown();  // joins the workers: each death test forks one thread
+  EXPECT_DEATH(engine.Barrier(), "!shutdown_");
+  EXPECT_DEATH((void)engine.GlobalSkyline(), "!shutdown_");
+  EXPECT_DEATH((void)engine.WindowSnapshot(), "!shutdown_");
+}
+
+// --- Merge bit-identity -------------------------------------------------
+//
+// The engine runs the merge's dominator probes on the shard workers (and
+// shard 0's on the router) and its restriction with the block dominance
+// kernel. The reference below is the same algorithm written serially
+// with public accessors: per candidate, ExactDominators against every
+// shard in shard-index order, then a scalar Dominates loop over U \ S*
+// in U order. It probes every shard — the engine's cell precheck only
+// skips shards whose sums are exactly +0.0, which leaves a sum starting
+// at +0.0 bitwise unchanged. Call it after a Barrier(), while the
+// workers are parked.
+//
+// A q-skyline member never has a dominator in U \ S*: the newest such
+// dominator is rejected by newer dominators that all lie in S* and also
+// dominate the member, which already pushes its P_sky below q. So,
+// short of rounding at the threshold, the restriction changes no
+// reported value and these comparisons mostly check the phase-1 fold;
+// dominance_kernel_test checks the kernel's masks index by index
+// against the scalar test.
+
+struct ReferenceMerge {
+  std::vector<SkylineMember> skyline;
+  size_t candidates = 0;  ///< |S*|
+  size_t rejected = 0;    ///< |U \ S*|
+};
+
+ReferenceMerge SerialReferenceMerge(const ShardEngine& engine) {
+  struct Candidate {
+    UncertainElement element;
+    double newer_log = 0.0;
+    double older_log = 0.0;
+    bool in_sstar = false;
+  };
+  const double q_log = std::log(engine.threshold());
+  std::vector<Candidate> u;
+  for (int i = 0; i < engine.shards(); ++i) {
+    for (const SkylineMember& m : engine.shard_operator(i).Candidates()) {
+      u.push_back(Candidate{m.element});
+    }
+  }
+  for (Candidate& c : u) {
+    for (int j = 0; j < engine.shards(); ++j) {
+      const SkyTree::DominatorSums sums =
+          engine.shard_operator(j).tree().ExactDominators(c.element.pos,
+                                                          c.element.seq);
+      c.newer_log += sums.newer_log;
+      c.older_log += sums.older_log;
+    }
+    c.in_sstar = c.newer_log >= q_log;
+  }
+  std::vector<const Candidate*> rejected;
+  for (const Candidate& c : u) {
+    if (!c.in_sstar) rejected.push_back(&c);
+  }
+  ReferenceMerge ref;
+  ref.candidates = u.size() - rejected.size();
+  ref.rejected = rejected.size();
+  for (Candidate& c : u) {
+    if (!c.in_sstar) continue;
+    for (const Candidate* r : rejected) {
+      if (!Dominates(r->element.pos, c.element.pos)) continue;
+      const double factor = LogOneMinusProb(r->element.prob);
+      if (r->element.seq > c.element.seq) {
+        c.newer_log -= factor;
+      } else {
+        c.older_log -= factor;
+      }
+    }
+    const double psky_log = std::log(c.element.prob) + c.newer_log +
+                            c.older_log;
+    if (psky_log >= q_log) {
+      SkylineMember m;
+      m.element = c.element;
+      m.pnew = std::exp(c.newer_log);
+      m.pold = std::exp(c.older_log);
+      m.psky = std::exp(psky_log);
+      m.in_skyline = true;
+      ref.skyline.push_back(m);
+    }
+  }
+  std::sort(ref.skyline.begin(), ref.skyline.end(),
+            [](const SkylineMember& a, const SkylineMember& b) {
+              return a.element.seq < b.element.seq;
+            });
+  return ref;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Merges once against the reference and compares bitwise; returns
+// |U \ S*| so callers can assert which regime they exercised.
+size_t ExpectMergeBitIdentical(ShardEngine* engine) {
+  engine->Barrier();
+  const ReferenceMerge ref = SerialReferenceMerge(*engine);
+  size_t candidates = 0;
+  const std::vector<SkylineMember> got = engine->GlobalSkyline(&candidates);
+  EXPECT_EQ(ref.candidates, candidates);
+  EXPECT_EQ(ref.skyline.size(), got.size());
+  for (size_t i = 0; i < std::min(ref.skyline.size(), got.size()); ++i) {
+    const SkylineMember& want = ref.skyline[i];
+    EXPECT_EQ(want.element.seq, got[i].element.seq) << "member " << i;
+    EXPECT_TRUE(SameBits(want.pnew, got[i].pnew)) << "member " << i;
+    EXPECT_TRUE(SameBits(want.pold, got[i].pold)) << "member " << i;
+    EXPECT_TRUE(SameBits(want.psky, got[i].psky)) << "member " << i;
+    EXPECT_TRUE(got[i].in_skyline);
+  }
+  return ref.rejected;
+}
+
+using MergeParam = std::tuple<SpatialDistribution, int, WindowKind>;
+
+class MergeBitIdentity : public ::testing::TestWithParam<MergeParam> {};
+
+// Merges at three points of the stream (window filling, just full,
+// steady state), each against the serial reference.
+TEST_P(MergeBitIdentity, MatchesSerialReference) {
+  const auto [spatial, shards, kind] = GetParam();
+  const std::vector<UncertainElement> stream = MakeStream(spatial);
+  ShardEngine::Options opts = CountOptions(shards);
+  if (kind == WindowKind::kTime) {
+    opts.window_capacity = 0;
+    opts.time_span = 2.0;  // ~2000 elements at the default rate
+  }
+  ShardEngine engine(opts);
+  const size_t merges_at[] = {kWindow / 2, kWindow, kStream};
+  size_t next = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(engine.Route(stream[i]));
+    if (next < std::size(merges_at) && i + 1 == merges_at[next]) {
+      ++next;
+      ExpectMergeBitIdentical(&engine);
+    }
+  }
+  ASSERT_EQ(next, std::size(merges_at));
+}
+
+std::string MergeParamName(const ::testing::TestParamInfo<MergeParam>& info) {
+  const auto [spatial, shards, kind] = info.param;
+  return std::string(SpatialDistributionName(spatial)) + "_s" +
+         std::to_string(shards) +
+         (kind == WindowKind::kCount ? "_count" : "_time");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDistributions, MergeBitIdentity,
+    ::testing::Combine(::testing::Values(SpatialDistribution::kAntiCorrelated,
+                                         SpatialDistribution::kIndependent,
+                                         SpatialDistribution::kCorrelated),
+                       ::testing::Values(1, 2, 3, 4),
+                       ::testing::Values(WindowKind::kCount,
+                                         WindowKind::kTime)),
+    MergeParamName);
+
+// A rejected set larger than one kernel block (256 candidates), so the
+// restriction spans several blocks and partial tail blocks.
+TEST(MergeBitIdentityEdge, RejectedSetSpansSeveralKernelBlocks) {
+  StreamConfig cfg;
+  cfg.dims = 4;
+  cfg.spatial = SpatialDistribution::kAntiCorrelated;
+  cfg.seed = 91;
+  const std::vector<UncertainElement> stream =
+      StreamGenerator(cfg).Take(kStream);
+  ShardEngine::Options opts = CountOptions(4);
+  opts.dims = cfg.dims;
+  ShardEngine engine(opts);
+  for (const UncertainElement& e : stream) ASSERT_TRUE(engine.Route(e));
+  EXPECT_GT(ExpectMergeBitIdentical(&engine),
+            static_cast<size_t>(kDominanceKernelMaxBlock));
+}
+
+// Band routing on a stream whose probabilities all sit below 0.5 leaves
+// the upper two of four bands empty: those shards probe nothing and
+// contribute only zero sums.
+TEST(MergeBitIdentityEdge, BandStrategyWithEmptyShards) {
+  std::vector<UncertainElement> stream =
+      MakeStream(SpatialDistribution::kAntiCorrelated);
+  for (UncertainElement& e : stream) e.prob *= 0.49;
+  ShardEngine engine(CountOptions(4, ShardStrategy::kBand));
+  size_t i = 0;
+  for (const UncertainElement& e : stream) {
+    ASSERT_TRUE(engine.Route(e));
+    if (++i % kWindow == 0) ExpectMergeBitIdentical(&engine);
+  }
+  const ShardEngine::Stats stats = engine.GetStats();
+  EXPECT_GT(stats.shards[0].window_elements, 0u);
+  EXPECT_EQ(stats.shards[2].inserted, 0u);
+  EXPECT_EQ(stats.shards[3].inserted, 0u);
 }
 
 TEST(ShardEngine, RoutingIsDeterministicAndStrategySensitive) {

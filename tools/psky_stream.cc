@@ -1649,13 +1649,14 @@ int main(int argc, char** argv) {
             stderr,
             "shard-heartbeat shards=%zu depth-max=%zu lag=%llu "
             "imbalance=%.2f merges=%llu merge-cands=%llu probes=%llu "
-            "cell-skips=%llu audit-violations=%llu\n",
+            "cell-skips=%llu merge-ms=%.3f audit-violations=%llu\n",
             es.shards.size(), depth_max,
             static_cast<unsigned long long>(lag), es.imbalance,
             static_cast<unsigned long long>(es.merges),
             static_cast<unsigned long long>(es.merge_candidates),
             static_cast<unsigned long long>(es.merge_probes),
             static_cast<unsigned long long>(es.merge_cell_skips),
+            static_cast<double>(es.merge_ns) / 1e6,
             static_cast<unsigned long long>(violations));
       }
     }
@@ -1892,12 +1893,13 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "shards: count=%zu imbalance=%.2f merges=%llu merge-cands=%llu "
-        "probes=%llu cell-skips=%llu barriers=%llu\n",
+        "probes=%llu cell-skips=%llu merge-ms=%.3f barriers=%llu\n",
         es.shards.size(), es.imbalance,
         static_cast<unsigned long long>(es.merges),
         static_cast<unsigned long long>(es.merge_candidates),
         static_cast<unsigned long long>(es.merge_probes),
         static_cast<unsigned long long>(es.merge_cell_skips),
+        static_cast<double>(es.merge_ns) / 1e6,
         static_cast<unsigned long long>(es.barriers));
   }
   (void)resume_step;
