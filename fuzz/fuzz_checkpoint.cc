@@ -12,6 +12,13 @@
 // Contract under test: decoders return false with a diagnostic on ANY
 // input — never crash, never abort, never allocate absurd amounts. A
 // successful decode must yield a state that re-encodes cleanly.
+//
+// Checkpoint modes are also differential: every resume reads files
+// through ReadCheckpointFile (the streamed reader), so the same bytes go
+// through a scratch file and that reader must accept exactly the inputs
+// DecodeCheckpoint accepts and decode the same state, bit for bit.
+
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +41,60 @@ void Require(bool cond, const char* what) {
   }
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool SameState(const psky::CheckpointState& a, const psky::CheckpointState& b) {
+  if (a.producer != b.producer || a.dims != b.dims || !SameBits(a.q, b.q) ||
+      a.window_kind != b.window_kind ||
+      a.window_capacity != b.window_capacity ||
+      !SameBits(a.time_span, b.time_span) ||
+      a.elements_consumed != b.elements_consumed ||
+      a.lines_consumed != b.lines_consumed || a.next_seq != b.next_seq ||
+      a.bad_lines_skipped != b.bad_lines_skipped ||
+      // A u64 counter, not a probability.
+      a.probs_clamped != b.probs_clamped ||  // psky-lint: allow(float-eq)
+      a.ooo_dropped != b.ooo_dropped || a.window.size() != b.window.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.window.size(); ++i) {
+    const psky::UncertainElement& x = a.window[i];
+    const psky::UncertainElement& y = b.window[i];
+    if (x.seq != y.seq || !SameBits(x.prob, y.prob) ||
+        !SameBits(x.time, y.time) || x.pos.dims() != y.pos.dims() ||
+        std::memcmp(x.pos.data(), y.pos.data(),
+                    sizeof(double) * static_cast<size_t>(x.pos.dims())) !=
+            0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The file readers' public entries take a path; inputs go through one
+// reused scratch file. Fuzzing file-at-a-time is fine for the smoke
+// budget this target runs under. Returns false when the file cannot be
+// written (the file-side checks are then skipped).
+const std::string& ScratchPath() {
+  static const std::string path = [] {
+    const char* dir = std::getenv("TMPDIR");
+    std::string p = (dir != nullptr && *dir != '\0') ? dir : "/tmp";
+    p += "/fuzz_checkpoint_scratch_" + std::to_string(getpid());
+    return p;
+  }();
+  return path;
+}
+
+bool WriteScratch(std::string_view bytes) {
+  std::FILE* f = std::fopen(ScratchPath().c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok =
+      bytes.empty() ||
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 std::string WrapPayload(const char* magic, uint32_t version,
                         std::string_view payload) {
   std::string out;
@@ -48,7 +109,19 @@ std::string WrapPayload(const char* magic, uint32_t version,
 void TryDecodeCheckpoint(std::string_view bytes) {
   psky::CheckpointState state;
   std::string error;
-  if (!psky::DecodeCheckpoint(bytes, &state, &error)) {
+  const bool decoded = psky::DecodeCheckpoint(bytes, &state, &error);
+  if (WriteScratch(bytes)) {
+    psky::CheckpointState from_file;
+    std::string file_error;
+    const bool read =
+        psky::ReadCheckpointFile(ScratchPath(), &from_file, &file_error);
+    Require(read == decoded,
+            "ReadCheckpointFile and DecodeCheckpoint disagree on acceptance");
+    Require(read || !file_error.empty(), "read failed without diagnostic");
+    Require(!read || SameState(state, from_file),
+            "ReadCheckpointFile and DecodeCheckpoint decode different states");
+  }
+  if (!decoded) {
     Require(!error.empty(), "decode failed without diagnostic");
     return;
   }
@@ -65,27 +138,11 @@ void TryDecodeCheckpoint(std::string_view bytes) {
           "round-trip changed window size");
 }
 
-// The quarantine decoder's only public entry takes a path; replays go
-// through one reused scratch file. Fuzzing file-at-a-time is fine for the
-// smoke budget this target runs under.
 void TryDecodeQuarantine(std::string_view bytes) {
-  static const std::string path = [] {
-    const char* dir = std::getenv("TMPDIR");
-    std::string p = (dir != nullptr && *dir != '\0') ? dir : "/tmp";
-    p += "/fuzz_quarantine_scratch_" + std::to_string(getpid()) + ".pskyq";
-    return p;
-  }();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return;
-  if (!bytes.empty() &&
-      std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    std::fclose(f);
-    return;
-  }
-  std::fclose(f);
+  if (!WriteScratch(bytes)) return;
   psky::QuarantineDump dump;
   std::string error;
-  if (!psky::ReadQuarantineFile(path, &dump, &error)) {
+  if (!psky::ReadQuarantineFile(ScratchPath(), &dump, &error)) {
     Require(!error.empty(), "quarantine decode failed without diagnostic");
   }
 }

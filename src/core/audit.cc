@@ -29,17 +29,10 @@ std::vector<uint64_t> SkylineSeqs(const std::vector<SkylineMember>& members) {
 }  // namespace
 
 AuditManager::AuditManager(SskyOperator* op, AuditOptions options,
-                           WindowSnapshotFn window)
-    : op_(op),
-      options_(options),
-      window_(std::move(window)),
-      q_log_(std::log(op->threshold())) {}
-
-AuditManager::AuditManager(SskyOperator* op, AuditOptions options,
                            WindowStream window)
     : op_(op),
       options_(options),
-      stream_(std::move(window)),
+      window_(std::move(window)),
       q_log_(std::log(op->threshold())) {}
 
 AuditManager::~AuditManager() {
@@ -48,31 +41,18 @@ AuditManager::~AuditManager() {
   if (pending_oracle_.has_value()) pending_oracle_->want.wait();
 }
 
-bool AuditManager::AuditOne(const std::vector<UncertainElement>& window,
-                            size_t idx) {
-  const UncertainElement& e = window[idx];
-  // Exact P_new from first principles: every dominator that arrived after
-  // `e` is still in the window (windows expire oldest-first), so the sum
-  // over newer window dominators *is* the true accumulated P_new — no lazy
-  // state consulted.
-  double exact_pnew = 0.0;
-  for (size_t j = idx + 1; j < window.size(); ++j) {
-    if (Dominates(window[j].pos, e.pos)) {
-      exact_pnew += LogOneMinusProb(ClampProb(window[j].prob));
-    }
-  }
-  return AuditOneExact(e, exact_pnew);
-}
-
-void AuditManager::AuditBatchStreamed(
+void AuditManager::AuditBatch(
     const std::vector<std::pair<uint64_t, UncertainElement>>& targets) {
   if (targets.empty()) return;
-  // One oldest→newest scan accumulates every target's window-exact P_new
-  // (elements newer than the target that dominate it), so a slice of k
-  // elements costs one pass over the window, not k.
+  // Exact P_new from first principles: every dominator that arrived after
+  // a target is still in the window (windows expire oldest-first), so the
+  // sum over newer window dominators *is* the true accumulated P_new — no
+  // lazy state consulted. One oldest→newest scan accumulates every
+  // target's sum, so a slice of k elements costs one pass over the
+  // window, not k.
   std::vector<double> exact_pnew(targets.size(), 0.0);
   uint64_t j = 0;
-  stream_.scan([&](const UncertainElement& w) {
+  window_.scan([&](const UncertainElement& w) {
     for (size_t t = 0; t < targets.size(); ++t) {
       if (j > targets[t].first && Dominates(w.pos, targets[t].second.pos)) {
         exact_pnew[t] += LogOneMinusProb(ClampProb(w.prob));
@@ -83,12 +63,11 @@ void AuditManager::AuditBatchStreamed(
   // P_new is a function of raw window contents only, so repairs applied
   // while draining the batch cannot invalidate the accumulated sums.
   for (size_t t = 0; t < targets.size(); ++t) {
-    AuditOneExact(targets[t].second, exact_pnew[t]);
+    AuditElement(targets[t].second, exact_pnew[t]);
   }
 }
 
-bool AuditManager::AuditOneExact(const UncertainElement& e,
-                                 double exact_pnew) {
+void AuditManager::AuditElement(const UncertainElement& e, double exact_pnew) {
   ++report_.elements_audited;
   const SkyTree* tree = &op_->tree();
   const SkyTree::AuditView view = tree->LookupForAudit(e.pos, e.seq);
@@ -100,9 +79,8 @@ bool AuditManager::AuditOneExact(const UncertainElement& e,
     if (exact_pnew >= q_log_ + options_.tolerance) {
       ++report_.false_evictions;
       ++report_.violations_unrepaired;
-      return false;
     }
-    return true;
+    return;
   }
 
   // Exact P_old: the combined dominator sum over the live candidate set
@@ -122,11 +100,11 @@ bool AuditManager::AuditOneExact(const UncertainElement& e,
       drift_new > options_.tolerance || drift_old > options_.tolerance;
   const bool band_wrong = exact_band != view.band;
   if (drifted) ++report_.drift_beyond_tolerance;
-  if (!drifted && !band_wrong) return true;
+  if (!drifted && !band_wrong) return;
 
   if (options_.mode != AuditMode::kRepair) {
     ++report_.violations_unrepaired;
-    return false;
+    return;
   }
   const SkyTree::RepairOutcome outcome = op_->mutable_tree()->RepairElement(
       e.pos, e.seq, exact_pnew, exact_pold);
@@ -134,67 +112,44 @@ bool AuditManager::AuditOneExact(const UncertainElement& e,
   if (outcome.found && outcome.old_band != outcome.new_band) {
     ++report_.band_flips_prevented;
   }
-  return true;
 }
 
 void AuditManager::RunSliceAudit() {
-  if (streamed()) {
-    const uint64_t n = stream_.size();
-    if (n == 0) return;
-    std::vector<std::pair<uint64_t, UncertainElement>> targets;
-    targets.reserve(static_cast<size_t>(options_.elements_per_audit));
-    for (int k = 0; k < options_.elements_per_audit; ++k) {
-      const uint64_t idx = cursor_ % n;
-      targets.emplace_back(idx, stream_.at(idx));
-      ++cursor_;
-    }
-    AuditBatchStreamed(targets);
-    return;
-  }
-  const std::vector<UncertainElement> window = window_();
-  if (window.empty()) return;
+  const uint64_t n = window_.size();
+  if (n == 0) return;
+  std::vector<std::pair<uint64_t, UncertainElement>> targets;
+  targets.reserve(static_cast<size_t>(options_.elements_per_audit));
   for (int k = 0; k < options_.elements_per_audit; ++k) {
-    AuditOne(window, static_cast<size_t>(cursor_ % window.size()));
+    const uint64_t idx = cursor_ % n;
+    targets.emplace_back(idx, window_.at(idx));
     ++cursor_;
   }
+  AuditBatch(targets);
 }
 
 uint64_t AuditManager::AuditAll() {
   const uint64_t before = report_.violations_unrepaired;
-  if (streamed()) {
-    // Batched full sweep: bounded target memory per scan regardless of
-    // window size.
-    constexpr uint64_t kBatch = 256;
-    const uint64_t n = stream_.size();
-    std::vector<std::pair<uint64_t, UncertainElement>> targets;
-    for (uint64_t start = 0; start < n; start += kBatch) {
-      const uint64_t stop = std::min(start + kBatch, n);
-      targets.clear();
-      for (uint64_t idx = start; idx < stop; ++idx) {
-        targets.emplace_back(idx, stream_.at(idx));
-      }
-      AuditBatchStreamed(targets);
+  // Batched full sweep: bounded target memory per scan regardless of
+  // window size.
+  constexpr uint64_t kBatch = 256;
+  const uint64_t n = window_.size();
+  std::vector<std::pair<uint64_t, UncertainElement>> targets;
+  for (uint64_t start = 0; start < n; start += kBatch) {
+    const uint64_t stop = std::min(start + kBatch, n);
+    targets.clear();
+    for (uint64_t idx = start; idx < stop; ++idx) {
+      targets.emplace_back(idx, window_.at(idx));
     }
-    return report_.violations_unrepaired - before;
+    AuditBatch(targets);
   }
-  const std::vector<UncertainElement> window = window_();
-  for (size_t idx = 0; idx < window.size(); ++idx) AuditOne(window, idx);
   return report_.violations_unrepaired - before;
 }
 
 bool AuditManager::RunOracleCheck() {
   ++report_.oracle_replays;
-  auto replay = [&]() {
-    NaiveSkylineOperator oracle(op_->dims(), op_->threshold());
-    if (streamed()) {
-      stream_.scan(
-          [&](const UncertainElement& e) { oracle.Insert(e); });
-    } else {
-      for (const UncertainElement& e : window_()) oracle.Insert(e);
-    }
-    return SkylineSeqs(oracle.Skyline());
-  };
-  const std::vector<uint64_t> want = replay();
+  NaiveSkylineOperator oracle(op_->dims(), op_->threshold());
+  window_.scan([&](const UncertainElement& e) { oracle.Insert(e); });
+  const std::vector<uint64_t> want = SkylineSeqs(oracle.Skyline());
   if (SkylineSeqs(op_->Skyline()) == want) return true;
 
   // Escalate: a q-skyline disagreement means some candidate's band is
@@ -214,11 +169,15 @@ void AuditManager::LaunchOracleAsync() {
   PendingOracle pending;
   pending.reported = SkylineSeqs(op_->Skyline());
   // The replay touches only its by-value window copy and fresh naive
-  // state — never the live tree — so it is safe on a worker thread.
+  // state — never the live tree or window — so it is safe on a worker
+  // thread. The copy is taken here, on the pipeline thread.
+  std::vector<UncertainElement> window;
+  window.reserve(static_cast<size_t>(window_.size()));
+  window_.scan([&](const UncertainElement& e) { window.push_back(e); });
   const int dims = op_->dims();
   const double q = op_->threshold();
   pending.want = options_.pool->Async(
-      [dims, q, window = window_()]() {
+      [dims, q, window = std::move(window)]() {
         NaiveSkylineOperator oracle(dims, q);
         for (const UncertainElement& e : window) oracle.Insert(e);
         return SkylineSeqs(oracle.Skyline());
@@ -253,9 +212,7 @@ bool AuditManager::Step() {
   }
   if (!suspend_oracle_ && options_.oracle_every > 0 &&
       report_.steps_seen % options_.oracle_every == 0) {
-    // Streamed windows replay synchronously: the scan faults segments in
-    // and out of the live store, which a worker thread cannot share.
-    if (options_.pool != nullptr && !streamed()) {
+    if (options_.pool != nullptr) {
       HarvestOracle();
       LaunchOracleAsync();
     } else {

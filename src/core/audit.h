@@ -27,6 +27,13 @@
 //     reuses the checkpoint serializer (WriteQuarantineFile), stamped
 //     with the producing binary's build info.
 //
+// The auditor reads the window one way, through a WindowStream: one
+// oldest→newest scan derives the exact P_new of a whole slice, and the
+// same scan feeds the shadow oracle. A memory window and a disk window
+// (SegmentStore, visited one mapped segment at a time) therefore audit
+// identically, and no path snapshots the window except the asynchronous
+// oracle's launch, which copies it on the pipeline thread.
+//
 // Exactness of the re-derivation: for a live element e, the window W and
 // candidate set S determine the true values —
 //
@@ -82,13 +89,15 @@ struct AuditOptions {
   /// replay costs O(window^2); sample accordingly.
   uint64_t oracle_every = 0;
   /// When set, shadow-oracle replays run asynchronously on this pool: the
-  /// window and the operator's reported skyline are snapshotted on the
-  /// main thread, the O(window^2) naive replay happens on a worker, and
-  /// the verdict is harvested at the next oracle step (or Drain()). A
-  /// stale disagreement is re-confirmed synchronously against the live
-  /// operator before it counts as a violation. The pool must outlive the
-  /// AuditManager. Slice audits always stay on the main thread: they read
-  /// and repair live tree state.
+  /// window (copied through WindowStream::scan) and the operator's
+  /// reported skyline are snapshotted on the main thread, the
+  /// O(window^2) naive replay happens on a worker, and the verdict is
+  /// harvested at the next oracle step (or Drain()). A stale disagreement
+  /// is re-confirmed synchronously against the live operator before it
+  /// counts as a violation. The pool must outlive the AuditManager. Leave
+  /// it null for out-of-core windows, whose copy would be O(N) RAM. Slice
+  /// audits always stay on the main thread: they read and repair live
+  /// tree state.
   ThreadPool* pool = nullptr;
 };
 
@@ -119,34 +128,37 @@ struct AuditReport {
 
 /// Drives the audit schedule against one SskyOperator.
 ///
-/// The window callback returns the current window contents oldest-first
-/// (e.g. CountWindow::Snapshot); it is only invoked on steps where an
-/// audit or oracle check actually fires.
+/// The window is visited in place through a WindowStream, only on steps
+/// where an audit or oracle check actually fires.
 class AuditManager {
  public:
-  using WindowSnapshotFn = std::function<std::vector<UncertainElement>()>;
-
-  /// Streaming window access for out-of-core windows (SegmentStore):
-  /// the window is visited in place, one segment mapped at a time,
-  /// instead of snapshotted into an O(N) vector. Slice audits batch
-  /// their targets so one oldest→newest scan serves the whole slice.
+  /// Oldest-first access to the window the operator ran over. Slice
+  /// audits batch their targets so one scan serves the whole slice.
   struct WindowStream {
     /// Current window size.
     std::function<uint64_t()> size;
-    /// Element `i` from the oldest (segment-cached random access).
+    /// Element `i` from the oldest (segment-cached for disk windows).
     std::function<UncertainElement(uint64_t)> at;
     /// Visits every element oldest-first.
     std::function<void(const std::function<void(const UncertainElement&)>&)>
         scan;
+
+    /// Streams any window with size() and At(i) — CountWindow,
+    /// TimeWindow, StoredCountWindow. `w` must outlive the stream.
+    template <typename W>
+    static WindowStream Of(const W* w) {
+      WindowStream ws;
+      ws.size = [w] { return static_cast<uint64_t>(w->size()); };
+      ws.at = [w](uint64_t i) {
+        return UncertainElement(w->At(static_cast<size_t>(i)));
+      };
+      ws.scan = [w](const std::function<void(const UncertainElement&)>& fn) {
+        for (size_t i = 0, n = w->size(); i < n; ++i) fn(w->At(i));
+      };
+      return ws;
+    }
   };
 
-  AuditManager(SskyOperator* op, AuditOptions options,
-               WindowSnapshotFn window);
-
-  /// Streaming variant. Shadow-oracle replays always run synchronously
-  /// on the pipeline thread in this mode (the scan faults segments in
-  /// and out of the live store, which is not thread-safe), so
-  /// `options.pool` is ignored.
   AuditManager(SskyOperator* op, AuditOptions options, WindowStream window);
 
   /// Blocks on any in-flight asynchronous oracle replay (without counting
@@ -209,16 +221,12 @@ class AuditManager {
     std::future<std::vector<uint64_t>> want;
   };
 
-  bool streamed() const { return static_cast<bool>(stream_.size); }
-  // Audits window[idx]; window is oldest-first. Returns false on an
-  // unrepaired violation.
-  bool AuditOne(const std::vector<UncertainElement>& window, size_t idx);
-  // Shared exact-state check given `e`'s window-exact P_new; all the
-  // tree lookups, drift accounting, and repairs live here.
-  bool AuditOneExact(const UncertainElement& e, double exact_pnew);
-  // Streamed-mode audit of `targets` ({window index, element} pairs):
-  // one oldest→newest scan accumulates every target's exact P_new.
-  void AuditBatchStreamed(
+  // Exact-state check given `e`'s window-exact P_new; all the tree
+  // lookups, drift accounting, and repairs live here.
+  void AuditElement(const UncertainElement& e, double exact_pnew);
+  // Audits `targets` ({window index, element} pairs): one oldest→newest
+  // scan accumulates every target's exact P_new.
+  void AuditBatch(
       const std::vector<std::pair<uint64_t, UncertainElement>>& targets);
   void RunSliceAudit();
   // Snapshots window + reported skyline and queues the replay on pool.
@@ -230,8 +238,7 @@ class AuditManager {
 
   SskyOperator* op_;
   AuditOptions options_;
-  WindowSnapshotFn window_;  ///< snapshot access; empty in streamed mode
-  WindowStream stream_;      ///< streaming access; empty in snapshot mode
+  WindowStream window_;
   AuditReport report_;
   uint64_t cursor_ = 0;  // rotating position into the window
   double q_log_;
@@ -274,13 +281,13 @@ std::string QuarantineFileName(uint64_t elements_consumed, uint64_t dump_seq);
 bool WriteQuarantineFile(const std::string& path, const QuarantineDump& dump,
                          std::string* error);
 
-/// Errno-reporting variant (same contract as the WriteCheckpointFile
-/// overload); honors the qrtn-write fault-injection site.
+/// Errno-reporting variant (same errno contract as
+/// WriteCheckpointFileStreamed); honors the qrtn-write fault-injection site.
 bool WriteQuarantineFile(const std::string& path, const QuarantineDump& dump,
                          std::string* error, int* out_errno);
 
-/// Retrying wrapper mirroring WriteCheckpointFileRetry: transient I/O
-/// errnos are retried with jittered backoff under `policy`; only after
+/// Retrying wrapper mirroring WriteCheckpointFileStreamedRetry: transient
+/// I/O errnos are retried with jittered backoff under `policy`; only after
 /// budget exhaustion (or a permanent error) does the dump fail.
 bool WriteQuarantineFileRetry(const std::string& path,
                               const QuarantineDump& dump,

@@ -31,6 +31,9 @@ constexpr size_t kHeaderSize = 24;
 // Build-info stamps are short one-liners; anything longer than this in the
 // length field is corruption, not a stamp.
 constexpr uint64_t kMaxProducerBytes = 4096;
+// Upper bound on the payload's fixed fields: the producer stamp plus the
+// configuration, stream-position and counter fields that follow it.
+constexpr uint64_t kMaxFixedBytes = kMaxProducerBytes + 256;
 
 CheckpointCrashHook g_crash_hook = nullptr;
 
@@ -61,6 +64,17 @@ bool FailIo(std::string* error, int* out_errno, int err,
             const std::string& msg) {
   if (out_errno != nullptr) *out_errno = err;
   return Fail(error, msg);
+}
+
+uint64_t ElementBytes(int dims) { return 24 + 8 * static_cast<uint64_t>(dims); }
+
+std::string EncodeHeader(uint32_t crc, uint64_t payload_size) {
+  std::string header;
+  header.append(kMagic, sizeof kMagic);
+  AppendU32(&header, kVersion);
+  AppendU32(&header, crc);
+  AppendU64(&header, payload_size);
+  return header;
 }
 
 // Fixed-field payload prefix shared by EncodeCheckpoint and the
@@ -95,30 +109,10 @@ void AppendElement(std::string* payload, const UncertainElement& e, int dims) {
   for (int i = 0; i < dims; ++i) AppendF64(payload, e.pos[i]);
 }
 
-}  // namespace
-
-void SetCheckpointCrashHook(CheckpointCrashHook hook) { g_crash_hook = hook; }
-
-std::string EncodeCheckpoint(const CheckpointState& state) {
-  std::string payload = EncodePayloadPrefix(state, state.window.size());
-  payload.reserve(payload.size() + state.window.size() *
-                                       (24 + 8 * static_cast<size_t>(state.dims)));
-  for (const UncertainElement& e : state.window) {
-    AppendElement(&payload, e, state.dims);
-  }
-
-  std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  out.append(kMagic, sizeof kMagic);
-  AppendU32(&out, kVersion);
-  AppendU32(&out, Crc32(payload.data(), payload.size()));
-  AppendU64(&out, payload.size());
-  out += payload;
-  return out;
-}
-
-bool DecodeCheckpoint(std::string_view bytes, CheckpointState* out,
-                      std::string* error) {
+// Validates the file header (`bytes` may run past it) and yields the
+// payload CRC and size it promises.
+bool DecodeHeader(std::string_view bytes, uint32_t* crc,
+                  uint64_t* payload_size, std::string* error) {
   if (bytes.size() < kHeaderSize) {
     return Fail(error, "checkpoint truncated: " + std::to_string(bytes.size()) +
                            " bytes, header needs " +
@@ -127,190 +121,225 @@ bool DecodeCheckpoint(std::string_view bytes, CheckpointState* out,
   if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
     return Fail(error, "bad checkpoint magic (not a checkpoint file?)");
   }
-  Cursor header(bytes.substr(sizeof kMagic));
-  uint32_t version = 0, crc = 0;
-  uint64_t payload_size = 0;
+  Cursor header(bytes.substr(sizeof kMagic, kHeaderSize - sizeof kMagic));
+  uint32_t version = 0;
   header.ReadU32(&version);
-  header.ReadU32(&crc);
-  header.ReadU64(&payload_size);
+  header.ReadU32(crc);
+  header.ReadU64(payload_size);
   if (version != kVersion) {
     return Fail(error, "unsupported checkpoint version " +
                            std::to_string(version) + " (expected " +
                            std::to_string(kVersion) + ")");
   }
-  const std::string_view payload = bytes.substr(kHeaderSize);
-  if (payload.size() != payload_size) {
+  return true;
+}
+
+// Checks the payload actually present against the header's promise.
+bool VerifyPayload(uint64_t size, uint32_t crc, uint64_t want_size,
+                   uint32_t want_crc, std::string* error) {
+  if (size != want_size) {
     return Fail(error, "checkpoint payload size mismatch: header says " +
-                           std::to_string(payload_size) + ", file has " +
-                           std::to_string(payload.size()));
+                           std::to_string(want_size) + ", file has " +
+                           std::to_string(size));
   }
-  if (Crc32(payload.data(), payload.size()) != crc) {
+  if (crc != want_crc) {
     return Fail(error, "checkpoint CRC mismatch (corrupted payload)");
   }
+  return true;
+}
 
-  CheckpointState state;
-  Cursor c(payload);
+// Decodes and validates the fixed fields from `prefix`, the first bytes
+// of a CRC-verified payload of `payload_size` bytes (at least
+// min(payload_size, kMaxFixedBytes) of them). Sets `*count` to the
+// element count and `*consumed` to the offset of the element section,
+// whose size must match the count exactly.
+bool DecodeFixedFields(std::string_view prefix, uint64_t payload_size,
+                       CheckpointState* state, uint64_t* count,
+                       size_t* consumed, std::string* error) {
+  Cursor c(prefix);
   uint32_t dims = 0;
   uint8_t kind = 0;
-  uint64_t count = 0;
-  if (!c.ReadString(&state.producer, kMaxProducerBytes)) {
+  if (!c.ReadString(&state->producer, kMaxProducerBytes)) {
     return Fail(error, "checkpoint build-info stamp truncated or oversized");
   }
-  if (!c.ReadU32(&dims) || !c.ReadF64(&state.q) || !c.ReadU8(&kind) ||
-      !c.ReadU64(&state.window_capacity) || !c.ReadF64(&state.time_span) ||
-      !c.ReadU64(&state.elements_consumed) ||
-      !c.ReadU64(&state.lines_consumed) || !c.ReadU64(&state.next_seq) ||
-      !c.ReadU64(&state.bad_lines_skipped) || !c.ReadU64(&state.probs_clamped) ||
-      !c.ReadU64(&state.ooo_dropped) || !c.ReadU64(&count)) {
+  if (!c.ReadU32(&dims) || !c.ReadF64(&state->q) || !c.ReadU8(&kind) ||
+      !c.ReadU64(&state->window_capacity) || !c.ReadF64(&state->time_span) ||
+      !c.ReadU64(&state->elements_consumed) ||
+      !c.ReadU64(&state->lines_consumed) || !c.ReadU64(&state->next_seq) ||
+      !c.ReadU64(&state->bad_lines_skipped) ||
+      !c.ReadU64(&state->probs_clamped) || !c.ReadU64(&state->ooo_dropped) ||
+      !c.ReadU64(count)) {
     return Fail(error, "checkpoint payload truncated in fixed fields");
   }
   if (dims < 1 || dims > static_cast<uint32_t>(kMaxDims)) {
     return Fail(error, "checkpoint dims out of range: " + std::to_string(dims));
   }
-  state.dims = static_cast<int>(dims);
-  if (!(state.q > 0.0) || !(state.q <= 1.0) || !std::isfinite(state.q)) {
+  state->dims = static_cast<int>(dims);
+  if (!(state->q > 0.0) || !(state->q <= 1.0) || !std::isfinite(state->q)) {
     return Fail(error, "checkpoint q out of range");
   }
   if (kind > static_cast<uint8_t>(WindowKind::kTime)) {
     return Fail(error, "checkpoint window kind unknown: " +
                            std::to_string(kind));
   }
-  state.window_kind = static_cast<WindowKind>(kind);
-  const size_t elem_bytes = 24 + 8 * static_cast<size_t>(state.dims);
+  state->window_kind = static_cast<WindowKind>(kind);
+  *consumed = prefix.size() - c.remaining();
+  const uint64_t section = payload_size - *consumed;
+  const uint64_t elem_bytes = ElementBytes(state->dims);
   // Divide instead of multiplying: count is attacker-controlled and
-  // count * elem_bytes can wrap mod 2^64 to match remaining(), sending a
-  // colossal count into window.reserve() (fuzz regression
+  // count * elem_bytes can wrap mod 2^64 to match the section size,
+  // sending a colossal count into window.reserve() (fuzz regression
   // ckpt-count-overflow).
-  if (count > c.remaining() / elem_bytes || c.remaining() != count * elem_bytes) {
+  if (*count > section / elem_bytes || section != *count * elem_bytes) {
     return Fail(error, "checkpoint element section size mismatch: " +
-                           std::to_string(count) + " elements need " +
-                           std::to_string(count * elem_bytes) + " bytes, " +
-                           std::to_string(c.remaining()) + " present");
+                           std::to_string(*count) + " elements need " +
+                           std::to_string(*count * elem_bytes) + " bytes, " +
+                           std::to_string(section) + " present");
   }
-  state.window.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
+  return true;
+}
+
+// Decodes the whole elements in `bytes` (element `first_index` onward),
+// validating each before it reaches `sink`.
+bool DecodeElements(std::string_view bytes, int dims, uint64_t first_index,
+                    const CheckpointElementSink& sink, std::string* error) {
+  Cursor c(bytes);
+  const uint64_t n = bytes.size() / ElementBytes(dims);
+  for (uint64_t i = first_index; i < first_index + n; ++i) {
     UncertainElement e;
-    e.pos = Point(state.dims);
+    e.pos = Point(dims);
     c.ReadU64(&e.seq);
     c.ReadF64(&e.prob);
     c.ReadF64(&e.time);
-    for (int d = 0; d < state.dims; ++d) c.ReadF64(&e.pos[d]);
+    for (int d = 0; d < dims; ++d) c.ReadF64(&e.pos[d]);
     if (!std::isfinite(e.prob) || e.prob <= 0.0 || e.prob > 1.0) {
       return Fail(error, "checkpoint element " + std::to_string(i) +
                              " has invalid probability");
     }
-    for (int d = 0; d < state.dims; ++d) {
+    for (int d = 0; d < dims; ++d) {
       if (!std::isfinite(e.pos[d])) {
         return Fail(error, "checkpoint element " + std::to_string(i) +
                                " has non-finite coordinate");
       }
     }
-    state.window.push_back(e);
+    sink(e);
+  }
+  return true;
+}
+
+// Decodes an open checkpoint file in two passes: the payload CRC is
+// verified before any element reaches `sink`, then the fixed fields and
+// elements stream through in batches.
+bool ReadOpenCheckpoint(std::FILE* f, CheckpointState* out,
+                        const CheckpointElementSink& sink,
+                        std::string* error) {
+  char header[kHeaderSize];
+  const size_t header_got = std::fread(header, 1, sizeof header, f);
+  uint32_t crc = 0;
+  uint64_t payload_size = 0;
+  if (!DecodeHeader(std::string_view(header, header_got), &crc, &payload_size,
+                    error)) {
+    return false;
+  }
+  // Pass 1: checksum the payload without retaining it.
+  uint32_t actual_crc = 0;
+  uint64_t actual_size = 0;
+  char buf[1 << 16];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
+    actual_crc = Crc32(buf, n, actual_crc);
+    actual_size += n;
+  }
+  if (std::ferror(f) != 0) return Fail(error, "cannot read payload");
+  if (!VerifyPayload(actual_size, actual_crc, payload_size, crc, error)) {
+    return false;
+  }
+  // Pass 2: decode. The fixed fields fit a small buffer; elements stream
+  // in batches.
+  std::string fixed(
+      static_cast<size_t>(std::min<uint64_t>(payload_size, kMaxFixedBytes)),
+      '\0');
+  if (std::fseek(f, static_cast<long>(kHeaderSize), SEEK_SET) != 0 ||
+      std::fread(fixed.data(), 1, fixed.size(), f) != fixed.size()) {
+    return Fail(error, "cannot read payload");
+  }
+  CheckpointState state;
+  uint64_t count = 0;
+  size_t consumed = 0;
+  if (!DecodeFixedFields(fixed, payload_size, &state, &count, &consumed,
+                         error)) {
+    return false;
+  }
+  if (std::fseek(f, static_cast<long>(kHeaderSize + consumed), SEEK_SET) != 0) {
+    return Fail(error, "cannot seek to element section");
+  }
+  constexpr uint64_t kBatchElements = 4096;
+  std::string batch;
+  for (uint64_t i = 0; i < count; i += kBatchElements) {
+    batch.resize(static_cast<size_t>(std::min(kBatchElements, count - i) *
+                                     ElementBytes(state.dims)));
+    if (std::fread(batch.data(), 1, batch.size(), f) != batch.size()) {
+      return Fail(error, "cannot read payload");
+    }
+    if (!DecodeElements(batch, state.dims, i, sink, error)) return false;
+  }
+  *out = std::move(state);
+  return true;
+}
+
+}  // namespace
+
+void SetCheckpointCrashHook(CheckpointCrashHook hook) { g_crash_hook = hook; }
+
+std::string EncodeCheckpoint(const CheckpointState& state) {
+  std::string payload = EncodePayloadPrefix(state, state.window.size());
+  payload.reserve(payload.size() +
+                  state.window.size() * ElementBytes(state.dims));
+  for (const UncertainElement& e : state.window) {
+    AppendElement(&payload, e, state.dims);
+  }
+  return EncodeHeader(Crc32(payload.data(), payload.size()), payload.size()) +
+         payload;
+}
+
+bool DecodeCheckpoint(std::string_view bytes, CheckpointState* out,
+                      std::string* error) {
+  uint32_t crc = 0;
+  uint64_t payload_size = 0;
+  if (!DecodeHeader(bytes, &crc, &payload_size, error)) return false;
+  const std::string_view payload = bytes.substr(kHeaderSize);
+  if (!VerifyPayload(payload.size(), Crc32(payload.data(), payload.size()),
+                     payload_size, crc, error)) {
+    return false;
+  }
+  CheckpointState state;
+  uint64_t count = 0;
+  size_t consumed = 0;
+  if (!DecodeFixedFields(payload, payload_size, &state, &count, &consumed,
+                         error)) {
+    return false;
+  }
+  state.window.reserve(count);
+  if (!DecodeElements(
+          payload.substr(consumed), state.dims, 0,
+          [&state](const UncertainElement& e) { state.window.push_back(e); },
+          error)) {
+    return false;
   }
   *out = std::move(state);
   return true;
 }
 
 bool WriteCheckpointFile(const std::string& path, const CheckpointState& state,
-                         std::string* error) {
-  return WriteCheckpointFile(path, state, error, nullptr);
-}
-
-bool WriteCheckpointFile(const std::string& path, const CheckpointState& state,
                          std::string* error, int* out_errno) {
-  if (out_errno != nullptr) *out_errno = 0;
-  // A crash mid-write leaves a ".tmp" behind; clear that wreckage before
-  // producing more so interrupted runs cannot accumulate temp files.
-  const std::string parent =
-      std::filesystem::path(path).parent_path().string();
-  RemoveStaleCheckpointTemps(parent.empty() ? "." : parent);
-  const std::string bytes = EncodeCheckpoint(state);
-  const std::string tmp = path + ".tmp";
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointOpen)) {
-      return FailIo(error, out_errno, inj,
-                    "cannot open " + tmp + ": " + ErrnoString(inj) +
-                        " (injected)");
-    }
-  }
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return FailIo(error, out_errno, errno,
-                  "cannot open " + tmp + ": " + ErrnoString());
-  }
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointWrite)) {
-      std::fclose(f);
-      return FailIo(error, out_errno, inj,
-                    "cannot write " + tmp + ": " + ErrnoString(inj) +
-                        " (injected)");
-    }
-  }
-  // Two-chunk write with an injectable crash between the chunks, so fault
-  // tests can produce a genuinely truncated temp file.
-  const size_t half = bytes.size() / 2;
-  errno = 0;
-  if (std::fwrite(bytes.data(), 1, half, f) != half) {
-    const int err = errno != 0 ? errno : EIO;
-    std::fclose(f);
-    return FailIo(error, out_errno, err, "short write to " + tmp);
-  }
-  if (!SurvivesCrashPoint(CheckpointCrashPoint::kMidPayload)) {
-    std::fclose(f);
-    return Fail(error, "simulated crash mid-checkpoint-write");
-  }
-  if (std::fwrite(bytes.data() + half, 1, bytes.size() - half, f) !=
-      bytes.size() - half) {
-    const int err = errno != 0 ? errno : EIO;
-    std::fclose(f);
-    return FailIo(error, out_errno, err, "short write to " + tmp);
-  }
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointFsync)) {
-      std::fclose(f);
-      return FailIo(error, out_errno, inj,
-                    "cannot flush " + tmp + ": " + ErrnoString(inj) +
-                        " (injected)");
-    }
-  }
-  if (std::fflush(f) != 0 || fsync(fileno(f)) != 0) {
-    const int err = errno;
-    std::fclose(f);
-    return FailIo(error, out_errno, err,
-                  "cannot flush " + tmp + ": " + ErrnoString(err));
-  }
-  std::fclose(f);
-  if (!SurvivesCrashPoint(CheckpointCrashPoint::kBeforeRename)) {
-    return Fail(error, "simulated crash before checkpoint rename");
-  }
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointRename)) {
-      return FailIo(error, out_errno, inj,
-                    "cannot rename " + tmp + " to " + path + ": " +
-                        ErrnoString(inj) + " (injected)");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return FailIo(error, out_errno, errno,
-                  "cannot rename " + tmp + " to " + path + ": " +
-                      ErrnoString());
-  }
-  return true;
-}
-
-bool WriteCheckpointFileRetry(const std::string& path,
-                              const CheckpointState& state,
-                              const RetryPolicy& policy, RetryStats* stats,
-                              std::string* error) {
-  std::string last_error;
-  const bool ok = RetryWithBackoff(
-      policy,
-      [&](int* err) {
-        return WriteCheckpointFile(path, state, &last_error, err);
+  size_t next = 0;
+  return WriteCheckpointFileStreamed(
+      path, state, state.window.size(),
+      [&](UncertainElement* e) {
+        *e = state.window[next++];
+        return true;
       },
-      stats);
-  if (!ok && error != nullptr) *error = last_error;
-  return ok;
+      error, out_errno);
 }
 
 bool WriteCheckpointFileStreamed(const std::string& path,
@@ -319,6 +348,8 @@ bool WriteCheckpointFileStreamed(const std::string& path,
                                  const CheckpointElementSource& source,
                                  std::string* error, int* out_errno) {
   if (out_errno != nullptr) *out_errno = 0;
+  // A crash mid-write leaves a ".tmp" behind; clear that wreckage before
+  // producing more so interrupted runs cannot accumulate temp files.
   const std::string parent =
       std::filesystem::path(path).parent_path().string();
   RemoveStaleCheckpointTemps(parent.empty() ? "." : parent);
@@ -352,13 +383,10 @@ bool WriteCheckpointFileStreamed(const std::string& path,
   // payload has streamed past the incremental checksum, so they are
   // back-patched before the fsync. The rename-into-place discipline means
   // no reader ever sees the placeholder.
-  std::string header;
-  header.append(kMagic, sizeof kMagic);
-  AppendU32(&header, kVersion);
-  AppendU32(&header, 0);
-  AppendU64(&header, 0);
+  const std::string placeholder = EncodeHeader(0, 0);
   errno = 0;
-  if (std::fwrite(header.data(), 1, header.size(), f) != header.size()) {
+  if (std::fwrite(placeholder.data(), 1, placeholder.size(), f) !=
+      placeholder.size()) {
     return fail_write();
   }
   uint32_t crc = 0;
@@ -392,11 +420,7 @@ bool WriteCheckpointFileStreamed(const std::string& path,
     if (chunk.size() >= kChunkBytes && !flush_chunk()) return fail_write();
   }
   if (!chunk.empty() && !flush_chunk()) return fail_write();
-  std::string patched;
-  patched.append(kMagic, sizeof kMagic);
-  AppendU32(&patched, kVersion);
-  AppendU32(&patched, crc);
-  AppendU64(&patched, payload_size);
+  const std::string patched = EncodeHeader(crc, payload_size);
   if (std::fseek(f, 0, SEEK_SET) != 0) {
     const int err = errno;
     std::fclose(f);
@@ -466,159 +490,23 @@ bool ReadCheckpointFileStreamed(const std::string& path, CheckpointState* out,
   if (f == nullptr) {
     return Fail(error, "cannot open " + path + ": " + ErrnoString());
   }
-  auto fail_close = [&](const std::string& msg) {
-    std::fclose(f);
-    return Fail(error, path + ": " + msg);
-  };
-  char header[kHeaderSize];
-  const size_t header_got = std::fread(header, 1, sizeof header, f);
-  if (header_got < kHeaderSize) {
-    return fail_close("checkpoint truncated: " + std::to_string(header_got) +
-                      " bytes, header needs " + std::to_string(kHeaderSize));
-  }
-  if (std::memcmp(header, kMagic, sizeof kMagic) != 0) {
-    return fail_close("bad checkpoint magic (not a checkpoint file?)");
-  }
-  Cursor hc(std::string_view(header + sizeof kMagic,
-                             kHeaderSize - sizeof kMagic));
-  uint32_t version = 0, crc = 0;
-  uint64_t payload_size = 0;
-  hc.ReadU32(&version);
-  hc.ReadU32(&crc);
-  hc.ReadU64(&payload_size);
-  if (version != kVersion) {
-    return fail_close("unsupported checkpoint version " +
-                      std::to_string(version) + " (expected " +
-                      std::to_string(kVersion) + ")");
-  }
-  // Pass 1: checksum the payload without retaining it, so corruption is
-  // detected before any element reaches the sink.
-  uint32_t actual_crc = 0;
-  uint64_t actual_size = 0;
-  {
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-      actual_crc = Crc32(buf, n, actual_crc);
-      actual_size += n;
-    }
-    if (std::ferror(f) != 0) return fail_close("cannot read payload");
-  }
-  if (actual_size != payload_size) {
-    return fail_close("checkpoint payload size mismatch: header says " +
-                      std::to_string(payload_size) + ", file has " +
-                      std::to_string(actual_size));
-  }
-  if (actual_crc != crc) {
-    return fail_close("checkpoint CRC mismatch (corrupted payload)");
-  }
-  // Pass 2: decode. The fixed fields fit a small buffer (the producer
-  // stamp is capped at kMaxProducerBytes); elements stream in batches.
-  if (std::fseek(f, static_cast<long>(kHeaderSize), SEEK_SET) != 0) {
-    return fail_close("cannot seek to payload");
-  }
-  std::string fixed(static_cast<size_t>(std::min<uint64_t>(
-                        payload_size, kMaxProducerBytes + 256)),
-                    '\0');
-  if (std::fread(fixed.data(), 1, fixed.size(), f) != fixed.size()) {
-    return fail_close("cannot read payload");
-  }
-  CheckpointState state;
-  Cursor c(fixed);
-  uint32_t dims = 0;
-  uint8_t kind = 0;
-  uint64_t count = 0;
-  if (!c.ReadString(&state.producer, kMaxProducerBytes)) {
-    return fail_close("checkpoint build-info stamp truncated or oversized");
-  }
-  if (!c.ReadU32(&dims) || !c.ReadF64(&state.q) || !c.ReadU8(&kind) ||
-      !c.ReadU64(&state.window_capacity) || !c.ReadF64(&state.time_span) ||
-      !c.ReadU64(&state.elements_consumed) ||
-      !c.ReadU64(&state.lines_consumed) || !c.ReadU64(&state.next_seq) ||
-      !c.ReadU64(&state.bad_lines_skipped) ||
-      !c.ReadU64(&state.probs_clamped) || !c.ReadU64(&state.ooo_dropped) ||
-      !c.ReadU64(&count)) {
-    return fail_close("checkpoint payload truncated in fixed fields");
-  }
-  if (dims < 1 || dims > static_cast<uint32_t>(kMaxDims)) {
-    return fail_close("checkpoint dims out of range: " + std::to_string(dims));
-  }
-  state.dims = static_cast<int>(dims);
-  if (!(state.q > 0.0) || !(state.q <= 1.0) || !std::isfinite(state.q)) {
-    return fail_close("checkpoint q out of range");
-  }
-  if (kind > static_cast<uint8_t>(WindowKind::kTime)) {
-    return fail_close("checkpoint window kind unknown: " +
-                      std::to_string(kind));
-  }
-  state.window_kind = static_cast<WindowKind>(kind);
-  const size_t consumed = fixed.size() - c.remaining();
-  const uint64_t elem_section = payload_size - consumed;
-  const uint64_t elem_bytes = 24 + 8 * static_cast<uint64_t>(state.dims);
-  // Same division-first overflow guard as DecodeCheckpoint.
-  if (count > elem_section / elem_bytes ||
-      elem_section != count * elem_bytes) {
-    return fail_close("checkpoint element section size mismatch: " +
-                      std::to_string(count) + " elements need " +
-                      std::to_string(count * elem_bytes) + " bytes, " +
-                      std::to_string(elem_section) + " present");
-  }
-  if (std::fseek(f, static_cast<long>(kHeaderSize + consumed), SEEK_SET) !=
-      0) {
-    return fail_close("cannot seek to element section");
-  }
-  constexpr uint64_t kBatchElements = 4096;
-  std::string buf;
-  uint64_t i = 0;
-  while (i < count) {
-    const uint64_t take = std::min(kBatchElements, count - i);
-    buf.resize(static_cast<size_t>(take * elem_bytes));
-    if (std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
-      return fail_close("cannot read payload");
-    }
-    Cursor ec(buf);
-    for (uint64_t k = 0; k < take; ++k, ++i) {
-      UncertainElement e;
-      e.pos = Point(state.dims);
-      ec.ReadU64(&e.seq);
-      ec.ReadF64(&e.prob);
-      ec.ReadF64(&e.time);
-      for (int d = 0; d < state.dims; ++d) ec.ReadF64(&e.pos[d]);
-      if (!std::isfinite(e.prob) || e.prob <= 0.0 || e.prob > 1.0) {
-        return fail_close("checkpoint element " + std::to_string(i) +
-                          " has invalid probability");
-      }
-      for (int d = 0; d < state.dims; ++d) {
-        if (!std::isfinite(e.pos[d])) {
-          return fail_close("checkpoint element " + std::to_string(i) +
-                            " has non-finite coordinate");
-        }
-      }
-      sink(e);
-    }
-  }
+  std::string decode_error;
+  const bool ok = ReadOpenCheckpoint(f, out, sink, &decode_error);
   std::fclose(f);
-  *out = std::move(state);
+  if (!ok) return Fail(error, path + ": " + decode_error);
   return true;
 }
 
 bool ReadCheckpointFile(const std::string& path, CheckpointState* out,
                         std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Fail(error, "cannot open " + path + ": " + ErrnoString());
+  std::vector<UncertainElement> window;
+  if (!ReadCheckpointFileStreamed(
+          path, out,
+          [&window](const UncertainElement& e) { window.push_back(e); },
+          error)) {
+    return false;
   }
-  std::string bytes;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Fail(error, "cannot read " + path);
-  std::string decode_error;
-  if (!DecodeCheckpoint(bytes, out, &decode_error)) {
-    return Fail(error, path + ": " + decode_error);
-  }
+  out->window = std::move(window);
   return true;
 }
 

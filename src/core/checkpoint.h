@@ -21,10 +21,17 @@
 // producing binary, see base/build_info.h) to the payload so post-mortems
 // can identify which binary wrote a snapshot.
 //
-// Writers persist atomically: the bytes go to "<path>.tmp" which is then
-// renamed over <path>, so a crash mid-write never clobbers an existing
-// good checkpoint. Readers reject bad magic, unknown versions, truncated
-// files and CRC mismatches with a diagnostic — never a crash.
+// One writer and one reader touch checkpoint files, and both stream the
+// window one element at a time, so a 100M-element disk window is never
+// materialized to checkpoint or resume it. WriteCheckpointFileStreamed
+// is the only code that opens, writes, fsyncs and renames a checkpoint:
+// the bytes go to "<path>.tmp" which is then renamed over <path>, so a
+// crash mid-write never clobbers an existing good checkpoint.
+// ReadCheckpointFileStreamed is the only file reader; it shares the
+// header, fixed-field and element decoding with the in-memory
+// DecodeCheckpoint (quarantine dumps embed EncodeCheckpoint bytes).
+// Readers reject bad magic, unknown versions, truncated files and CRC
+// mismatches with a diagnostic — never a crash.
 
 #ifndef PSKY_CORE_CHECKPOINT_H_
 #define PSKY_CORE_CHECKPOINT_H_
@@ -87,39 +94,22 @@ std::string EncodeCheckpoint(const CheckpointState& state);
 bool DecodeCheckpoint(std::string_view bytes, CheckpointState* out,
                       std::string* error);
 
-/// Writes `state` to `path` atomically (write "<path>.tmp", fsync, rename).
-/// Returns false and sets `*error` on any I/O failure.
+/// Writes `state` to `path` atomically (write "<path>.tmp", fsync, rename)
+/// by streaming `state.window` through WriteCheckpointFileStreamed.
+/// Returns false and sets `*error` on any I/O failure; `*out_errno`, when
+/// given, receives the failing errno as documented there.
 bool WriteCheckpointFile(const std::string& path, const CheckpointState& state,
-                         std::string* error);
+                         std::string* error, int* out_errno = nullptr);
 
-/// As above, but also reports the failing errno through `*out_errno` (0 for
-/// non-errno failures such as an injected crash hook) so callers can tell
-/// transient I/O conditions (EIO, ENOSPC, EINTR, ...) from permanent ones.
-/// Honors the fault-injection sites ckpt-open/-write/-fsync/-rename
-/// (base/fault_injection.h).
-bool WriteCheckpointFile(const std::string& path, const CheckpointState& state,
-                         std::string* error, int* out_errno);
-
-/// Retrying wrapper: re-attempts WriteCheckpointFile under `policy` with
-/// jittered exponential backoff while the failure is a transient I/O errno
-/// (IsTransientIoError). Permanent failures return immediately; a
-/// transient failure that outlives the budget reports exhaustion in
-/// `*stats`. `*error` carries the last attempt's diagnostic on failure.
-bool WriteCheckpointFileRetry(const std::string& path,
-                              const CheckpointState& state,
-                              const RetryPolicy& policy, RetryStats* stats,
-                              std::string* error);
-
-// --- streaming variants (out-of-core windows) ----------------------------
+// --- streaming codec -----------------------------------------------------
 //
-// A 100M-element disk window must never be materialized just to
-// checkpoint it: the streaming writer pulls elements one at a time (e.g.
-// from a SegmentStore::Cursor) and the streaming reader pushes them one
-// at a time (e.g. straight into a StoredCountWindow + operator), so
-// encode/decode hold at most one I/O chunk of elements in memory. The
-// bytes produced are identical to WriteCheckpointFile for the same
-// logical state — the CRC header is back-patched after the payload has
-// streamed through an incremental CRC-32.
+// The writer pulls elements one at a time (e.g. from a window's At(i))
+// and the reader pushes them one at a time (e.g. straight into a
+// StoredCountWindow + operator), so encode/decode hold at most one I/O
+// chunk of elements in memory. The bytes written equal
+// EncodeCheckpoint for the same logical state — the CRC header is
+// back-patched after the payload has streamed through an incremental
+// CRC-32.
 
 /// Pull-source of window elements, oldest first. Must yield exactly the
 /// element count promised to the writer; returning false early fails the
@@ -129,18 +119,26 @@ using CheckpointElementSource = std::function<bool(UncertainElement*)>;
 /// Receives decoded window elements oldest-first during streaming reads.
 using CheckpointElementSink = std::function<void(const UncertainElement&)>;
 
-/// As the errno-reporting WriteCheckpointFile, but the window contents
-/// come from `source` (`window_count` elements) and `state.window` is
-/// ignored. Honors the same fault-injection sites and crash hooks.
+/// Writes a checkpoint whose window contents come from `source`
+/// (`window_count` elements); `state.window` is ignored. Reports the
+/// failing errno through `*out_errno` (0 for non-errno failures such as
+/// an injected crash hook) so callers can tell transient I/O conditions
+/// (EIO, ENOSPC, EINTR, ...) from permanent ones. Honors the
+/// fault-injection sites ckpt-open/-write/-fsync/-rename
+/// (base/fault_injection.h) and the crash hooks below.
 bool WriteCheckpointFileStreamed(const std::string& path,
                                  const CheckpointState& state,
                                  uint64_t window_count,
                                  const CheckpointElementSource& source,
                                  std::string* error, int* out_errno);
 
-/// Retrying wrapper mirroring WriteCheckpointFileRetry. Each attempt
-/// consumes a fresh source from `source_factory` (a cursor cannot be
-/// rewound mid-stream).
+/// Retrying wrapper: re-attempts the write under `policy` with jittered
+/// exponential backoff while the failure is a transient I/O errno
+/// (IsTransientIoError). Permanent failures return immediately; a
+/// transient failure that outlives the budget reports exhaustion in
+/// `*stats`. `*error` carries the last attempt's diagnostic on failure.
+/// Each attempt consumes a fresh source from `source_factory`, so every
+/// retry restarts the window at its oldest element.
 bool WriteCheckpointFileStreamedRetry(
     const std::string& path, const CheckpointState& state,
     uint64_t window_count,
@@ -156,8 +154,9 @@ bool ReadCheckpointFileStreamed(const std::string& path, CheckpointState* out,
                                 const CheckpointElementSink& sink,
                                 std::string* error);
 
-/// Reads and validates a checkpoint file. Returns false with `*error` on
-/// I/O failure or any corruption.
+/// Reads and validates a checkpoint file through ReadCheckpointFileStreamed,
+/// collecting the window into `out->window`. Returns false with `*error`
+/// on I/O failure or any corruption.
 bool ReadCheckpointFile(const std::string& path, CheckpointState* out,
                         std::string* error);
 
@@ -200,13 +199,13 @@ void ReplayWindow(const CheckpointState& state, WindowSkylineOperator* op);
 
 // --- fault injection (tests only) ---------------------------------------
 
-/// Stages of WriteCheckpointFile where a simulated crash can be injected.
+/// Stages of a checkpoint write where a simulated crash can be injected.
 enum class CheckpointCrashPoint {
-  kMidPayload,    ///< temp file holds the header + a payload prefix
+  kMidPayload,    ///< temp file holds a placeholder header + payload prefix
   kBeforeRename,  ///< temp file complete, rename not yet performed
 };
 
-/// Test hook: return false from the hook to make WriteCheckpointFile stop
+/// Test hook: return false from the hook to make a checkpoint write stop
 /// at that point as if the process died there — the temp file is left in
 /// whatever state it reached and the target file is untouched. Pass
 /// nullptr to clear.

@@ -59,11 +59,14 @@ ShardEngine::ShardEngine(const Options& options)
     shards_.push_back(std::make_unique<Shard>(options_, grid_.num_cells()));
     Shard* shard = shards_.back().get();
     if (options_.audit.mode != AuditMode::kOff) {
-      shard->audit = std::make_unique<AuditManager>(
-          &shard->op, options_.audit, [shard]() {
-            return std::vector<UncertainElement>(shard->fifo.begin(),
-                                                 shard->fifo.end());
-          });
+      AuditManager::WindowStream fifo;
+      fifo.size = [shard] { return static_cast<uint64_t>(shard->fifo.size()); };
+      fifo.at = [shard](uint64_t idx) { return shard->fifo[idx]; };
+      fifo.scan = [shard](const auto& visit) {
+        for (const UncertainElement& e : shard->fifo) visit(e);
+      };
+      shard->audit = std::make_unique<AuditManager>(&shard->op, options_.audit,
+                                                    std::move(fifo));
     }
     shard->worker = std::thread([this, shard] { WorkerLoop(shard); });
   }

@@ -37,6 +37,8 @@ class CountWindow {
 
   const UncertainElement& oldest() const { return buffer_.front(); }
   const UncertainElement& newest() const { return buffer_.back(); }
+  /// The i-th element from the oldest (0 = oldest). Requires i < size().
+  const UncertainElement& At(size_t i) const { return buffer_[i]; }
 
   /// Window contents, oldest first (for oracles / debugging).
   std::vector<UncertainElement> Snapshot() const;
@@ -83,6 +85,8 @@ class TimeWindow {
   uint64_t rejected() const { return rejected_; }
   /// Timestamps rewritten by TimestampPolicy::kClampToWatermark.
   uint64_t clamped() const { return clamped_; }
+  /// The i-th element from the oldest (0 = oldest). Requires i < size().
+  const UncertainElement& At(size_t i) const { return buffer_[i]; }
 
   /// Window contents, oldest first.
   std::vector<UncertainElement> Snapshot() const;

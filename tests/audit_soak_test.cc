@@ -51,7 +51,7 @@ TEST_P(AuditSoakTest, MillionsOfStepsZeroBandMismatches) {
   options.audit_every = 8;
   options.elements_per_audit = 4;
   options.oracle_every = kOracleEvery;
-  AuditManager audit(&op, options, [&window]() { return window.Snapshot(); });
+  AuditManager audit(&op, options, AuditManager::WindowStream::Of(&window));
 
   uint64_t injected = 0;
   for (uint64_t step = 1; step <= kSteps; ++step) {

@@ -45,7 +45,7 @@ struct Pipeline {
       : op(kDims, kQ),
         window(kWindow),
         gen(ConfigFor(dist)),
-        audit(&op, options, [this]() { return window.Snapshot(); }) {}
+        audit(&op, options, AuditManager::WindowStream::Of(&window)) {}
 
   void Run(size_t steps) {
     for (size_t i = 0; i < steps; ++i) {
@@ -315,8 +315,8 @@ TEST(QuarantineTest, FileNameIsZeroPaddedAndSortable) {
 
 // --- streamed-window auditing (out-of-core windows) ----------------------
 
-// An operator over a StoredCountWindow with the streaming AuditManager,
-// mirroring Pipeline but visiting the window through segment cursors.
+// An operator over a StoredCountWindow, mirroring Pipeline but visiting
+// the window one mapped segment at a time.
 struct StreamedPipeline {
   explicit StreamedPipeline(
       AuditOptions options, const std::string& tag,
@@ -324,7 +324,7 @@ struct StreamedPipeline {
       : op(kDims, kQ),
         window(kWindow, StoreOptions(tag)),
         gen(ConfigFor(dist)),
-        audit(&op, options, MakeStream(&window)) {
+        audit(&op, options, AuditManager::WindowStream::Of(&window)) {
     std::string error;
     PSKY_CHECK_MSG(window.Init(&error), error.c_str());
   }
@@ -337,18 +337,6 @@ struct StreamedPipeline {
     o.elements_per_segment = 32;  // kWindow=300 spans ~10 segments
     o.resident_budget = 3;        // force remaps during audit scans
     return o;
-  }
-
-  static AuditManager::WindowStream MakeStream(StoredCountWindow* w) {
-    AuditManager::WindowStream ws;
-    ws.size = [w]() { return static_cast<uint64_t>(w->size()); };
-    ws.at = [w](uint64_t i) { return w->At(static_cast<size_t>(i)); };
-    ws.scan = [w](const std::function<void(const UncertainElement&)>& fn) {
-      SegmentStore::Cursor cur = w->NewCursor();
-      UncertainElement e;
-      while (cur.Next(&e)) fn(e);
-    };
-    return ws;
   }
 
   void Run(size_t steps) {
@@ -366,10 +354,10 @@ struct StreamedPipeline {
   AuditManager audit;
 };
 
-// Same stream, same cadence: the streamed auditor must reach the same
-// verdicts as the snapshot auditor — clean stream, zero violations, and
-// identical audit/oracle counts (the exact P_new sums are computed over
-// the same elements in the same order).
+// Same stream, same cadence: auditing a disk window must reach the same
+// verdicts as auditing a memory window — clean stream, zero violations,
+// and identical audit/oracle counts (the exact P_new sums are computed
+// over the same elements in the same order).
 TEST(AuditStreamedTest, MatchesSnapshotAuditOnCleanStream) {
   AuditOptions options = Options(AuditMode::kCheck);
   options.oracle_every = 1000;

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -249,6 +250,21 @@ CheckpointState SmallState() {
   return state;
 }
 
+// Source factory over `state.window`, as WriteCheckpointFileStreamedRetry
+// takes it: each call starts a fresh pass at the oldest element and bumps
+// `*passes` when given.
+std::function<CheckpointElementSource()> WindowSource(
+    const CheckpointState& state, int* passes = nullptr) {
+  return [&state, passes]() -> CheckpointElementSource {
+    if (passes != nullptr) ++*passes;
+    return [&state, i = size_t{0}](UncertainElement* e) mutable {
+      if (i >= state.window.size()) return false;
+      *e = state.window[i++];
+      return true;
+    };
+  };
+}
+
 RetryPolicy FastRetry(int attempts) {
   RetryPolicy policy;
   policy.max_attempts = attempts;
@@ -287,10 +303,13 @@ TEST_F(ChaosIoTest, CheckpointSurvivesTransientFsyncAndRenameFailures) {
   const CheckpointState state = SmallState();
   RetryStats stats;
   std::string error;
-  ASSERT_TRUE(WriteCheckpointFileRetry(Path("ck.psky"), state, FastRetry(4),
-                                       &stats, &error))
+  int passes = 0;
+  ASSERT_TRUE(WriteCheckpointFileStreamedRetry(
+      Path("ck.psky"), state, state.window.size(), WindowSource(state, &passes),
+      FastRetry(4), &stats, &error))
       << error;
   EXPECT_EQ(stats.retries, 2u);  // one fsync hit, one rename hit
+  EXPECT_EQ(passes, 3);          // every attempt restarts the window stream
   // The file on disk is complete and loadable.
   CheckpointState loaded;
   ASSERT_TRUE(ReadCheckpointFile(Path("ck.psky"), &loaded, &error)) << error;
@@ -308,8 +327,10 @@ TEST_F(ChaosIoTest, CheckpointErrnoIsReportedAndBudgetExhaustionFails) {
   EXPECT_EQ(err, EIO);
   EXPECT_NE(error.find("injected"), std::string::npos);
   // Every retry re-hits the open range: the budget runs out.
-  EXPECT_FALSE(WriteCheckpointFileRetry(Path("ck.psky"), SmallState(),
-                                        FastRetry(3), &stats, &error));
+  const CheckpointState state = SmallState();
+  EXPECT_FALSE(WriteCheckpointFileStreamedRetry(
+      Path("ck.psky"), state, state.window.size(), WindowSource(state),
+      FastRetry(3), &stats, &error));
   EXPECT_EQ(stats.exhausted, 1u);
   // No half-written checkpoint left in place.
   EXPECT_FALSE(fs::exists(Path("ck.psky")));
@@ -422,8 +443,9 @@ TEST_F(ChaosIoTest, PipelineUnderChaosMatchesCleanRunExactly) {
           state.next_seq = processed;
           RetryStats stats;
           std::string error;
-          EXPECT_TRUE(WriteCheckpointFileRetry(Path("chaos_ck.psky"), state,
-                                               FastRetry(4), &stats, &error))
+          EXPECT_TRUE(WriteCheckpointFileStreamedRetry(
+              Path("chaos_ck.psky"), state, state.window.size(),
+              WindowSource(state), FastRetry(4), &stats, &error))
               << error;
           ++checkpoints;
         }

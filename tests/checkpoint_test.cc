@@ -364,39 +364,48 @@ TEST(CheckpointDir, StaleTempsAreSweptOnWriteAndOnDemand) {
   fs::remove_all(dir);
 }
 
-// The streamed writer must produce the same bytes as the materialized
-// writer for the same logical state — resumability cannot depend on
-// which code path wrote the file.
+// A checkpoint file must hold exactly EncodeCheckpoint's bytes for its
+// state — the bytes a quarantine dump embeds — whichever entry point
+// wrote it: resumability cannot depend on the code path or window kind.
 TEST(CheckpointStreamed, WriteIsByteIdenticalToMaterializedWrite) {
   const std::string dir = TempDir("stream_ident");
-  const CheckpointState state = MakeState(3, 200, 61);
-  std::string error;
-  const std::string mat_path = dir + "/mat.psky";
-  ASSERT_TRUE(WriteCheckpointFile(mat_path, state, &error)) << error;
-
-  CheckpointState header = state;
-  header.window.clear();  // the streamed writer must ignore this field
-  size_t cursor = 0;
-  const auto source = [&](UncertainElement* e) {
-    if (cursor >= state.window.size()) return false;
-    *e = state.window[cursor++];
-    return true;
-  };
-  const std::string str_path = dir + "/streamed.psky";
-  int saved_errno = 0;
-  ASSERT_TRUE(WriteCheckpointFileStreamed(str_path, header,
-                                          state.window.size(), source,
-                                          &error, &saved_errno))
-      << error;
-
+  CheckpointState time_state = MakeState(2, 120, 63);
+  time_state.window_kind = WindowKind::kTime;
+  time_state.window_capacity = 0;
+  time_state.time_span = 2.5;
+  CheckpointState empty_state;
+  empty_state.dims = 5;
+  empty_state.q = 1.0;
   const auto slurp = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in),
                        std::istreambuf_iterator<char>());
   };
-  const std::string mat_bytes = slurp(mat_path);
-  ASSERT_FALSE(mat_bytes.empty());
-  EXPECT_EQ(mat_bytes, slurp(str_path));
+  for (const CheckpointState& state :
+       {MakeState(3, 200, 61), time_state, empty_state}) {
+    SCOPED_TRACE("window of " + std::to_string(state.window.size()));
+    const std::string want = EncodeCheckpoint(state);
+    std::string error;
+    const std::string mat_path = dir + "/mat.psky";
+    ASSERT_TRUE(WriteCheckpointFile(mat_path, state, &error)) << error;
+    EXPECT_EQ(slurp(mat_path), want);
+
+    CheckpointState header = state;
+    header.window.clear();  // the streamed writer must ignore this field
+    size_t cursor = 0;
+    const auto source = [&](UncertainElement* e) {
+      if (cursor >= state.window.size()) return false;
+      *e = state.window[cursor++];
+      return true;
+    };
+    const std::string str_path = dir + "/streamed.psky";
+    int saved_errno = 0;
+    ASSERT_TRUE(WriteCheckpointFileStreamed(str_path, header,
+                                            state.window.size(), source,
+                                            &error, &saved_errno))
+        << error;
+    EXPECT_EQ(slurp(str_path), want);
+  }
   fs::remove_all(dir);
 }
 

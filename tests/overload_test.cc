@@ -436,6 +436,9 @@ TEST(ThreadPoolStatusTest, ReportsQueuedAndRunningAges) {
   release.store(true);
   running.get();
   queued.get();
+  // A future is ready inside its job, before the worker retires it from
+  // `active`; Wait() returns only once the pool is idle.
+  pool.Wait();
   const ThreadPool::Status idle = pool.GetStatus();
   EXPECT_EQ(idle.active, 0);
   EXPECT_EQ(idle.queued, 0u);

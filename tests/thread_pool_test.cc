@@ -175,7 +175,7 @@ TEST(AsyncOracle, CleanStreamReplaysWithoutViolations) {
   options.oracle_every = 100;
   options.pool = &pool;
   AuditManager audit(&rig.op, options,
-                     [&rig] { return rig.window.Snapshot(); });
+                     AuditManager::WindowStream::Of(&rig.window));
   bool all_ok = true;
   rig.Feed(&gen, &audit, 1200, &all_ok);
   EXPECT_TRUE(audit.Drain());
@@ -199,7 +199,7 @@ TEST(AsyncOracle, DetectsInjectedCorruption) {
   options.oracle_every = 50;
   options.pool = &pool;
   AuditManager audit(&rig.op, options,
-                     [&rig] { return rig.window.Snapshot(); });
+                     AuditManager::WindowStream::Of(&rig.window));
   rig.Feed(&gen, &audit, 600);
 
   // Corrupt a current skyline member's P_old so it silently drops out of

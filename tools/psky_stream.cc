@@ -1011,12 +1011,15 @@ int main(int argc, char** argv) {
   } else {
     count_window = std::make_unique<psky::CountWindow>(args.window);
   }
-  auto window_snapshot = [&]() {
-    return engine != nullptr        ? engine->WindowSnapshot()
-           : time_window != nullptr ? time_window->Snapshot()
-           : disk_window != nullptr ? disk_window->Snapshot()
-                                    : count_window->Snapshot();
-  };
+  // The sequential window, read one way (oldest first, in place) by the
+  // auditor, checkpoints, quarantine dumps and drift injection. Sharded
+  // runs read the engine's merged window instead.
+  using WindowStream = psky::AuditManager::WindowStream;
+  const WindowStream window_stream =
+      time_window != nullptr    ? WindowStream::Of(time_window.get())
+      : disk_window != nullptr  ? WindowStream::Of(disk_window.get())
+      : count_window != nullptr ? WindowStream::Of(count_window.get())
+                                : WindowStream{};
   // Out-of-order rejections under --ooo-policy reject, whichever side
   // owns the time-window watermark.
   auto ooo_rejected = [&]() -> uint64_t {
@@ -1137,10 +1140,9 @@ int main(int argc, char** argv) {
     last.lines = resume_state.lines_consumed;
   }
 
-  // Everything a checkpoint records except the window contents. The
-  // disk-mode streamed writer pairs this header with a segment-store
-  // cursor; build_state() adds the materialized window for every other
-  // consumer (in-memory checkpoints, quarantine dumps).
+  // Everything a checkpoint records except the window contents, which
+  // stream into the file; build_state() adds the materialized window for
+  // quarantine dumps.
   auto build_header = [&]() -> psky::CheckpointState {
     psky::CheckpointState state;
     state.dims = args.dims;
@@ -1162,7 +1164,13 @@ int main(int argc, char** argv) {
   };
   auto build_state = [&]() -> psky::CheckpointState {
     psky::CheckpointState state = build_header();
-    state.window = window_snapshot();
+    if (engine != nullptr) {
+      state.window = engine->WindowSnapshot();
+    } else {
+      window_stream.scan([&](const psky::UncertainElement& e) {
+        state.window.push_back(e);
+      });
+    }
     return state;
   };
 
@@ -1309,25 +1317,24 @@ int main(int argc, char** argv) {
     }
     const std::string path =
         args.checkpoint_dir + "/" + psky::CheckpointFileName(step);
-    std::string error;
-    bool written;
-    if (disk_window != nullptr) {
-      // Streamed write: the window flows segment store -> file one
-      // element at a time, so a giant-window checkpoint holds O(1)
-      // elements in memory. Each retry attempt gets a fresh cursor.
-      auto source_factory = [&]() -> psky::CheckpointElementSource {
-        auto cur = std::make_shared<psky::SegmentStore::Cursor>(
-            disk_window->NewCursor());
-        return [cur](psky::UncertainElement* e) { return cur->Next(e); };
+    // The window flows into the file one element at a time, so a
+    // giant disk window checkpoints in O(1) elements of memory. Each
+    // retry attempt restarts the read at the oldest element.
+    std::vector<psky::UncertainElement> merged;  // sharded runs only
+    if (engine != nullptr) merged = engine->WindowSnapshot();
+    auto source_factory = [&]() -> psky::CheckpointElementSource {
+      return [&, i = uint64_t{0}](psky::UncertainElement* e) mutable {
+        *e = engine != nullptr ? merged[static_cast<size_t>(i)]
+                               : window_stream.at(i);
+        ++i;
+        return true;
       };
-      written = psky::WriteCheckpointFileStreamedRetry(
-          path, build_header(), disk_window->size(), source_factory,
-          io_policy, &io_stats, &error);
-    } else {
-      written = psky::WriteCheckpointFileRetry(path, build_state(),
-                                               io_policy, &io_stats, &error);
-    }
-    if (!written) {
+    };
+    std::string error;
+    if (!psky::WriteCheckpointFileStreamedRetry(
+            path, build_header(),
+            engine != nullptr ? merged.size() : window_stream.size(),
+            source_factory, io_policy, &io_stats, &error)) {
       std::fprintf(stderr, "error: checkpoint failed: %s\n", error.c_str());
       // The retry budget is exhausted (or the error was permanent): this
       // run is about to exit 3, so preserve the evidence.
@@ -1381,28 +1388,10 @@ int main(int argc, char** argv) {
       engine != nullptr ? psky::AuditMode::kOff : args.audit_mode;
   audit_options.audit_every = args.audit_every;
   audit_options.oracle_every = args.audit_oracle_every;
-  audit_options.pool = pool.get();
-  auto make_audit = [&]() -> psky::AuditManager {
-    if (disk_window != nullptr) {
-      // Streaming window access: slice audits and oracle replays visit
-      // the segment store one mapped segment at a time instead of
-      // snapshotting an O(N) vector (oracle replays run synchronously in
-      // this mode; see AuditManager's streaming constructor).
-      psky::StoredCountWindow* dw = disk_window.get();
-      psky::AuditManager::WindowStream ws;
-      ws.size = [dw]() { return static_cast<uint64_t>(dw->size()); };
-      ws.at = [dw](uint64_t i) { return dw->At(static_cast<size_t>(i)); };
-      ws.scan = [dw](const std::function<void(const psky::UncertainElement&)>&
-                         visit) {
-        psky::SegmentStore::Cursor cur = dw->NewCursor();
-        psky::UncertainElement e;
-        while (cur.Next(&e)) visit(e);
-      };
-      return psky::AuditManager(&op, audit_options, std::move(ws));
-    }
-    return psky::AuditManager(&op, audit_options, window_snapshot);
-  };
-  psky::AuditManager audit = make_audit();
+  // The async oracle copies the window at each launch, so disk windows
+  // replay synchronously, in place, on the pipeline thread.
+  audit_options.pool = disk_window != nullptr ? nullptr : pool.get();
+  psky::AuditManager audit(&op, audit_options, window_stream);
 
   g_postmortem.snapshot = build_state;
   g_postmortem.audit = &audit;
@@ -1540,14 +1529,14 @@ int main(int argc, char** argv) {
       // alone: it also drives candidate retention, so damaging it can
       // cause an eviction (unrepairable by design) before the auditor's
       // next pass.
-      const auto window = window_snapshot();
-      for (auto it = window.rbegin(); it != window.rend(); ++it) {
-        const auto view = op.tree().LookupForAudit(it->pos, it->seq);
+      for (uint64_t i = window_stream.size(); i-- > 0;) {
+        const psky::UncertainElement e = window_stream.at(i);
+        const auto view = op.tree().LookupForAudit(e.pos, e.seq);
         if (!view.found) continue;
-        op.mutable_tree()->RepairElement(it->pos, it->seq, view.pnew_log,
+        op.mutable_tree()->RepairElement(e.pos, e.seq, view.pnew_log,
                                          view.pold_log - 2.0);
         std::fprintf(stderr, "injected drift into seq %llu at step %llu\n",
-                     static_cast<unsigned long long>(it->seq),
+                     static_cast<unsigned long long>(e.seq),
                      static_cast<unsigned long long>(step));
         break;
       }
