@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -13,7 +14,7 @@
 #include "base/fault_injection.h"
 #include "base/wire.h"
 #include "core/naive_operator.h"
-#include "geom/dominance.h"
+#include "geom/dominance_kernel.h"
 
 namespace psky {
 
@@ -47,19 +48,77 @@ void AuditManager::AuditBatch(
   // Exact P_new from first principles: every dominator that arrived after
   // a target is still in the window (windows expire oldest-first), so the
   // sum over newer window dominators *is* the true accumulated P_new — no
-  // lazy state consulted. One oldest→newest scan accumulates every
+  // lazy state consulted. One oldest→newest pass accumulates every
   // target's sum, so a slice of k elements costs one pass over the
-  // window, not k.
+  // window, not k, and the pass starts just past the oldest target: no
+  // earlier position is newer than any of them.
+  //
+  // The pass packs positions into dim-major blocks (the shard merge's
+  // phase-2 layout) and tests each target against a whole block with the
+  // dominance kernel. A block position's log(1 - P) factor is computed
+  // once, if it dominates any target. Mask bits are walked ascending and
+  // blocks are taken oldest first, so each target's sum receives the
+  // same terms in the same order as a per-element scan: the sums, and
+  // every drift and repair derived from them, are bit-identical to it.
+  constexpr int kBlock = kDominanceKernelMaxBlock;
+  constexpr int kWords = kDominanceKernelMaskWords;
+  const int dims = op_->dims();
+  uint64_t oldest = targets.front().first;
+  for (const auto& t : targets) oldest = std::min(oldest, t.first);
+  const uint64_t n = window_.size();
+  std::vector<double> coords(static_cast<size_t>(dims) * kBlock);
+  double prob[kBlock];
+  double factor[kBlock];
+  std::vector<uint64_t> masks(targets.size() * kWords);
   std::vector<double> exact_pnew(targets.size(), 0.0);
-  uint64_t j = 0;
-  window_.scan([&](const UncertainElement& w) {
+  for (uint64_t start = oldest + 1; start < n; start += kBlock) {
+    const int count = static_cast<int>(std::min<uint64_t>(kBlock, n - start));
+    const int words = (count + 63) / 64;
+    for (int r = 0; r < count; ++r) {
+      const UncertainElement w = window_.at(start + static_cast<uint64_t>(r));
+      for (int d = 0; d < dims; ++d) {
+        coords[static_cast<size_t>(d) * kBlock + static_cast<size_t>(r)] =
+            w.pos[d];
+      }
+      prob[r] = w.prob;
+    }
+    uint64_t any[kWords] = {};
     for (size_t t = 0; t < targets.size(); ++t) {
-      if (j > targets[t].first && Dominates(w.pos, targets[t].second.pos)) {
-        exact_pnew[t] += LogOneMinusProb(ClampProb(w.prob));
+      uint64_t* mask = &masks[t * kWords];
+      // Block positions at or before the target are not newer than it.
+      const uint64_t not_newer =
+          targets[t].first < start ? 0 : targets[t].first - start + 1;
+      if (not_newer >= static_cast<uint64_t>(count)) {
+        std::fill(mask, mask + words, uint64_t{0});
+        continue;
+      }
+      uint64_t dominated[kWords];
+      DominanceBlockCompare(targets[t].second.pos.data(), dims, coords.data(),
+                            kBlock, count, mask, dominated);
+      for (int wd = 0; wd < words && not_newer > 64u * wd; ++wd) {
+        const uint64_t cut = not_newer - 64u * wd;
+        mask[wd] &= cut >= 64 ? 0 : ~uint64_t{0} << cut;
+      }
+      for (int wd = 0; wd < words; ++wd) any[wd] |= mask[wd];
+    }
+    // All factors first, then the sums: the log1p calls run back to back
+    // instead of inside each target's dependent chain of additions.
+    for (int wd = 0; wd < words; ++wd) {
+      for (uint64_t bits = any[wd]; bits != 0; bits &= bits - 1) {
+        const int r = wd * 64 + std::countr_zero(bits);
+        factor[r] = LogOneMinusProb(ClampProb(prob[r]));
       }
     }
-    ++j;
-  });
+    for (size_t t = 0; t < targets.size(); ++t) {
+      const uint64_t* mask = &masks[t * kWords];
+      for (int wd = 0; wd < words; ++wd) {
+        for (uint64_t bits = mask[wd]; bits != 0; bits &= bits - 1) {
+          // order-sensitive: oldest-first window order, as a scalar scan.
+          exact_pnew[t] += factor[wd * 64 + std::countr_zero(bits)];
+        }
+      }
+    }
+  }
   // P_new is a function of raw window contents only, so repairs applied
   // while draining the batch cannot invalidate the accumulated sums.
   for (size_t t = 0; t < targets.size(); ++t) {
@@ -106,8 +165,14 @@ void AuditManager::AuditElement(const UncertainElement& e, double exact_pnew) {
     ++report_.violations_unrepaired;
     return;
   }
+  // A live element has no evicted newer dominator (that dominator's own
+  // newer dominators dominate the element too, so it would have been
+  // evicted first): its true P_old is the product over older candidate
+  // dominators, <= 0 in the log domain. The difference above sums the
+  // newer dominators in two orders and can round a zero P_old a few ulps
+  // positive, which RepairElement rejects.
   const SkyTree::RepairOutcome outcome = op_->mutable_tree()->RepairElement(
-      e.pos, e.seq, exact_pnew, exact_pold);
+      e.pos, e.seq, exact_pnew, std::min(exact_pold, 0.0));
   ++report_.repairs_applied;
   if (outcome.found && outcome.old_band != outcome.new_band) {
     ++report_.band_flips_prevented;

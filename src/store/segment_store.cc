@@ -47,7 +47,9 @@ bool IsSegmentFileName(const std::string& name) {
 
 }  // namespace
 
-SegmentStore::SegmentStore(const Options& opts) : opts_(opts) {}
+SegmentStore::SegmentStore(const Options& opts)
+    : opts_(opts),
+      zero_pos_(opts.dims >= 1 && opts.dims <= kMaxDims ? opts.dims : 0) {}
 
 SegmentStore::~SegmentStore() {
   UnmapAll();
@@ -57,10 +59,6 @@ SegmentStore::~SegmentStore() {
   for (const std::string& path : free_files_) {
     std::filesystem::remove(path, ec);
   }
-}
-
-size_t SegmentStore::SlotBytes() const {
-  return 24 + 8 * static_cast<size_t>(opts_.dims);
 }
 
 size_t SegmentStore::SegmentBytes() const {
@@ -86,6 +84,7 @@ bool SegmentStore::Init(std::string* error) {
 void SegmentStore::UnmapSegment(Segment* seg) const {
   if (seg->map == nullptr) return;
   ::munmap(seg->map, SegmentBytes());
+  ++map_epoch_;
   seg->map = nullptr;
   seg->lru = 0;
   --stats_.segments_resident;
@@ -218,6 +217,7 @@ bool SegmentStore::RecycleFrontSegment(std::string* error) {
   }
   Segment seg = segments_.front();
   segments_.pop_front();
+  ++map_epoch_;  // unmapped below; the file comes back as a tail
   if (seg.map != nullptr) {
     ::munmap(seg.map, SegmentBytes());
     --stats_.segments_resident;
@@ -253,17 +253,8 @@ void SegmentStore::UnmapAll() {
     if (seg.map != nullptr) ::munmap(seg.map, SegmentBytes());
     seg.map = nullptr;
   }
+  ++map_epoch_;
   stats_.segments_resident = 0;
-}
-
-void SegmentStore::ReadSlot(const char* slot, UncertainElement* e) const {
-  e->pos = Point(opts_.dims);
-  std::memcpy(&e->seq, slot, 8);
-  std::memcpy(&e->prob, slot + 8, 8);
-  std::memcpy(&e->time, slot + 16, 8);
-  for (int d = 0; d < opts_.dims; ++d) {
-    std::memcpy(&e->pos[d], slot + 24 + 8 * static_cast<size_t>(d), 8);
-  }
 }
 
 bool SegmentStore::PushBack(const UncertainElement& e, std::string* error) {
@@ -309,24 +300,31 @@ bool SegmentStore::PopFront(UncertainElement* out, std::string* error) {
       return false;
     }
   } else if (head_offset_ == front_used && front_is_tail) {
-    // Fully drained store: rewind the single segment in place.
+    // Fully drained store: rewind the single segment in place. Its slots
+    // now hold new absolute indices, so resolved readers must re-resolve.
     head_offset_ = 0;
     tail_count_ = 0;
+    ++map_epoch_;
   }
   return true;
 }
 
-UncertainElement SegmentStore::At(size_t i) const {
-  PSKY_CHECK(i < size_);
-  const size_t flat = head_offset_ + i;
-  const size_t seg_index = flat / opts_.elements_per_segment;
-  const size_t slot_index = flat % opts_.elements_per_segment;
+void SegmentStore::Resolve(uint64_t abs, Resolved* r) const {
+  // Callers only ask for live indices: At checks i < size(), and a
+  // cursor clamps to [total_popped_, its end).
+  PSKY_DCHECK(abs >= total_popped_ && abs - total_popped_ < size_);
+  // Slot 0 of the front segment holds absolute index
+  // total_popped_ - head_offset_; segments are elements_per_segment apart.
+  const uint64_t flat = abs - (total_popped_ - head_offset_);
+  const size_t seg_index =
+      static_cast<size_t>(flat / opts_.elements_per_segment);
   std::string error;
   PSKY_CHECK_MSG(EnsureMapped(seg_index, &error), error.c_str());
-  const char* slot = segments_[seg_index].map + slot_index * SlotBytes();
-  UncertainElement e;
-  ReadSlot(slot, &e);
-  return e;
+  r->base = segments_[seg_index].map;
+  r->lo = abs - flat % opts_.elements_per_segment;
+  r->hi = r->lo + opts_.elements_per_segment;
+  // Read after EnsureMapped: its budget sweep may have unmapped others.
+  r->epoch = map_epoch_;
 }
 
 std::vector<UncertainElement> SegmentStore::Snapshot() const {
@@ -343,16 +341,6 @@ SegmentStore::Cursor SegmentStore::NewCursor() const {
 void SegmentStore::SetResidentBudget(size_t budget) {
   opts_.resident_budget = budget;
   if (!segments_.empty()) EnforceResidentBudget(segments_.size());
-}
-
-bool SegmentStore::Cursor::Next(UncertainElement* out) {
-  // Elements popped since the last call are gone; skip to the oldest
-  // survivor (total_popped_ is the absolute index of the current head).
-  if (abs_next_ < store_->total_popped_) abs_next_ = store_->total_popped_;
-  if (abs_next_ >= abs_end_) return false;
-  *out = store_->At(static_cast<size_t>(abs_next_ - store_->total_popped_));
-  ++abs_next_;
-  return true;
 }
 
 uint64_t SegmentStore::Cursor::remaining() const {

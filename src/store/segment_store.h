@@ -23,6 +23,16 @@
 // cursor advises MADV_WILLNEED on the next expiry-frontier segment
 // before PopFront reaches it.
 //
+// Reads by position (At, Cursor::Next) share one fast path. Each reader
+// remembers the segment it last resolved: its mapped base, the absolute
+// stream indices its slots hold, and the store's mapping epoch at that
+// time. The epoch is bumped by every munmap, head recycle and drain
+// rewind, so a read inside the remembered segment with an unchanged
+// epoch is a range check plus a slot copy; anything else takes the slow
+// path (mapping, the segment-map fault site, the resident budget, the
+// LRU stamp). A scan therefore pays the mapping cost once per segment,
+// not once per element.
+//
 // Segments are per-run scratch, not durable state: files are recreated
 // on startup (the startup sweep deletes leftovers) and carry no CRC —
 // durability comes from checkpoints plus the WAL (store/wal.h). Slot
@@ -40,11 +50,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "base/check.h"
 #include "stream/element.h"
 
 namespace psky {
@@ -75,6 +87,19 @@ class SegmentStore {
     uint64_t recycle_pressure = 0;   ///< budget-forced evictions of mapped segments
   };
 
+ private:
+  /// The segment a reader last resolved (see the file comment): slot k of
+  /// `base` holds absolute stream index `lo + k`, valid for indices below
+  /// `hi` while the store's mapping epoch still equals `epoch`. Declared
+  /// ahead of Cursor, which holds one.
+  struct Resolved {
+    const char* base = nullptr;
+    uint64_t lo = 0;
+    uint64_t hi = 0;  ///< lo == hi: nothing resolved yet
+    uint64_t epoch = 0;
+  };
+
+ public:
   /// Streams the live window oldest→newest, mapping one segment at a
   /// time through the store's shared segment cache. The cursor survives
   /// concurrent PopFront/PushBack on its store: elements popped under it
@@ -83,7 +108,14 @@ class SegmentStore {
    public:
     /// Copies the next element into `*out`; returns false when the
     /// cursor is exhausted.
-    bool Next(UncertainElement* out);
+    bool Next(UncertainElement* out) {
+      // Elements popped since the last call are gone; skip to the oldest
+      // survivor (total_popped_ is the absolute index of the current head).
+      if (abs_next_ < store_->total_popped_) abs_next_ = store_->total_popped_;
+      if (abs_next_ >= abs_end_) return false;
+      store_->Read(abs_next_++, &resolved_, out);
+      return true;
+    }
 
     /// Elements this cursor can still yield (shrinks if the store pops
     /// past unvisited elements).
@@ -97,6 +129,7 @@ class SegmentStore {
     const SegmentStore* store_;
     uint64_t abs_next_;  ///< absolute stream index of the next element
     uint64_t abs_end_;   ///< absolute stream index one past the last
+    Resolved resolved_;
   };
 
   explicit SegmentStore(const Options& opts);
@@ -121,8 +154,14 @@ class SegmentStore {
 
   /// The i-th element from the oldest (0 = oldest). Requires i < size().
   /// Maps the containing segment on demand through the shared segment
-  /// cache, so a cold sample touches one segment, not the whole window.
-  UncertainElement At(size_t i) const;
+  /// cache, so a cold sample touches one segment, not the whole window;
+  /// successive reads inside one segment take the fast path.
+  UncertainElement At(size_t i) const {
+    PSKY_CHECK(i < size_);
+    UncertainElement e;
+    Read(total_popped_ + i, &at_resolved_, &e);
+    return e;
+  }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -152,7 +191,9 @@ class SegmentStore {
     uint64_t lru = 0;  ///< last-access tick; meaningful while mapped
   };
 
-  size_t SlotBytes() const;
+  size_t SlotBytes() const {
+    return 24 + 8 * static_cast<size_t>(opts_.dims);
+  }
   size_t SegmentBytes() const;
   /// Maps segments_[seg_index] if it is cold (fault site: segment-map),
   /// refreshes its LRU stamp, and enforces the resident budget.
@@ -162,12 +203,33 @@ class SegmentStore {
   /// readahead frontier, the tail, or `protect_index`) until the
   /// resident count fits the budget.
   void EnforceResidentBudget(size_t protect_index) const;
-  void ReadSlot(const char* slot, UncertainElement* e) const;
+  /// Copies the live element at absolute stream index `abs` into `*out`
+  /// through the reader's resolved segment `*r`, resolving it first when
+  /// `abs` lies outside it or the mapping epoch moved.
+  void Read(uint64_t abs, Resolved* r, UncertainElement* out) const {
+    if (r->epoch != map_epoch_ || abs < r->lo || abs >= r->hi) Resolve(abs, r);
+    ReadSlot(r->base + (abs - r->lo) * SlotBytes(), out);
+  }
+  /// The slow path of Read: maps the segment holding live index `abs`
+  /// (PSKY_CHECK on failure) and points `*r` at it.
+  void Resolve(uint64_t abs, Resolved* r) const;
+  void ReadSlot(const char* slot, UncertainElement* e) const {
+    e->pos = zero_pos_;
+    std::memcpy(&e->seq, slot, 8);
+    std::memcpy(&e->prob, slot + 8, 8);
+    std::memcpy(&e->time, slot + 16, 8);
+    for (int d = 0; d < opts_.dims; ++d) {
+      std::memcpy(&e->pos[d], slot + 24 + 8 * static_cast<size_t>(d), 8);
+    }
+  }
   bool MapTailSegment(std::string* error);
   bool RecycleFrontSegment(std::string* error);
   void UnmapAll();
 
   Options opts_;
+  /// Point(dims) is a variable-length fill per call; reads copy this
+  /// zero point of the store's dimensionality instead.
+  Point zero_pos_;
   // Mapping state is logically const: remapping/evicting segments never
   // changes the FIFO contents, so const readers (At, Snapshot, Cursor)
   // may fault segments in and out.
@@ -179,6 +241,10 @@ class SegmentStore {
   size_t size_ = 0;
   uint64_t total_popped_ = 0;  ///< lifetime pops; anchors Cursor positions
   mutable uint64_t lru_tick_ = 0;
+  /// Bumped whenever a resolved segment may stop being valid: any munmap,
+  /// head recycle, or drain rewind.
+  mutable uint64_t map_epoch_ = 0;
+  mutable Resolved at_resolved_;  ///< At()'s resolved segment
   mutable Stats stats_;
 };
 

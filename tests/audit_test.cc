@@ -3,11 +3,14 @@
 // oracle escalates correctly, and quarantine dumps round-trip. Long-stream
 // metamorphic soaks live in audit_soak_test.cc (ctest label "soak").
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "base/check.h"
 #include "core/audit.h"
 #include "core/ssky_operator.h"
+#include "geom/dominance.h"
 #include "store/segment_store.h"
 #include "stream/generator.h"
 #include "stream/window.h"
@@ -41,9 +45,10 @@ StreamConfig ConfigFor(SpatialDistribution dist, uint64_t seed = 0xA0D17u) {
 // An operator plus its window and audit manager, advanced in lockstep.
 struct Pipeline {
   explicit Pipeline(AuditOptions options,
-                    SpatialDistribution dist = SpatialDistribution::kIndependent)
+                    SpatialDistribution dist = SpatialDistribution::kIndependent,
+                    size_t capacity = kWindow)
       : op(kDims, kQ),
-        window(kWindow),
+        window(capacity),
         gen(ConfigFor(dist)),
         audit(&op, options, AuditManager::WindowStream::Of(&window)) {}
 
@@ -320,9 +325,10 @@ TEST(QuarantineTest, FileNameIsZeroPaddedAndSortable) {
 struct StreamedPipeline {
   explicit StreamedPipeline(
       AuditOptions options, const std::string& tag,
-      SpatialDistribution dist = SpatialDistribution::kIndependent)
+      SpatialDistribution dist = SpatialDistribution::kIndependent,
+      size_t capacity = kWindow)
       : op(kDims, kQ),
-        window(kWindow, StoreOptions(tag)),
+        window(capacity, StoreOptions(tag)),
         gen(ConfigFor(dist)),
         audit(&op, options, AuditManager::WindowStream::Of(&window)) {
     std::string error;
@@ -398,6 +404,165 @@ TEST(AuditStreamedTest, RepairsInjectedDriftThroughTheCursor) {
   ASSERT_TRUE(healed.found);
   EXPECT_NEAR(healed.pnew_log, view.pnew_log, 1e-9);
 }
+
+// --- block audit vs the per-element scan --------------------------------
+
+// The per-element scan the block audit replaced, kept as the reference:
+// oldest to newest, one Dominates test and one log factor per (window
+// element, target) pair.
+double ScalarExactPnew(const AuditManager::WindowStream& window,
+                       uint64_t target) {
+  const UncertainElement t = window.at(target);
+  double sum = 0.0;
+  uint64_t j = 0;
+  window.scan([&](const UncertainElement& w) {
+    if (j > target && Dominates(w.pos, t.pos)) {
+      sum += LogOneMinusProb(ClampProb(w.prob));
+    }
+    ++j;
+  });
+  return sum;
+}
+
+// Knocks the materialized P_new of every element at `indices` that is live
+// in the candidate set 2.0 off in the log domain, so the next audit of it
+// must repair it to its exact value. Returns the live indices. (Lazy
+// bookkeeping can leave a zero P_old a few ulps positive, which
+// RepairElement rejects; P_old is planted clamped to 0.)
+template <typename P>
+std::vector<uint64_t> PlantDrift(P* p, const AuditManager::WindowStream& ws,
+                                 const std::vector<uint64_t>& indices) {
+  std::vector<uint64_t> live;
+  for (const uint64_t i : indices) {
+    const UncertainElement e = ws.at(i);
+    const SkyTree::AuditView view = p->op.tree().LookupForAudit(e.pos, e.seq);
+    if (!view.found) continue;
+    p->op.mutable_tree()->RepairElement(e.pos, e.seq, view.pnew_log - 2.0,
+                                        std::min(view.pold_log, 0.0));
+    live.push_back(i);
+  }
+  return live;
+}
+
+// A repair writes the auditor's exact P_new verbatim, so after one every
+// repaired element must carry the reference sum bit for bit.
+template <typename P>
+void ExpectRepairedToScalar(P* p, const AuditManager::WindowStream& ws,
+                            const std::vector<uint64_t>& indices) {
+  for (const uint64_t i : indices) {
+    const UncertainElement e = ws.at(i);
+    const SkyTree::AuditView view = p->op.tree().LookupForAudit(e.pos, e.seq);
+    ASSERT_TRUE(view.found) << "window index " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(view.pnew_log),
+              std::bit_cast<uint64_t>(ScalarExactPnew(ws, i)))
+        << "window index " << i << " of " << ws.size();
+  }
+}
+
+// Runs `p`'s stream to a full window, then repairs planted drift twice —
+// through a rotating slice that wraps the window end (targets n-2, n-1, 0,
+// 1; n-2 and n-1 sit in the last, partial block) and through an AuditAll
+// sweep of 256-target batches — checking each repaired P_new against the
+// per-element scan.
+template <typename P>
+void ExpectBlockAuditMatchesScalarScan(P* p) {
+  const AuditManager::WindowStream ws =
+      AuditManager::WindowStream::Of(&p->window);
+  p->Run(3 * p->window.capacity());
+  const uint64_t n = ws.size();
+  ASSERT_EQ(n, p->window.capacity());
+  ASSERT_EQ(n % 4, 2u) << "the 4-wide slice cursor must land on n - 2";
+
+  AuditOptions options = Options(AuditMode::kRepair);
+  options.audit_every = 1;
+  AuditManager audit(&p->op, options, ws);
+  for (uint64_t k = 0; k < (n - 2) / 4; ++k) audit.Step();
+  const std::vector<uint64_t> wrap = PlantDrift(p, ws, {n - 2, n - 1, 0, 1});
+  ASSERT_FALSE(wrap.empty());  // the newest element is always a candidate
+  const uint64_t repairs_before = audit.report().repairs_applied;
+  audit.Step();
+  EXPECT_GE(audit.report().repairs_applied - repairs_before, wrap.size());
+  ExpectRepairedToScalar(p, ws, wrap);
+
+  std::vector<uint64_t> all(n);
+  for (uint64_t i = 0; i < n; ++i) all[i] = i;
+  const std::vector<uint64_t> live = PlantDrift(p, ws, all);
+  EXPECT_EQ(audit.AuditAll(), 0u);
+  ExpectRepairedToScalar(p, ws, live);
+  EXPECT_EQ(audit.report().violations_unrepaired, 0u);
+}
+
+// The auditor derives P_old as (candidate dominator sum) - P_new, summing
+// the newer dominators in two different orders. For a live element with
+// no older candidate dominator the true log P_old is 0, and the difference
+// can round a few ulps positive: this stream holds such an element at
+// window index 10 after 900 steps. Repairing it must write log P_old = 0,
+// not trip RepairElement's log-domain check.
+TEST(AuditTest, RepairClampsRoundedPositivePold) {
+  SskyOperator op(kDims, kQ);
+  CountWindow window(kWindow);
+  StreamGenerator gen(ConfigFor(SpatialDistribution::kAntiCorrelated, 22));
+  for (int i = 0; i < 900; ++i) {
+    const UncertainElement e = gen.Next();
+    if (auto expired = window.Push(e)) op.Expire(*expired);
+    op.Insert(e);
+  }
+  const AuditManager::WindowStream ws = AuditManager::WindowStream::Of(&window);
+  const UncertainElement e = window.At(10);
+  const double exact_pnew = ScalarExactPnew(ws, 10);
+  const SkyTree::DominatorSums sums = op.tree().ExactDominators(e.pos, e.seq);
+  ASSERT_EQ(sums.older_log, 0.0);
+  ASSERT_GT(sums.newer_log + sums.older_log - exact_pnew, 0.0);
+
+  const SkyTree::AuditView view = op.tree().LookupForAudit(e.pos, e.seq);
+  ASSERT_TRUE(view.found);
+  op.mutable_tree()->RepairElement(e.pos, e.seq, view.pnew_log - 2.0,
+                                   std::min(view.pold_log, 0.0));
+  AuditManager audit(&op, Options(AuditMode::kRepair), ws);
+  EXPECT_EQ(audit.AuditAll(), 0u);
+  const SkyTree::AuditView healed = op.tree().LookupForAudit(e.pos, e.seq);
+  EXPECT_EQ(std::bit_cast<uint64_t>(healed.pnew_log),
+            std::bit_cast<uint64_t>(exact_pnew));
+  EXPECT_EQ(healed.pold_log, 0.0);
+}
+
+class BlockAuditTest
+    : public ::testing::TestWithParam<std::tuple<SpatialDistribution, bool>> {
+};
+
+// Windows of 150 (less than one 256-element block), 302 and 550 elements,
+// each congruent to 2 mod 4 so the slice cursor reaches n - 2.
+TEST_P(BlockAuditTest, RepairsToThePerElementScanBitForBit) {
+  const auto [dist, disk] = GetParam();
+  for (const size_t capacity : {150, 302, 550}) {
+    SCOPED_TRACE("window " + std::to_string(capacity));
+    AuditOptions off;
+    off.mode = AuditMode::kOff;
+    if (disk) {
+      StreamedPipeline p(off,
+                         std::string("block_") + SpatialDistributionName(dist) +
+                             "_" + std::to_string(capacity),
+                         dist, capacity);
+      ExpectBlockAuditMatchesScalarScan(&p);
+    } else {
+      Pipeline p(off, dist, capacity);
+      ExpectBlockAuditMatchesScalarScan(&p);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDistributions, BlockAuditTest,
+    ::testing::Combine(::testing::Values(SpatialDistribution::kAntiCorrelated,
+                                         SpatialDistribution::kIndependent,
+                                         SpatialDistribution::kCorrelated),
+                       ::testing::Bool()),
+    [](const auto& param_info) {
+      return std::string(
+                 SpatialDistributionName(std::get<0>(param_info.param))) +
+             (std::get<1>(param_info.param) ? "_StoredCountWindow"
+                                            : "_CountWindow");
+    });
 
 }  // namespace
 }  // namespace psky

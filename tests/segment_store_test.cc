@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/check.h"
 #include "base/fault_injection.h"
 #include "base/random.h"
 #include "core/ssky_operator.h"
@@ -447,6 +448,131 @@ TEST(SegmentStoreTest, ReadaheadKeepsExpiryFrontierHot) {
   // The frontier was prefetched by the preceding recycle every time.
   EXPECT_EQ(stats.readahead_misses, 0u);
   EXPECT_EQ(stats.recycle_pressure, 0u);
+}
+
+// A store mirrored by a std::deque: every push and pop goes to both, and
+// every read is checked against the mirror.
+struct MirroredStore {
+  MirroredStore(const char* tag, size_t per_segment, size_t budget)
+      : store(StoreOptions(tag, per_segment, budget)), gen(Config()) {
+    std::string error;
+    PSKY_CHECK_MSG(store.Init(&error), error.c_str());
+  }
+  static SegmentStore::Options StoreOptions(const char* tag,
+                                            size_t per_segment,
+                                            size_t budget) {
+    SegmentStore::Options opts = MakeOptions(TempDir(tag), 3, per_segment);
+    opts.resident_budget = budget;
+    return opts;
+  }
+  static StreamConfig Config() {
+    StreamConfig cfg;
+    cfg.dims = 3;
+    cfg.seed = 61;
+    return cfg;
+  }
+  void Push(int count) {
+    std::string error;
+    for (int k = 0; k < count; ++k) {
+      ref.push_back(gen.Next());
+      ASSERT_TRUE(store.PushBack(ref.back(), &error)) << error;
+    }
+  }
+  void Pop(int count) {
+    std::string error;
+    for (int k = 0; k < count; ++k) {
+      UncertainElement out;
+      ASSERT_TRUE(store.PopFront(&out, &error)) << error;
+      ExpectElementsEqual(ref.front(), out);
+      ref.pop_front();
+    }
+  }
+  // Reads `count` elements through `cur`, which must yield ref[first...].
+  void ExpectCursor(SegmentStore::Cursor* cur, size_t first, int count) {
+    for (int k = 0; k < count; ++k) {
+      UncertainElement out;
+      ASSERT_TRUE(cur->Next(&out)) << "element " << first + k;
+      ExpectElementsEqual(ref[first + static_cast<size_t>(k)], out);
+    }
+  }
+  void ExpectAt(size_t i) { ExpectElementsEqual(ref[i], store.At(i)); }
+
+  SegmentStore store;
+  StreamGenerator gen;
+  std::deque<UncertainElement> ref;
+};
+
+// Reads remember the segment they last resolved (mapped base, slot range,
+// mapping epoch). A cursor paused mid-segment must re-resolve, never read
+// through the old mapping, when its segment is evicted by interleaved At()
+// calls under the floor budget of 3 or by a budget shrink.
+TEST(SegmentStoreTest, PausedCursorRemapsAfterEviction) {
+  MirroredStore m("stale_evict", 4, 3);
+  m.Push(40);  // 10 segments; head, readahead frontier, and tail pinned
+  SegmentStore::Cursor cur = m.store.NewCursor();
+  m.ExpectCursor(&cur, 0, 18);  // paused in the middle of segment 4
+  const uint64_t pressure = m.store.stats().recycle_pressure;
+  for (size_t i = 24; i < 36; ++i) m.ExpectAt(i);  // segments 6..8
+  EXPECT_GT(m.store.stats().recycle_pressure, pressure);
+  m.ExpectCursor(&cur, 18, 10);  // back in segment 4, then on to 6
+
+  MirroredStore wide("stale_shrink", 4, 0);
+  wide.Push(40);
+  SegmentStore::Cursor paused = wide.store.NewCursor();
+  wide.ExpectCursor(&paused, 0, 22);  // mid segment 5
+  for (size_t i = 0; i < 40; ++i) wide.ExpectAt(i);  // everything mapped
+  wide.store.SetResidentBudget(3);
+  EXPECT_LE(wide.store.stats().segments_resident, 3u);
+  wide.ExpectCursor(&paused, 22, 18);
+  UncertainElement out;
+  EXPECT_FALSE(paused.Next(&out));
+}
+
+// A cursor paused mid-segment while PopFront drains and recycles that
+// segment (its file then reused as a new tail) resumes at the oldest
+// survivor; a full drain rewinds the lone segment in place, after which
+// At() and fresh cursors must see the new slot layout, not the old one.
+TEST(SegmentStoreTest, PausedCursorSurvivesRecycleAndDrainRewind) {
+  MirroredStore m("stale_recycle", 4, 3);
+  m.Push(16);
+  SegmentStore::Cursor cur = m.store.NewCursor();
+  m.ExpectCursor(&cur, 0, 2);  // paused mid head segment
+  m.ExpectAt(1);
+  m.Pop(5);   // recycles the head segment under the cursor
+  m.Push(6);  // reuses the recycled file as the new tail
+  m.ExpectCursor(&cur, 0, 11);  // survivors: original elements 5..15
+  UncertainElement out;
+  EXPECT_FALSE(cur.Next(&out));
+  for (size_t i = 0; i < m.ref.size(); ++i) m.ExpectAt(i);
+
+  MirroredStore one("stale_rewind", 8, 3);
+  one.Push(3);
+  SegmentStore::Cursor before = one.store.NewCursor();
+  one.ExpectCursor(&before, 0, 1);
+  one.ExpectAt(2);  // At() resolves the lone segment
+  one.Pop(3);       // fully drained: the segment rewinds in place
+  EXPECT_FALSE(before.Next(&out));
+  one.Push(5);  // slots 0..4 now hold absolute indices 3..7
+  for (size_t i = 0; i < one.ref.size(); ++i) one.ExpectAt(i);
+  SegmentStore::Cursor after = one.store.NewCursor();
+  one.ExpectCursor(&after, 0, 5);
+  EXPECT_FALSE(after.Next(&out));
+}
+
+// Sequential At(i) sweeps interleaved with PushBack calls that map a new
+// tail: each sweep ends resolved on the tail, the push unmaps that old
+// tail behind the new one, and the next reads must remap it.
+TEST(SegmentStoreTest, AtSweepSurvivesTailRemaps) {
+  MirroredStore m("stale_tail", 4, 3);
+  m.Push(14);  // segments 0..3, the tail half full
+  ASSERT_EQ(m.store.stats().segments_live, 4u);
+  for (int round = 0; round < 8; ++round) {
+    const size_t last = m.ref.size() - 1;
+    for (size_t i = 0; i <= last; ++i) m.ExpectAt(i);
+    m.Push(4);
+    for (size_t i = last; i < m.ref.size(); ++i) m.ExpectAt(i);
+    m.Pop(3);
+  }
 }
 
 // The operator-visible contract: a stream driven through StoredCountWindow
