@@ -533,22 +533,6 @@ std::vector<std::string> ListCheckpointFiles(const std::string& dir) {
   return files;
 }
 
-bool LoadLatestCheckpoint(const std::string& dir, CheckpointState* out,
-                          std::string* error) {
-  const std::vector<std::string> files = ListCheckpointFiles(dir);
-  std::string diagnostics;
-  for (const std::string& path : files) {
-    std::string file_error;
-    if (ReadCheckpointFile(path, out, &file_error)) {
-      if (error != nullptr) *error = diagnostics;  // warnings, if any
-      return true;
-    }
-    diagnostics += (diagnostics.empty() ? "" : "; ") + file_error;
-  }
-  if (diagnostics.empty()) diagnostics = "no checkpoint files in " + dir;
-  return Fail(error, diagnostics);
-}
-
 void PruneCheckpoints(const std::string& dir, size_t keep) {
   const std::vector<std::string> files = ListCheckpointFiles(dir);
   std::error_code ec;

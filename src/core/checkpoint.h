@@ -7,7 +7,9 @@
 // deterministic replay — the window elements are re-inserted oldest-first
 // into a fresh operator, which rebuilds exactly the candidate set and
 // probability state of the original run (the operator state is a function
-// of the window contents; see the paper's Theorems 2-4).
+// of the window contents; see the paper's Theorems 2-4). Choosing which
+// checkpoint to restore, and streaming it with the WAL records after it,
+// is store/recovery.h's StreamRecovery.
 //
 // File layout (all integers little-endian, doubles IEEE-754 bit patterns):
 //
@@ -169,12 +171,6 @@ std::string CheckpointFileName(uint64_t elements_consumed);
 /// first. Ignores temp files and unrelated names. Missing or unreadable
 /// directories yield an empty list.
 std::vector<std::string> ListCheckpointFiles(const std::string& dir);
-
-/// Loads the newest *valid* checkpoint in `dir`, skipping corrupt or
-/// truncated files (their diagnostics are appended to `*error`). Returns
-/// false when no valid checkpoint exists.
-bool LoadLatestCheckpoint(const std::string& dir, CheckpointState* out,
-                          std::string* error);
 
 /// Deletes all but the `keep` newest checkpoint files in `dir`, plus any
 /// stale ".tmp" leftovers from interrupted writes.

@@ -27,36 +27,22 @@ bool ParseShardStrategy(const std::string& text, ShardStrategy* out) {
 namespace {
 
 constexpr size_t kWorkerBatch = 256;
-/// Dominating-region scans larger than this fall back to the O(dims)
-/// min-corner histogram test (still conservative, never a false skip).
-constexpr uint64_t kMaxRegionScan = 1024;
 
 }  // namespace
 
-ShardEngine::Shard::Shard(const Options& opts, uint64_t cells)
-    : queue(opts.queue_capacity),
-      op(opts.dims, opts.q, opts.tree_options),
-      occupancy(cells, 0),
-      dim_histogram(
-          static_cast<size_t>(opts.dims) *
-              (opts.grid_resolution != 0
-                   ? opts.grid_resolution
-                   : CellGrid::ChooseResolution(opts.dims)),
-          0) {}
+ShardEngine::Shard::Shard(const Options& opts)
+    : queue(opts.queue_capacity), op(opts.dims, opts.q, opts.tree_options) {}
 
 ShardEngine::ShardEngine(const Options& options)
     : options_(options),
-      grid_(options.dims, options.grid_resolution != 0
-                              ? options.grid_resolution
-                              : CellGrid::ChooseResolution(options.dims)),
+      grid_(options.dims, CellGrid::ChooseResolution(options.dims)),
       watermark_(-std::numeric_limits<double>::infinity()) {
   PSKY_CHECK(options_.shards >= 1 && options_.shards <= 255);
   PSKY_CHECK(options_.window_capacity > 0 || options_.time_span > 0.0);
   PSKY_CHECK(options_.audit.pool == nullptr);
-  options_.grid_resolution = grid_.resolution();
   shards_.reserve(static_cast<size_t>(options_.shards));
   for (int i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(options_, grid_.num_cells()));
+    shards_.push_back(std::make_unique<Shard>(options_));
     Shard* shard = shards_.back().get();
     if (options_.audit.mode != AuditMode::kOff) {
       AuditManager::WindowStream fifo;
@@ -153,20 +139,6 @@ bool ShardEngine::Route(const UncertainElement& e,
   return true;
 }
 
-void ShardEngine::Restore(std::span<const UncertainElement> window) {
-  PSKY_CHECK(!shutdown_);
-  PSKY_CHECK(ring_.empty());
-  for (const UncertainElement& e : window) {
-    PSKY_CHECK(options_.window_capacity == 0 ||
-               ring_.size() < options_.window_capacity);
-    const uint8_t owner = static_cast<uint8_t>(ShardOf(e));
-    ring_.push_back(RingEntry{e.time, owner});
-    SendInsert(e, owner);
-    if (e.time > watermark_) watermark_ = e.time;
-  }
-  Barrier();
-}
-
 void ShardEngine::Barrier() {
   PSKY_CHECK(!shutdown_);
   ++barriers_;
@@ -215,25 +187,8 @@ void ShardEngine::ApplyCommand(Shard* shard, const Command& cmd) {
     PSKY_CHECK(!shard->fifo.empty());
     const UncertainElement oldest = shard->fifo.front();
     shard->fifo.pop_front();
-    const CellGrid::Cell cell = grid_.CellOf(oldest.pos);
-    const uint64_t idx = grid_.IndexOf(cell);
-    PSKY_CHECK(shard->occupancy[idx] > 0);
-    --shard->occupancy[idx];
-    for (int d = 0; d < options_.dims; ++d) {
-      uint32_t& h = shard->dim_histogram[static_cast<size_t>(d) *
-                                             grid_.resolution() +
-                                         cell.coord[d]];
-      PSKY_CHECK(h > 0);
-      --h;
-    }
     shard->op.Expire(oldest);
     return;
-  }
-  const CellGrid::Cell cell = grid_.CellOf(cmd.element.pos);
-  ++shard->occupancy[grid_.IndexOf(cell)];
-  for (int d = 0; d < options_.dims; ++d) {
-    ++shard->dim_histogram[static_cast<size_t>(d) * grid_.resolution() +
-                           cell.coord[d]];
   }
   shard->fifo.push_back(cmd.element);
   shard->op.Insert(cmd.element);
@@ -242,57 +197,11 @@ void ShardEngine::ApplyCommand(Shard* shard, const Command& cmd) {
   }
 }
 
-bool ShardEngine::ShardMayRefute(const Shard& shard,
-                                 const CellGrid::Cell& cell) const {
-  // Min-corner test first: if some dimension's smallest occupied cell
-  // coordinate already exceeds the candidate's, nothing in this shard
-  // can dominate it.
-  const uint32_t res = grid_.resolution();
-  for (int d = 0; d < options_.dims; ++d) {
-    const uint32_t* hist =
-        shard.dim_histogram.data() + static_cast<size_t>(d) * res;
-    uint32_t min_coord = res;
-    for (uint32_t c = 0; c <= cell.coord[d]; ++c) {
-      if (hist[c] != 0) {
-        min_coord = c;
-        break;
-      }
-    }
-    if (min_coord > cell.coord[d]) return false;
-  }
-  // Exact region scan when the dominating region is small enough:
-  // enumerate every cell c' <= cell componentwise and look for
-  // occupancy.
-  uint64_t region = 1;
-  for (int d = 0; d < options_.dims; ++d) {
-    region *= static_cast<uint64_t>(cell.coord[d]) + 1;
-  }
-  if (region > kMaxRegionScan) return true;  // conservative
-  CellGrid::Cell probe;
-  const int dims = options_.dims;
-  while (true) {
-    if (shard.occupancy[grid_.IndexOf(probe)] != 0) return true;
-    int d = dims - 1;
-    while (d >= 0 && probe.coord[d] == cell.coord[d]) {
-      probe.coord[d] = 0;
-      --d;
-    }
-    if (d < 0) return false;
-    ++probe.coord[d];
-  }
-}
-
 void ShardEngine::ProbeMergeCandidates(Shard* shard) const {
   shard->merge_sums.resize(merge_u_.size());
-  shard->merge_probes = 0;
   const SkyTree& tree = shard->op.tree();
   for (size_t k = 0; k < merge_u_.size(); ++k) {
     const UncertainElement& a = merge_u_[k];
-    if (!ShardMayRefute(*shard, grid_.CellOf(a.pos))) {
-      shard->merge_sums[k] = SkyTree::DominatorSums{};
-      continue;
-    }
-    ++shard->merge_probes;
     shard->merge_sums[k] = tree.ExactDominators(a.pos, a.seq);
   }
 }
@@ -326,9 +235,7 @@ std::vector<SkylineMember> ShardEngine::GlobalSkyline(
   ProbeMergeCandidates(shards_[0].get());
   WaitApplied();
   std::vector<SkyTree::DominatorSums> sums(u_size);
-  uint64_t probes = 0;
   for (const auto& shard : shards_) {
-    probes += shard->merge_probes;
     for (size_t k = 0; k < u_size; ++k) {
       // order-sensitive: shard-index order per candidate; the
       // bit-identity contract of the merge rests on it.
@@ -337,8 +244,7 @@ std::vector<SkylineMember> ShardEngine::GlobalSkyline(
       sums[k].older_log += shard->merge_sums[k].older_log;
     }
   }
-  merge_probes_ += probes;
-  merge_cell_skips_ += shards_.size() * u_size - probes;
+  merge_probes_ += shards_.size() * u_size;
 
   // S* membership: full-window P_new >= q (see file comment for why the
   // U-sum equals the full-window sum exactly for true members). The
@@ -475,7 +381,6 @@ ShardEngine::Stats ShardEngine::GetStats() const {
   stats.merges = merges_;
   stats.merge_candidates = merge_candidates_;
   stats.merge_probes = merge_probes_;
-  stats.merge_cell_skips = merge_cell_skips_;
   stats.merge_ns = merge_ns_;
   stats.barriers = barriers_;
   return stats;

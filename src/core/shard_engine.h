@@ -9,13 +9,13 @@
 //   Route(e):                          loop:
 //     window policy (count ring /        PopBatch(commands)
 //     time watermark, replicated         kExpireOldest -> pop own FIFO,
-//     exactly from stream/window.h)        occupancy--, op.Expire()
+//     exactly from stream/window.h)        op.Expire()
 //     pop expired ring entries ->        kInsert -> FIFO push,
-//       kExpireOldest to owner shard       occupancy++, op.Insert(),
-//     kInsert(e) to owner shard             audit.Step()
-//                                        kMergeProbe -> dominator sums
-//   GlobalSkyline():                       of merge_u_ against own tree
-//     kMergeProbe to shards 1..n-1,      publish applied counter
+//       kExpireOldest to owner shard       op.Insert(), audit.Step()
+//     kInsert(e) to owner shard          kMergeProbe -> dominator sums
+//                                          of merge_u_ against own tree
+//   GlobalSkyline():                     publish applied counter
+//     kMergeProbe to shards 1..n-1,
 //     probes shard 0 itself
 //
 // The router owns every windowing decision: it keeps a global ring of
@@ -25,7 +25,10 @@
 // exactly the global command sequence restricted to its partition, in
 // global order (SPSC FIFO) — shard state is a pure function of the
 // element stream, independent of thread scheduling, which is what makes
-// sharded runs deterministic and checkpoint/replay-compatible.
+// sharded runs deterministic and checkpoint/replay-compatible. A resume
+// re-feeds the checkpointed window through Route like any arrival: those
+// elements were admitted once, arrive in order and all fit the window,
+// so routing them expires and rejects nothing.
 //
 // Routing is a pure function of the element (grid: splitmix-hashed cell
 // id of the position; band: occurrence-probability band), so a stream
@@ -68,12 +71,6 @@
 // values only by summation-order rounding (ulps — the equivalence tests
 // bound it at 1e-9).
 //
-// The cell-grid precheck (geom/cell_grid.h) prunes phase 1: each shard
-// maintains per-cell occupancy counts over its *window* elements (a
-// superset of its candidates), and the merge probes shard j for
-// candidate a only if j occupies some cell in the region dominating
-// cell(a). Skips are exact negatives, never false ones.
-//
 // Where the merge runs
 // --------------------
 //
@@ -82,10 +79,8 @@
 //   router: gathers U into merge_u_ (shard-index order, each shard's
 //     candidates by arrival sequence) and pushes one kMergeProbe
 //     command through the SPSC queue of every shard but shard 0.
-//   worker j >= 1: for every a in U, runs the cell precheck and
-//     ExactDominators against its *own* tree and occupancy tables,
-//     writing the sums into its own Shard::merge_sums[k] (a skipped
-//     probe writes zeros) and its probe count into Shard::merge_probes.
+//   worker j >= 1: for every a in U, runs ExactDominators against its
+//     *own* tree, writing the sums into its own Shard::merge_sums[k].
 //   router, meanwhile: does the same for shard 0, whose worker stays
 //     parked (it has no command), instead of idling.
 //   router: waits until every shard has applied its probe command (an
@@ -94,29 +89,27 @@
 //     alone, testing each S* member against dim-major blocks of the
 //     U \ S* coordinates with DominanceBlockCompare.
 //
-// During the probe round every shard's tree, occupancy tables and
-// merge_sums have exactly one user (shard 0's: the router; the others':
-// their workers), and merge_u_ is read-only. The queue push (release) /
-// pop (acquire) publishes merge_u_ to the workers, and the applied
-// counter's release / acquire publishes merge_sums back — no lock or
-// atomic beyond the existing ones. (Shard 0's sums need neither: the
-// router wrote them.) The fold adds the same terms in the same order as
-// a serial loop over (candidate, shard): a skipped probe contributes
-// +0.0, which leaves every partial sum bitwise unchanged (sums start at
-// +0.0 and so are never -0.0). The blocks hold U \ S* in U order and
+// During the probe round every shard's tree and merge_sums have exactly
+// one user (shard 0's: the router; the others': their workers), and
+// merge_u_ is read-only. The queue push (release) / pop (acquire)
+// publishes merge_u_ to the workers, and the applied counter's release /
+// acquire publishes merge_sums back — no lock or atomic beyond the
+// existing ones. (Shard 0's sums need neither: the router wrote them.)
+// The fold adds the same terms in the same order as a serial loop over
+// (candidate, shard). The blocks hold U \ S* in U order and
 // phase 2 walks them in order, mask bits ascending, so every subtraction
 // keeps the serial restriction loop's order. The merged output is
 // therefore bit-identical to the single-threaded merge for any shard
 // count.
 //
-// Thread-safety: Route/Barrier/GlobalSkyline/WindowSnapshot/Restore/
-// GetStats must all be called from one thread (the router): GetStats
-// reads router-side counters. Barrier() returns only after every routed
+// Thread-safety: Route/Barrier/GlobalSkyline/WindowSnapshot/GetStats
+// must all be called from one thread (the router): GetStats reads
+// router-side counters. Barrier() returns only after every routed
 // command is applied, with acquire/release ordering on the per-shard
 // applied counters, so reading shard state after a barrier is
 // race-free. After Shutdown(), Route/Barrier/GlobalSkyline/
-// WindowSnapshot/Restore fail a PSKY_CHECK instead of waiting on a
-// closed queue.
+// WindowSnapshot fail a PSKY_CHECK instead of waiting on a closed
+// queue.
 
 #ifndef PSKY_CORE_SHARD_ENGINE_H_
 #define PSKY_CORE_SHARD_ENGINE_H_
@@ -125,7 +118,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -163,9 +155,6 @@ class ShardEngine {
     TimestampPolicy ooo_policy = TimestampPolicy::kReject;
     /// Per-shard SPSC queue capacity (elements in flight per shard).
     size_t queue_capacity = 4096;
-    /// Cell-grid resolution per dimension; 0 picks
-    /// CellGrid::ChooseResolution(dims).
-    uint32_t grid_resolution = 0;
     SkyTree::Options tree_options;
     /// Per-shard integrity auditing (core/audit.h), run inside the shard
     /// worker against the shard's own substream. `pool` must be null —
@@ -203,13 +192,9 @@ class ShardEngine {
   /// run would snapshot.
   std::vector<UncertainElement> WindowSnapshot();
 
-  /// Re-feeds a checkpointed window (oldest first) through the router,
-  /// bypassing policy counters: the elements were already admitted once.
-  void Restore(std::span<const UncertainElement> window);
-
   /// Drains and joins all shard workers. Idempotent; called by the
   /// destructor. The engine cannot be reused afterwards: Route, Barrier,
-  /// GlobalSkyline, WindowSnapshot and Restore then fail a PSKY_CHECK.
+  /// GlobalSkyline and WindowSnapshot then fail a PSKY_CHECK.
   void Shutdown();
 
   int shards() const { return static_cast<int>(shards_.size()); }
@@ -247,7 +232,10 @@ class ShardEngine {
     uint64_t merges = 0;            ///< GlobalSkyline calls
     uint64_t merge_candidates = 0;  ///< |U| summed over merges
     uint64_t merge_probes = 0;      ///< ExactDominators calls
-    uint64_t merge_cell_skips = 0;  ///< shard probes pruned by the grid
+    /// Always 0: the merge probes every shard for every candidate (the
+    /// cell-grid precheck that skipped probes did not pay for its
+    /// tables). Kept because the benchmark still reads it.
+    uint64_t merge_cell_skips = 0;
     /// Wall time inside GlobalSkyline after its leading barrier, summed
     /// over merges.
     uint64_t merge_ns = 0;
@@ -283,22 +271,16 @@ class ShardEngine {
   };
 
   struct Shard {
-    Shard(const Options& opts, uint64_t cells);
+    explicit Shard(const Options& opts);
 
     SpscQueue<Command> queue;
     SskyOperator op;
     std::deque<UncertainElement> fifo;  ///< shard window, oldest first
-    /// Window-element counts per grid cell (worker-owned; router reads
-    /// after a barrier).
-    std::vector<uint32_t> occupancy;
-    /// Per-dimension histograms of occupied cell coordinates, for the
-    /// O(dims) min-corner precheck when the exact region is too large.
-    std::vector<uint32_t> dim_histogram;  // dims * resolution
     std::unique_ptr<AuditManager> audit;
     /// Commands applied; the worker's release store after each batch is
-    /// the publication point for everything above (fifo, occupancy,
-    /// op...) — the router's acquire load in Barrier() pairs with it,
-    /// which is the whole happens-before edge the merge relies on.
+    /// the publication point for everything above (fifo, op...) — the
+    /// router's acquire load in Barrier() pairs with it, which is the
+    /// whole happens-before edge the merge relies on.
     std::atomic<uint64_t> applied{0};
     // Heartbeat gauges: monotonically refreshed, read relaxed by
     // GetStats() with no ordering relative to anything — stale values
@@ -308,11 +290,10 @@ class ShardEngine {
     std::atomic<uint64_t> candidates{0};
     std::atomic<uint64_t> audit_violations{0};
     /// Merge-round output, indexed like merge_u_: this shard's dominator
-    /// sums per candidate and its probe count. Written during the probe
-    /// round (by the worker for a kMergeProbe command, by the router for
-    /// shard 0); the router reads them after the round.
+    /// sums per candidate. Written during the probe round (by the worker
+    /// for a kMergeProbe command, by the router for shard 0); the router
+    /// reads them after the round.
     std::vector<SkyTree::DominatorSums> merge_sums;
-    uint64_t merge_probes = 0;
     uint64_t routed = 0;    ///< router-side; commands enqueued
     uint64_t inserted = 0;  ///< router-side; insert commands enqueued
     std::thread worker;
@@ -330,10 +311,6 @@ class ShardEngine {
   /// Waits until every shard has applied every command routed to it.
   void WaitApplied();
 
-  /// True when shard `j` holds a window element in some cell dominating
-  /// `cell` (conservative; exact when the dominating region is small).
-  bool ShardMayRefute(const Shard& shard, const CellGrid::Cell& cell) const;
-
   Options options_;
   CellGrid grid_;
   /// Merge candidate union U, rebuilt by the router per GlobalSkyline;
@@ -347,7 +324,6 @@ class ShardEngine {
   uint64_t merges_ = 0;
   uint64_t merge_candidates_ = 0;
   uint64_t merge_probes_ = 0;
-  uint64_t merge_cell_skips_ = 0;
   uint64_t merge_ns_ = 0;
   uint64_t barriers_ = 0;
   bool shutdown_ = false;

@@ -1,21 +1,11 @@
 // Uniform grid over the dimension space, used by the sharded ingestion
-// engine (core/shard_engine.h) for two jobs:
-//
-//   1. Routing: hashing an element's cell id spreads spatially clustered
-//      arrivals across shards (`--shard-by grid`).
-//   2. Merge pruning: each shard keeps a per-cell occupancy count of its
-//      in-window elements. A candidate in cell c can only be refuted by
-//      elements in cells c' <= c componentwise (dominance is monotone in
-//      the cell coordinates because cells are axis-aligned half-open
-//      boxes with a clamped last row/column), so the cross-shard merge
-//      skips every shard with no occupied cell in that dominating
-//      region.
+// engine (core/shard_engine.h) for routing: hashing an element's cell id
+// spreads spatially clustered arrivals across shards (`--shard-by
+// grid`).
 //
 // Coordinates are expected in [0, 1] (the Börzsönyi generators and the
-// CSV reader produce this range); out-of-range values clamp to the edge
-// cells, which preserves the monotonicity the pruning relies on: for any
-// x dominating y, cell(x) <= cell(y) componentwise still holds after
-// clamping because clamping is monotone per dimension.
+// CSV reader produce this range); out-of-range values and NaN clamp to
+// the edge cells, so every point has a cell.
 
 #ifndef PSKY_GEOM_CELL_GRID_H_
 #define PSKY_GEOM_CELL_GRID_H_
@@ -39,9 +29,8 @@ class CellGrid {
     for (int d = 0; d < dims_; ++d) num_cells_ *= resolution_;
   }
 
-  /// Per-dimension resolution keeping the total cell count (res^dims)
-  /// near `budget`, so occupancy tables stay cache-resident. At least 2
-  /// per dimension — a 1-wide grid can prune nothing.
+  /// The largest per-dimension resolution whose total cell count
+  /// (res^dims) stays within `budget`, but at least 2.
   static uint32_t ChooseResolution(int dims, uint32_t budget = 4096) {
     uint32_t res = 2;
     while (true) {
@@ -55,7 +44,6 @@ class CellGrid {
   }
 
   int dims() const { return dims_; }
-  uint32_t resolution() const { return resolution_; }
   uint64_t num_cells() const { return num_cells_; }
 
   Cell CellOf(const Point& p) const {
@@ -80,26 +68,6 @@ class CellGrid {
   }
 
   uint64_t IndexOf(const Point& p) const { return IndexOf(CellOf(p)); }
-
-  /// Decodes a linear index back into cell coordinates.
-  Cell CellAt(uint64_t index) const {
-    Cell c;
-    for (int d = dims_ - 1; d >= 0; --d) {
-      c.coord[d] = static_cast<uint32_t>(index % resolution_);
-      index /= resolution_;
-    }
-    return c;
-  }
-
-  /// True when an element somewhere in cell `a` could dominate an
-  /// element somewhere in cell `b`: a <= b componentwise. (Conservative:
-  /// equal cells always pass, since both points share the box.)
-  static bool MayDominate(const Cell& a, const Cell& b, int dims) {
-    for (int d = 0; d < dims; ++d) {
-      if (a.coord[d] > b.coord[d]) return false;
-    }
-    return true;
-  }
 
   /// Mixes a cell index into a routing hash (splitmix64 finalizer), so
   /// grid-sharded streams spread clustered cells across shards instead

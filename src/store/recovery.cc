@@ -1,7 +1,10 @@
 #include "store/recovery.h"
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 
 namespace psky {
 
@@ -29,63 +32,20 @@ bool ParsePaddedU64(const std::string& digits, uint64_t* out) {
   return true;
 }
 
-// Collects the contiguous run of WAL records following `base_step` from
-// the rotation chain in `dir`: records with step_after = base_step + 1,
-// base_step + 2, ... taken across consecutive files. Stops (with a note)
-// at the first gap or unreadable stretch; everything collected is safe
-// to apply in order. Also reports the newest readable WAL file so the
-// resumed run can keep appending to it.
-struct ChainScan {
-  std::vector<WalRecord> records;
-  std::string active_wal;
-  uint64_t active_wal_start = 0;
-  bool tail_truncated = false;
-  bool any_readable = false;
-  std::string notes;
-};
+std::string Describe(const ReplayTarget& target) {
+  if (target.kind == ReplayTarget::Kind::kStep) {
+    return "replay target " + std::to_string(target.step);
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "replay target ts:%.17g", target.time);
+  return buf;
+}
 
-ChainScan ScanWalChain(const std::string& dir, uint64_t base_step) {
-  ChainScan scan;
-  const std::vector<std::string> files = ListWalFiles(dir);
-  // The chain relevant to `base_step` starts at the last file whose
-  // start step is at or below it; earlier files only hold older records.
-  size_t first = 0;
-  for (size_t i = 0; i < files.size(); ++i) {
-    uint64_t start = 0;
-    if (ParseWalStartStep(files[i], &start) && start <= base_step) first = i;
-  }
-  uint64_t expected = base_step + 1;
-  bool chain_broken = false;
-  for (size_t i = first; i < files.size(); ++i) {
-    WalContents contents;
-    std::string file_error;
-    if (!ReadWalFile(files[i], &contents, &file_error)) {
-      Note(&scan.notes, file_error);
-      chain_broken = true;
-      continue;
-    }
-    scan.any_readable = true;
-    scan.active_wal = files[i];
-    scan.active_wal_start = contents.start_step;
-    if (contents.tail_truncated) {
-      scan.tail_truncated = true;
-      Note(&scan.notes, files[i] + ": " + contents.tail_diagnostic);
-    }
-    if (chain_broken) continue;  // still track the append target
-    for (const WalRecord& r : contents.records) {
-      if (r.step_after < expected) continue;  // pre-base or duplicate
-      if (r.step_after != expected) {
-        Note(&scan.notes, files[i] + ": gap before step " +
-                              std::to_string(r.step_after) + " (expected " +
-                              std::to_string(expected) + ")");
-        chain_broken = true;
-        break;
-      }
-      scan.records.push_back(r);
-      ++expected;
-    }
-  }
-  return scan;
+// True once `r` lies past the target: the rebuild stops before it.
+bool PastTarget(const ReplayTarget& target, const WalRecord& r) {
+  return target.kind == ReplayTarget::Kind::kStep
+             ? r.step_after > target.step
+             : r.element.time > target.time;
 }
 
 }  // namespace
@@ -100,33 +60,170 @@ bool ParseCheckpointStep(const std::string& path, uint64_t* step) {
   return ParsePaddedU64(name.substr(5, 20), step);
 }
 
-bool RecoverState(const std::string& dir, RecoveredState* out,
-                  std::string* error) {
+bool StreamRecovery(const std::string& dir,
+                    const std::optional<ReplayTarget>& target,
+                    const RecoverySink& sink, RecoveredState* out,
+                    std::string* error) {
   RecoveredState state;
-  std::string ckpt_error;
-  state.has_checkpoint =
-      LoadLatestCheckpoint(dir, &state.checkpoint, &ckpt_error);
-  if (!state.has_checkpoint) {
-    state.checkpoint = CheckpointState{};
-    if (!ckpt_error.empty()) Note(&state.notes, ckpt_error);
-  } else if (!ckpt_error.empty()) {
-    Note(&state.notes, ckpt_error);  // older corrupt files, warnings only
+
+  // The base: the newest checkpoint that validates and, with a target,
+  // whose state is a prefix of the target sequence. For a step target
+  // that is any checkpoint at or before the step; for a time target the
+  // admitted-timestamp monotonicity (window policies reject or clamp
+  // out-of-order arrivals) makes "newest window element at or before T"
+  // the same prefix condition. The probe read validates the whole file,
+  // so a corrupt one is skipped before any of it reaches the sink.
+  const std::vector<std::string> checkpoints = ListCheckpointFiles(dir);
+  std::string base_path;
+  for (const std::string& path : checkpoints) {  // newest first
+    uint64_t step = 0;
+    if (!ParseCheckpointStep(path, &step)) continue;
+    if (target && target->kind == ReplayTarget::Kind::kStep &&
+        step > target->step) {
+      continue;
+    }
+    CheckpointState header;
+    double newest_time = -std::numeric_limits<double>::infinity();
+    std::string file_error;
+    if (!ReadCheckpointFileStreamed(
+            path, &header,
+            [&newest_time](const UncertainElement& e) { newest_time = e.time; },
+            &file_error)) {
+      Note(&state.notes, file_error);
+      continue;
+    }
+    if (target && target->kind == ReplayTarget::Kind::kTime &&
+        newest_time > target->time) {
+      continue;
+    }
+    state.checkpoint = std::move(header);
+    state.has_checkpoint = true;
+    base_path = path;
+    break;
+  }
+  if (checkpoints.empty()) Note(&state.notes, "no checkpoint files in " + dir);
+  const uint64_t base_step = state.checkpoint.elements_consumed;
+
+  // The WAL chain extending the base starts at the last file whose start
+  // step is at or below it; earlier files only hold older records.
+  const std::vector<std::string> wal_files =
+      sink.record ? ListWalFiles(dir) : std::vector<std::string>{};
+  size_t first = 0;
+  bool covers_base = false;
+  for (size_t i = 0; i < wal_files.size(); ++i) {
+    uint64_t start = 0;
+    if (ParseWalStartStep(wal_files[i], &start) && start <= base_step) {
+      first = i;
+      covers_base = true;
+    }
+  }
+  if (target && !state.has_checkpoint && !covers_base) {
+    // Without a checkpoint base the WAL must cover the stream from
+    // step 1, or the rebuild would answer from a truncated history.
+    if (checkpoints.empty() && wal_files.empty()) {
+      return Fail(error, "nothing to replay in " + dir);
+    }
+    return Fail(error, Describe(*target) + " predates retained history in " +
+                           dir + (state.notes.empty() ? "" : ": " +
+                                                              state.notes));
   }
 
-  ChainScan scan = ScanWalChain(dir, state.checkpoint.elements_consumed);
-  state.tail = std::move(scan.records);
-  state.active_wal = scan.active_wal;
-  state.active_wal_start = scan.active_wal_start;
-  state.tail_truncated = scan.tail_truncated;
-  if (!scan.notes.empty()) Note(&state.notes, scan.notes);
+  // Reads chain file `i` into `contents`, tracking the append target and
+  // torn tails; an unreadable file breaks the chain.
+  WalContents contents;
+  bool any_readable = false;
+  bool chain_broken = false;
+  auto read_wal = [&](size_t i) {
+    contents = WalContents{};
+    std::string file_error;
+    if (!ReadWalFile(wal_files[i], &contents, &file_error)) {
+      Note(&state.notes, file_error);
+      chain_broken = true;
+      return false;
+    }
+    any_readable = true;
+    state.active_wal = wal_files[i];
+    state.active_wal_start = contents.start_step;
+    if (contents.tail_truncated) {
+      state.tail_truncated = true;
+      Note(&state.notes, wal_files[i] + ": " + contents.tail_diagnostic);
+    }
+    return true;
+  };
+  if (first < wal_files.size() && read_wal(first)) {
+    state.wal_dims = contents.dims;
+  }
 
-  if (!state.has_checkpoint && !scan.any_readable) {
+  if (sink.begin && !sink.begin(state)) {
+    if (error != nullptr) error->clear();
+    return false;
+  }
+  if (state.has_checkpoint) {
+    CheckpointState again;
+    std::string read_error;
+    if (!ReadCheckpointFileStreamed(base_path, &again, sink.element,
+                                    &read_error)) {
+      return Fail(error, read_error);
+    }
+  }
+
+  // Records step_after = base + 1, base + 2, ... across consecutive
+  // files, up to the first gap, unreadable stretch or the target.
+  // Without a target the scan reads on past a break to find the newest
+  // readable file, the resumed run's append target.
+  uint64_t expected = base_step + 1;
+  bool reached = false;
+  for (size_t i = first; i < wal_files.size() && !reached; ++i) {
+    if (i != first && !read_wal(i)) continue;
+    if (chain_broken) continue;
+    for (const WalRecord& r : contents.records) {
+      if (r.step_after < expected) continue;  // pre-base or duplicate
+      if (r.step_after != expected) {
+        Note(&state.notes, wal_files[i] + ": gap before step " +
+                               std::to_string(r.step_after) + " (expected " +
+                               std::to_string(expected) + ")");
+        chain_broken = true;
+        break;
+      }
+      if (target && PastTarget(*target, r)) {
+        reached = true;
+        break;
+      }
+      sink.record(r);
+      ++expected;
+    }
+  }
+
+  if (!target && !state.has_checkpoint && !any_readable) {
     return Fail(error, state.notes.empty()
                            ? "nothing to recover in " + dir
                            : "nothing to recover in " + dir + ": " +
                                  state.notes);
   }
+  const bool covered =
+      !target || (target->kind == ReplayTarget::Kind::kStep
+                      ? expected > target->step
+                      : reached || !chain_broken);
+  if (!covered) {
+    return Fail(error, Describe(*target) +
+                           " is beyond retained WAL coverage (have steps "
+                           "up to " +
+                           std::to_string(expected - 1) + ")");
+  }
   *out = std::move(state);
+  return true;
+}
+
+bool RecoverState(const std::string& dir, RecoveredState* out,
+                  std::string* error) {
+  std::vector<UncertainElement> window;
+  std::vector<WalRecord> tail;
+  RecoverySink sink;
+  sink.element = [&window](const UncertainElement& e) { window.push_back(e); };
+  sink.record = [&tail](const WalRecord& r) { tail.push_back(r); };
+  if (!StreamRecovery(dir, std::nullopt, sink, out, error)) return false;
+  out->checkpoint.window = std::move(window);
+  out->tail = std::move(tail);
   return true;
 }
 
@@ -138,7 +235,8 @@ bool ParseReplayTarget(const std::string& spec, ReplayTarget* out,
     char* end = nullptr;
     target.kind = ReplayTarget::Kind::kTime;
     target.time = std::strtod(value.c_str(), &end);
-    if (value.empty() || end == nullptr || *end != '\0') {
+    if (value.empty() || end == nullptr || *end != '\0' ||
+        !std::isfinite(target.time)) {
       return Fail(error, "bad --replay-at timestamp '" + value + "'");
     }
   } else {
@@ -149,83 +247,6 @@ bool ParseReplayTarget(const std::string& spec, ReplayTarget* out,
     }
   }
   *out = target;
-  return true;
-}
-
-bool PlanReplay(const std::string& dir, const ReplayTarget& target,
-                RecoveredState* out, std::string* error) {
-  RecoveredState state;
-
-  // Newest checkpoint whose state is a prefix of the target sequence.
-  // For a step target that is any checkpoint at or before the step; for
-  // a time target the admitted-timestamp monotonicity (window policies
-  // reject or clamp out-of-order arrivals) makes "newest window element
-  // at or before T" the same prefix condition.
-  const std::vector<std::string> files = ListCheckpointFiles(dir);
-  for (const std::string& path : files) {  // newest first
-    uint64_t step = 0;
-    if (!ParseCheckpointStep(path, &step)) continue;
-    if (target.kind == ReplayTarget::Kind::kStep && step > target.step) {
-      continue;
-    }
-    CheckpointState candidate;
-    std::string file_error;
-    if (!ReadCheckpointFile(path, &candidate, &file_error)) {
-      Note(&state.notes, file_error);
-      continue;
-    }
-    if (target.kind == ReplayTarget::Kind::kTime &&
-        !candidate.window.empty() &&
-        candidate.window.back().time > target.time) {
-      continue;
-    }
-    state.checkpoint = std::move(candidate);
-    state.has_checkpoint = true;
-    break;
-  }
-
-  const uint64_t base_step =
-      state.has_checkpoint ? state.checkpoint.elements_consumed : 0;
-  ChainScan scan = ScanWalChain(dir, base_step);
-  if (!scan.notes.empty()) Note(&state.notes, scan.notes);
-  state.tail_truncated = scan.tail_truncated;
-  state.active_wal = scan.active_wal;
-  state.active_wal_start = scan.active_wal_start;
-
-  if (target.kind == ReplayTarget::Kind::kStep) {
-    if (base_step > target.step) {
-      return Fail(error, "replay target " + std::to_string(target.step) +
-                             " predates the oldest retained checkpoint");
-    }
-    const uint64_t need = target.step - base_step;
-    if (scan.records.size() < need) {
-      return Fail(error,
-                  "replay target " + std::to_string(target.step) +
-                      " is beyond retained WAL coverage (have steps up to " +
-                      std::to_string(base_step + scan.records.size()) + ")");
-    }
-    scan.records.resize(need);
-  } else {
-    size_t keep = 0;
-    while (keep < scan.records.size() &&
-           scan.records[keep].element.time <= target.time) {
-      ++keep;
-    }
-    scan.records.resize(keep);
-  }
-  if (!state.has_checkpoint) {
-    // With no checkpoint base the WAL must cover the stream from the
-    // start; ScanWalChain already enforced contiguity from step 1.
-    if (!scan.records.empty() && scan.records.front().step_after != 1) {
-      return Fail(error, "replay target predates retained WAL history");
-    }
-    if (scan.records.empty() && !scan.any_readable) {
-      return Fail(error, "nothing to replay in " + dir +
-                             (state.notes.empty() ? "" : ": " + state.notes));
-    }
-  }
-  state.tail = std::move(scan.records);
-  *out = std::move(state);
   return true;
 }
 

@@ -17,6 +17,7 @@
 #include "core/checkpoint.h"
 #include "core/snapshot.h"
 #include "core/ssky_operator.h"
+#include "store/recovery.h"
 #include "stream/generator.h"
 #include "stream/window.h"
 
@@ -180,9 +181,9 @@ TEST(CheckpointDir, LatestWinsAndCorruptFilesAreSkipped) {
   ASSERT_TRUE(WriteCheckpointFile(dir + "/" + CheckpointFileName(200), s200,
                                   &error));
 
-  CheckpointState loaded;
-  ASSERT_TRUE(LoadLatestCheckpoint(dir, &loaded, &error)) << error;
-  EXPECT_EQ(loaded.elements_consumed, 200u);
+  RecoveredState loaded;
+  ASSERT_TRUE(RecoverState(dir, &loaded, &error)) << error;
+  EXPECT_EQ(loaded.checkpoint.elements_consumed, 200u);
 
   // Corrupt the newest: the loader must fall back to the older one and
   // surface a diagnostic for the skipped file.
@@ -191,18 +192,18 @@ TEST(CheckpointDir, LatestWinsAndCorruptFilesAreSkipped) {
                     std::ios::binary | std::ios::trunc);
     f << "garbage";
   }
-  ASSERT_TRUE(LoadLatestCheckpoint(dir, &loaded, &error));
-  EXPECT_EQ(loaded.elements_consumed, 100u);
-  EXPECT_FALSE(error.empty()) << "skipped-corrupt warning expected";
+  ASSERT_TRUE(RecoverState(dir, &loaded, &error));
+  EXPECT_EQ(loaded.checkpoint.elements_consumed, 100u);
+  EXPECT_FALSE(loaded.notes.empty()) << "skipped-corrupt warning expected";
 }
 
 TEST(CheckpointDir, EmptyDirFailsCleanly) {
   const std::string dir = TempDir("empty");
-  CheckpointState loaded;
+  RecoveredState loaded;
   std::string error;
-  EXPECT_FALSE(LoadLatestCheckpoint(dir, &loaded, &error));
+  EXPECT_FALSE(RecoverState(dir, &loaded, &error));
   EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(LoadLatestCheckpoint("/nonexistent/dir", &loaded, &error));
+  EXPECT_FALSE(RecoverState("/nonexistent/dir", &loaded, &error));
 }
 
 TEST(CheckpointDir, PruneKeepsNewestAndClearsTemps) {
@@ -221,9 +222,9 @@ TEST(CheckpointDir, PruneKeepsNewestAndClearsTemps) {
   PruneCheckpoints(dir, 2);
   const auto files = ListCheckpointFiles(dir);
   ASSERT_EQ(files.size(), 2u);
-  CheckpointState loaded;
-  ASSERT_TRUE(LoadLatestCheckpoint(dir, &loaded, &error));
-  EXPECT_EQ(loaded.elements_consumed, 400u);
+  RecoveredState loaded;
+  ASSERT_TRUE(RecoverState(dir, &loaded, &error));
+  EXPECT_EQ(loaded.checkpoint.elements_consumed, 400u);
   size_t entries = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
     (void)entry;

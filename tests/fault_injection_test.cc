@@ -19,6 +19,7 @@
 
 #include "core/checkpoint.h"
 #include "core/ssky_operator.h"
+#include "store/recovery.h"
 #include "stream/generator.h"
 #include "stream/window.h"
 
@@ -128,9 +129,10 @@ void RunAndDie(SpatialDistribution dist, const std::string& dir,
 // to its end, exactly as `psky_stream --resume` does: replay the window,
 // fast-forward the deterministic source, continue stepping.
 RunResult ResumeAndFinish(SpatialDistribution dist, const std::string& dir) {
-  CheckpointState state;
+  RecoveredState recovered;
   std::string error;
-  EXPECT_TRUE(LoadLatestCheckpoint(dir, &state, &error)) << error;
+  EXPECT_TRUE(RecoverState(dir, &recovered, &error)) << error;
+  const CheckpointState& state = recovered.checkpoint;
 
   SskyOperator op(kDims, kQ);
   CountWindow window(kWindow);
@@ -180,9 +182,9 @@ TEST_P(FaultInjectionTest, ResumeBeforeFirstCheckpointReplaysFromScratch) {
   const std::string dir =
       FreshDir(std::string("none_") + SpatialDistributionName(dist));
   RunAndDie(dist, dir, kCheckpointEvery - 1);
-  CheckpointState state;
+  RecoveredState recovered;
   std::string error;
-  EXPECT_FALSE(LoadLatestCheckpoint(dir, &state, &error));
+  EXPECT_FALSE(RecoverState(dir, &recovered, &error));
   EXPECT_FALSE(error.empty());
   fs::remove_all(dir);
 }
@@ -223,10 +225,10 @@ TEST_P(FaultInjectionTest, DeathMidCheckpointWriteFallsBackToPreviousOne) {
       RunAndDie(dist, dir, 900);
     }
     // The wreckage must contain a usable older checkpoint.
-    CheckpointState state;
+    RecoveredState recovered;
     std::string error;
-    ASSERT_TRUE(LoadLatestCheckpoint(dir, &state, &error)) << error;
-    EXPECT_EQ(state.elements_consumed, 600u);
+    ASSERT_TRUE(RecoverState(dir, &recovered, &error)) << error;
+    EXPECT_EQ(recovered.checkpoint.elements_consumed, 600u);
     const RunResult got = ResumeAndFinish(dist, dir);
     ExpectSameResult(want, got, "mid-write crash resume");
     fs::remove_all(dir);
@@ -274,8 +276,9 @@ TEST(FaultInjection, TamperedCheckpointFilesAreRejectedOnResume) {
 
   // With every file tampered, resume must fail with diagnostics — but the
   // original bytes restored must load again (the reject paths are pure).
-  EXPECT_FALSE(LoadLatestCheckpoint(dir, &state, &error) &&
-               state.elements_consumed == 600u);
+  RecoveredState recovered;
+  EXPECT_FALSE(RecoverState(dir, &recovered, &error) &&
+               recovered.checkpoint.elements_consumed == 600u);
   rewrite(bytes);
   EXPECT_TRUE(ReadCheckpointFile(victim, &state, &error)) << error;
   fs::remove_all(dir);

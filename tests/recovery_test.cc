@@ -1,7 +1,7 @@
 // Recovery and historical replay: checkpoint + WAL tail reconstruction
 // equals a continuously-run operator, crash-before-first-checkpoint
-// recovery, replay-target parsing and planning (position and timestamp
-// targets), and the retention error paths.
+// recovery, replay-target parsing, replays to position and timestamp
+// targets, and the retention error paths.
 
 #include <filesystem>
 #include <string>
@@ -103,6 +103,21 @@ void Rebuild(const RecoveredState& rec, SskyOperator* op,
   }
 }
 
+// Collects StreamRecovery's rebuild up to `target`, the way RecoverState
+// collects a full one.
+bool CollectReplay(const std::string& dir, const ReplayTarget& target,
+                   RecoveredState* out, std::string* error) {
+  std::vector<UncertainElement> window;
+  std::vector<WalRecord> tail;
+  RecoverySink sink;
+  sink.element = [&](const UncertainElement& e) { window.push_back(e); };
+  sink.record = [&](const WalRecord& r) { tail.push_back(r); };
+  if (!StreamRecovery(dir, target, sink, out, error)) return false;
+  out->checkpoint.window = std::move(window);
+  out->tail = std::move(tail);
+  return true;
+}
+
 void ExpectSkylinesEqual(SskyOperator& a, SskyOperator& b) {
   const auto sa = a.Skyline();
   const auto sb = b.Skyline();
@@ -179,6 +194,55 @@ TEST(RecoverStateTest, EmptyDirectoryIsNotRecoverable) {
   EXPECT_FALSE(error.empty());
 }
 
+// The sink sees the base (configuration and WAL dims) before any
+// element, can refuse it with nothing applied, and a sink without a
+// record callback rebuilds from the checkpoint alone.
+TEST(StreamRecoveryTest, BeginSeesTheBaseFirstAndCanRefuseIt) {
+  const std::string dir = TempDir("stream_begin");
+  const std::vector<UncertainElement> stream = MakeStream(300, 17);
+  RunDurablePrefix(dir, stream, 300, 120);  // checkpoints at 120, 240
+
+  size_t elements = 0;
+  size_t records = 0;
+  bool begun = false;
+  RecoverySink sink;
+  sink.begin = [&](const RecoveredState& base) {
+    EXPECT_EQ(elements + records, 0u) << "begin must run first";
+    EXPECT_TRUE(base.has_checkpoint);
+    EXPECT_EQ(base.checkpoint.elements_consumed, 240u);
+    EXPECT_EQ(base.checkpoint.dims, kDims);
+    EXPECT_EQ(base.wal_dims, static_cast<uint32_t>(kDims));
+    begun = true;
+    return true;
+  };
+  sink.element = [&](const UncertainElement&) { ++elements; };
+  sink.record = [&](const WalRecord&) { ++records; };
+  RecoveredState rec;
+  std::string error;
+  ASSERT_TRUE(StreamRecovery(dir, std::nullopt, sink, &rec, &error)) << error;
+  EXPECT_TRUE(begun);
+  EXPECT_EQ(elements, kCapacity);
+  EXPECT_EQ(records, 60u);
+  EXPECT_TRUE(rec.checkpoint.window.empty());
+  EXPECT_TRUE(rec.tail.empty());
+
+  // Refused: nothing delivered, no error text (the sink reports why).
+  elements = records = 0;
+  sink.begin = [](const RecoveredState&) { return false; };
+  error = "unchanged";
+  EXPECT_FALSE(StreamRecovery(dir, std::nullopt, sink, &rec, &error));
+  EXPECT_TRUE(error.empty());
+  EXPECT_EQ(elements + records, 0u);
+
+  // Checkpoint alone: the WAL is not read.
+  sink.begin = nullptr;
+  sink.record = nullptr;
+  ASSERT_TRUE(StreamRecovery(dir, std::nullopt, sink, &rec, &error)) << error;
+  EXPECT_EQ(elements, kCapacity);
+  EXPECT_EQ(rec.wal_dims, 0u);
+  EXPECT_TRUE(rec.active_wal.empty());
+}
+
 TEST(ReplayTargetTest, ParsesPositionsAndTimestamps) {
   ReplayTarget t;
   std::string error;
@@ -192,6 +256,9 @@ TEST(ReplayTargetTest, ParsesPositionsAndTimestamps) {
   EXPECT_FALSE(ParseReplayTarget("12x4", &t, &error));
   EXPECT_FALSE(ParseReplayTarget("ts:", &t, &error));
   EXPECT_FALSE(ParseReplayTarget("ts:abc", &t, &error));
+  EXPECT_FALSE(ParseReplayTarget("ts:nan", &t, &error));
+  EXPECT_FALSE(ParseReplayTarget("ts:inf", &t, &error));
+  EXPECT_FALSE(ParseReplayTarget("ts:-inf", &t, &error));
 }
 
 TEST(PlanReplayTest, PositionTargetMatchesFreshRunAndOracle) {
@@ -205,7 +272,7 @@ TEST(PlanReplayTest, PositionTargetMatchesFreshRunAndOracle) {
     target.step = target_step;
     RecoveredState plan;
     std::string error;
-    ASSERT_TRUE(PlanReplay(dir, target, &plan, &error)) << error;
+    ASSERT_TRUE(CollectReplay(dir, target, &plan, &error)) << error;
     EXPECT_EQ(plan.checkpoint.elements_consumed +
                   static_cast<uint64_t>(plan.tail.size()),
               target_step);
@@ -251,7 +318,7 @@ TEST(PlanReplayTest, TimestampTargetStopsAtTheRightRecord) {
   std::string error;
   ASSERT_TRUE(ParseReplayTarget("ts:150.5", &target, &error)) << error;
   RecoveredState plan;
-  ASSERT_TRUE(PlanReplay(dir, target, &plan, &error)) << error;
+  ASSERT_TRUE(CollectReplay(dir, target, &plan, &error)) << error;
   ASSERT_FALSE(plan.tail.empty());
   EXPECT_EQ(plan.checkpoint.elements_consumed +
                 static_cast<uint64_t>(plan.tail.size()),
@@ -273,15 +340,33 @@ TEST(PlanReplayTest, RejectsTargetsOutsideRetention) {
   std::string error;
 
   target.step = 100;  // predates the oldest retained checkpoint
-  EXPECT_FALSE(PlanReplay(dir, target, &plan, &error));
-  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(CollectReplay(dir, target, &plan, &error));
+  EXPECT_NE(error.find("predates retained history"), std::string::npos)
+      << error;
 
   target.step = 10000;  // beyond the end of the log
-  EXPECT_FALSE(PlanReplay(dir, target, &plan, &error));
-  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(CollectReplay(dir, target, &plan, &error));
+  EXPECT_NE(error.find("beyond retained WAL coverage"), std::string::npos)
+      << error;
 
   target.step = 270;  // inside retention still works
-  EXPECT_TRUE(PlanReplay(dir, target, &plan, &error)) << error;
+  EXPECT_TRUE(CollectReplay(dir, target, &plan, &error)) << error;
+
+  // The same bounds for timestamps (generator arrival times increase).
+  target.kind = ReplayTarget::Kind::kTime;
+  target.time = stream[99].time;  // predates the oldest retained checkpoint
+  EXPECT_FALSE(CollectReplay(dir, target, &plan, &error));
+  EXPECT_NE(error.find("predates retained history"), std::string::npos)
+      << error;
+
+  target.time = stream[269].time;  // inside retention
+  ASSERT_TRUE(CollectReplay(dir, target, &plan, &error)) << error;
+  EXPECT_EQ(plan.checkpoint.elements_consumed + plan.tail.size(), 270u);
+
+  // A directory with nothing in it has nothing to replay.
+  const std::string empty = TempDir("plan_err_empty");
+  EXPECT_FALSE(CollectReplay(empty, target, &plan, &error));
+  EXPECT_NE(error.find("nothing to replay"), std::string::npos) << error;
 }
 
 TEST(ParseCheckpointStepTest, AcceptsOnlyCanonicalNames) {

@@ -12,8 +12,10 @@
 // Fault tolerance (see docs/operations.md):
 //   --checkpoint-dir DIR     durable snapshots of the window state
 //   --checkpoint-every K     snapshot every K elements (plus one at exit)
-//   --resume                 restore the newest valid snapshot, fast-forward
-//                            the source, and continue the stream
+//   --resume                 rebuild the newest valid snapshot (with --wal
+//                            also the WAL records after it) through the
+//                            live window step, fast-forward the source,
+//                            and continue the stream
 //   --io-retries N           retry transient checkpoint/quarantine I/O
 //                            failures up to N times with jittered backoff
 //   --on-bad-input fail|skip|clamp   malformed-line policy (default fail)
@@ -45,7 +47,9 @@
 //   --segment-elems K        elements per segment file (default 4096)
 //   --replay-at P|ts:T       historical query: rebuild the window state at
 //                            stream position P (or time T) from checkpoint
-//                            + WAL, print the skyline, and exit
+//                            + WAL exactly as --resume does, print the
+//                            skyline, and exit. Read-only: it creates and
+//                            removes nothing in the checkpoint dir
 // SIGINT/SIGTERM drain gracefully: queued elements are processed, a final
 // checkpoint is flushed (when a checkpoint dir is configured) and counters
 // are reported before exit.
@@ -255,7 +259,8 @@ struct Args {
 
 // --- checked flag-value parsing -----------------------------------------
 // atoi/atof silently turn garbage into 0; these reject any value that is
-// not entirely a number of the right shape.
+// not entirely a number of the right shape (for doubles: finite, since
+// NaN slips past every range check).
 
 [[noreturn]] void BadValue(const std::string& flag, const char* value) {
   Usage(("bad value for " + flag + ": '" + value + "'").c_str());
@@ -265,7 +270,9 @@ double ParseDoubleValue(const std::string& flag, const char* value) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE) BadValue(flag, value);
+  if (end == value || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    BadValue(flag, value);
+  }
   return v;
 }
 
@@ -678,102 +685,36 @@ void PrintSkylineMembers(const std::vector<psky::SkylineMember>& members,
   }
 }
 
-// --- historical replay (--replay-at) -------------------------------------
-// Rebuilds the exact window state at a past stream position (or time)
-// from the newest covering checkpoint plus WAL records, prints the
-// skyline at that point, and exits. Deterministic: the reconstructed
-// state is a pure function of the admitted element sequence. With
-// --audit-mode on, the naive oracle re-derives the skyline from the
-// reconstructed window as an independent correctness check (exit 4 on
-// disagreement).
-int RunReplayAt(const Args& args) {
-  psky::ReplayTarget target;
-  std::string error;
-  if (!psky::ParseReplayTarget(args.replay_at, &target, &error)) {
-    Usage(error.c_str());
-  }
-  psky::RecoveredState plan;
-  if (!psky::PlanReplay(args.checkpoint_dir, target, &plan, &error)) {
-    std::fprintf(stderr, "error: --replay-at: %s\n", error.c_str());
-    return 3;
-  }
-  if (!plan.notes.empty()) {
-    std::fprintf(stderr, "warning: replay: %s\n", plan.notes.c_str());
-  }
+// What the window step did with one element (see window_step in main).
+enum class StepOutcome {
+  kApplied,    // admitted and applied to the operator
+  kLate,       // refused: timestamp behind the watermark (time windows)
+  kLogFailed,  // admitted, but the WAL stamp failed; nothing applied
+};
 
-  const psky::WindowKind want_kind = args.time_span > 0.0
-                                         ? psky::WindowKind::kTime
-                                         : psky::WindowKind::kCount;
-  if (plan.has_checkpoint) {
-    const psky::CheckpointState& c = plan.checkpoint;
-    if (c.dims != args.dims || c.q != args.q ||
-        c.window_kind != want_kind ||
-        (want_kind == psky::WindowKind::kCount &&
-         c.window_capacity != args.window) ||
-        (want_kind == psky::WindowKind::kTime &&
-         c.time_span != args.time_span)) {
-      std::fprintf(stderr,
-                   "error: checkpoint was taken with a different "
-                   "dims/q/window configuration\n");
-      return 1;
-    }
-  } else if (!plan.tail.empty() &&
-             plan.tail.front().element.pos.dims() != args.dims) {
-    std::fprintf(stderr, "error: WAL records carry %d dims, --dims is %d\n",
-                 plan.tail.front().element.pos.dims(), args.dims);
-    return 1;
-  }
-
-  psky::SskyOperator op(args.dims, args.q, psky::SkyTree::Options());
-  std::unique_ptr<psky::CountWindow> count_window;
-  std::unique_ptr<psky::TimeWindow> time_window;
+// True when the flags describe the same operator and window as the
+// checkpoint was taken with.
+bool MatchesCheckpoint(const psky::CheckpointState& c, const Args& args) {
+  if (c.dims != args.dims || c.q != args.q) return false;
   if (args.time_span > 0.0) {
-    time_window =
-        std::make_unique<psky::TimeWindow>(args.time_span, args.ooo_policy);
-  } else {
-    count_window = std::make_unique<psky::CountWindow>(args.window);
+    return c.window_kind == psky::WindowKind::kTime &&
+           c.time_span == args.time_span;
   }
+  return c.window_kind == psky::WindowKind::kCount &&
+         c.window_capacity == args.window;
+}
 
-  uint64_t step = 0;
-  if (plan.has_checkpoint) {
-    psky::ReplayWindow(plan.checkpoint, &op);
-    for (const auto& e : plan.checkpoint.window) {
-      if (time_window != nullptr) {
-        time_window->Push(e, nullptr);
-      } else {
-        count_window->Push(e);
-      }
-    }
-    step = plan.checkpoint.elements_consumed;
-  }
-  std::vector<psky::UncertainElement> expired;
-  for (const psky::WalRecord& r : plan.tail) {
-    if (time_window != nullptr) {
-      expired.clear();
-      psky::UncertainElement incoming = r.element;
-      // Logged elements were admitted once, so they re-admit here (the
-      // WAL holds post-clamp timestamps); the guard is pure paranoia.
-      if (!time_window->TryPush(&incoming, &expired)) continue;
-      for (const auto& old : expired) op.Expire(old);
-      op.Insert(incoming);
-    } else {
-      if (count_window->full()) {
-        op.Expire(count_window->PushRotate(r.element));
-      } else {
-        count_window->Push(r.element);
-      }
-      op.Insert(r.element);
-    }
-    step = r.step_after;
-  }
-
-  const auto window_now = time_window != nullptr ? time_window->Snapshot()
-                                                 : count_window->Snapshot();
+// --- historical replay (--replay-at) -------------------------------------
+// Reports a rebuilt past state: prints the skyline at that point in the
+// canonical --emit final format. With --audit-mode on, the naive oracle
+// first re-derives the skyline from the rebuilt window as an independent
+// correctness check (exit 4 on disagreement).
+int ReportReplay(const Args& args, psky::SskyOperator& op,
+                 const psky::AuditManager::WindowStream& window,
+                 uint64_t step, uint64_t base_step, size_t records) {
   if (args.audit_mode != psky::AuditMode::kOff) {
-    // Independent re-derivation: the naive oracle computes the exact
-    // q-skyline of the reconstructed window from scratch.
     psky::NaiveSkylineOperator oracle(args.dims, args.q);
-    for (const auto& e : window_now) oracle.Insert(e);
+    window.scan([&](const psky::UncertainElement& e) { oracle.Insert(e); });
     auto by_seq = [](const psky::SkylineMember& a,
                      const psky::SkylineMember& b) {
       return a.element.seq < b.element.seq;
@@ -802,11 +743,10 @@ int RunReplayAt(const Args& args) {
   std::fprintf(
       stderr,
       "replayed to step %llu (checkpoint base %llu + %zu WAL records; "
-      "window holds %zu elements)\n",
+      "window holds %llu elements)\n",
       static_cast<unsigned long long>(step),
-      static_cast<unsigned long long>(
-          plan.has_checkpoint ? plan.checkpoint.elements_consumed : 0),
-      plan.tail.size(), window_now.size());
+      static_cast<unsigned long long>(base_step), records,
+      static_cast<unsigned long long>(window.size()));
   return 0;
 }
 
@@ -839,7 +779,18 @@ int main(int argc, char** argv) {
                  args.chaos_schedule.c_str());
   }
 
-  if (!args.checkpoint_dir.empty()) {
+  // --replay-at is a read-only historical query: it neither creates the
+  // checkpoint dir nor sweeps temp files a live run may be writing.
+  const bool replay = !args.replay_at.empty();
+  std::optional<psky::ReplayTarget> replay_target;
+  if (replay) {
+    psky::ReplayTarget target;
+    std::string error;
+    if (!psky::ParseReplayTarget(args.replay_at, &target, &error)) {
+      Usage(error.c_str());
+    }
+    replay_target = target;
+  } else if (!args.checkpoint_dir.empty()) {
     std::string dir_error;
     if (!psky::EnsureCheckpointDir(args.checkpoint_dir, &dir_error)) {
       std::fprintf(stderr, "error: checkpoint dir: %s\n", dir_error.c_str());
@@ -856,115 +807,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!args.replay_at.empty()) return RunReplayAt(args);
-
-  // --- resume: load the newest valid checkpoint -------------------------
-  // With --wal, recovery is checkpoint + WAL tail: the records past the
-  // snapshot are replayed below, and a crash before the first checkpoint
-  // still recovers (empty base + WAL from step 1).
-  psky::CheckpointState resume_state;
-  psky::RecoveredState recovered;  // WAL tail, under --wal --resume
-  // Disk-window streamed resume: the chosen checkpoint file, replayed
-  // element-by-element after the segment store exists (never
-  // materialized into resume_state.window).
-  std::string resume_ckpt_path;
-  bool resumed = false;
-  bool resumed_with_checkpoint = false;
-  if (args.resume) {
-    std::string error;
-    if (args.wal) {
-      if (!psky::RecoverState(args.checkpoint_dir, &recovered, &error)) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     args.checkpoint_dir.c_str(), error.c_str());
-        return 3;
-      }
-      if (!recovered.notes.empty()) {
-        std::fprintf(stderr, "warning: recovery: %s\n",
-                     recovered.notes.c_str());
-      }
-      resume_state = recovered.checkpoint;
-      resumed_with_checkpoint = recovered.has_checkpoint;
-      resumed = recovered.has_checkpoint || !recovered.tail.empty();
-    } else if (args.window_store == "disk") {
-      // Streamed resume: pick the newest checkpoint that validates
-      // (full CRC + payload decode) without materializing its window.
-      // The elements stream straight into the segment store below, once
-      // it exists, so a 100M-element resume never builds an O(N) vector.
-      for (const std::string& path :
-           psky::ListCheckpointFiles(args.checkpoint_dir)) {
-        psky::CheckpointState probe;
-        std::string file_error;
-        if (psky::ReadCheckpointFileStreamed(
-                path, &probe, [](const psky::UncertainElement&) {},
-                &file_error)) {
-          resume_state = std::move(probe);
-          resume_ckpt_path = path;
-          break;
-        }
-        if (!error.empty()) error += "; ";
-        error += path + ": " + file_error;
-      }
-      if (resume_ckpt_path.empty()) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     args.checkpoint_dir.c_str(),
-                     error.empty() ? "no checkpoint files found"
-                                   : error.c_str());
-        return 3;
-      }
-      if (!error.empty()) {
-        std::fprintf(stderr, "warning: skipped corrupt checkpoint(s): %s\n",
-                     error.c_str());
-      }
-      resumed = resumed_with_checkpoint = true;
-    } else {
-      if (!psky::LoadLatestCheckpoint(args.checkpoint_dir, &resume_state,
-                                      &error)) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     args.checkpoint_dir.c_str(), error.c_str());
-        return 3;
-      }
-      if (!error.empty()) {
-        std::fprintf(stderr, "warning: skipped corrupt checkpoint(s): %s\n",
-                     error.c_str());
-      }
-      resumed = resumed_with_checkpoint = true;
-    }
-    const psky::WindowKind want_kind = args.time_span > 0.0
-                                           ? psky::WindowKind::kTime
-                                           : psky::WindowKind::kCount;
-    if (resumed_with_checkpoint &&
-        (resume_state.dims != args.dims || resume_state.q != args.q ||
-         resume_state.window_kind != want_kind ||
-         (want_kind == psky::WindowKind::kCount &&
-          resume_state.window_capacity != args.window) ||
-         (want_kind == psky::WindowKind::kTime &&
-          resume_state.time_span != args.time_span))) {
-      std::fprintf(stderr,
-                   "error: checkpoint was taken with a different "
-                   "dims/q/window configuration\n");
-      return 1;
-    }
-    if (!resumed_with_checkpoint && !recovered.tail.empty() &&
-        recovered.tail.front().element.pos.dims() != args.dims) {
-      std::fprintf(stderr, "error: WAL records carry %d dims, --dims is %d\n",
-                   recovered.tail.front().element.pos.dims(), args.dims);
-      return 1;
-    }
-  }
-
   psky::SkyTree::Options options;
-  options.record_events = args.emit == "deltas";
+  options.record_events = args.emit == "deltas" && !replay;
   psky::SskyOperator op(args.dims, args.q, options);
 
   // --shards > 1: the sharded engine replaces the sequential operator
   // and the window objects below — it owns windowing (router-side) and
   // runs one sky-tree per shard. Queries merge exactly (bit-equivalent
-  // window state, same skyline within summation rounding).
+  // window state, same skyline within summation rounding). --replay-at
+  // always rebuilds into the sequential operator over a memory window.
   std::unique_ptr<psky::ShardEngine> engine;
   std::unique_ptr<psky::CountWindow> count_window;
   std::unique_ptr<psky::TimeWindow> time_window;
   std::unique_ptr<psky::StoredCountWindow> disk_window;
-  if (args.shards > 1) {
+  if (args.shards > 1 && !replay) {
     psky::ShardEngine::Options eng;
     eng.dims = args.dims;
     eng.q = args.q;
@@ -985,7 +841,7 @@ int main(int argc, char** argv) {
   } else if (args.time_span > 0.0) {
     time_window =
         std::make_unique<psky::TimeWindow>(args.time_span, args.ooo_policy);
-  } else if (args.window_store == "disk") {
+  } else if (args.window_store == "disk" && !replay) {
     psky::SegmentStore::Options store_opts;
     store_opts.dir = !args.store_dir.empty() ? args.store_dir
                      : !args.checkpoint_dir.empty()
@@ -1028,98 +884,147 @@ int main(int argc, char** argv) {
     return 0;
   };
 
-  CarriedCounters carried;
-  uint64_t step = 0;
-  if (resumed) {
-    // Deterministic replay: re-inserting the checkpointed window contents
-    // oldest-first rebuilds the exact candidate-set state. Checkpoints
-    // are shard-count-agnostic (the merged window snapshot is
-    // byte-identical to a sequential one), so a sequential checkpoint
-    // resumes into a sharded run and vice versa.
+  // The window step every element takes, live or rebuilt: admission to
+  // the window (count rotation, time watermark and expiry, or the shard
+  // router), then `stamp` on the admitted element, then the sequential
+  // operator's expire-before-insert. The live loop's stamp appends the
+  // element to the WAL, so the log leads the operator and every output;
+  // rebuilt elements were logged once already and stamp nothing.
+  std::vector<psky::UncertainElement> expired;
+  auto window_step = [&](psky::UncertainElement* e,
+                         auto&& stamp) -> StepOutcome {
     if (engine != nullptr) {
-      engine->Restore(resume_state.window);
-    } else if (disk_window != nullptr && !resume_ckpt_path.empty()) {
-      // Streamed replay: elements flow file -> segment store + operator
-      // one decode batch at a time (ReadCheckpointFileStreamed already
-      // CRC-validated the file during resume selection above).
-      psky::CheckpointState replayed;
-      std::string replay_error;
-      if (!psky::ReadCheckpointFileStreamed(
-              resume_ckpt_path, &replayed,
-              [&](const psky::UncertainElement& e) {
-                disk_window->Push(e);
-                op.Insert(e);
-              },
-              &replay_error)) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     resume_ckpt_path.c_str(), replay_error.c_str());
-        return 3;
-      }
+      // The insert command is already in flight when the WAL is stamped;
+      // that is safe because nothing is acknowledged until the stamp
+      // returns, and checkpoints barrier on the WAL before snapshotting.
+      psky::UncertainElement admitted;
+      if (!engine->Route(*e, &admitted)) return StepOutcome::kLate;
+      *e = admitted;
+      return stamp(*e) ? StepOutcome::kApplied : StepOutcome::kLogFailed;
+    }
+    if (time_window != nullptr) {
+      expired.clear();
+      if (!time_window->TryPush(e, &expired)) return StepOutcome::kLate;
+      if (!stamp(*e)) return StepOutcome::kLogFailed;
+      for (const auto& old : expired) op.Expire(old);
     } else {
-      psky::ReplayWindow(resume_state, &op);
-      for (const auto& e : resume_state.window) {
-        if (time_window != nullptr) {
-          time_window->Push(e, nullptr);
-        } else if (disk_window != nullptr) {
-          disk_window->Push(e);
+      if (!stamp(*e)) return StepOutcome::kLogFailed;
+      if (disk_window != nullptr) {
+        if (disk_window->full()) {
+          op.Expire(disk_window->PushRotate(*e));
         } else {
-          count_window->Push(e);
+          disk_window->Push(*e);
         }
+      } else if (count_window->full()) {
+        op.Expire(count_window->PushRotate(*e));
+      } else {
+        count_window->Push(*e);
       }
     }
+    op.Insert(*e);
+    return StepOutcome::kApplied;
+  };
+
+  // --- rebuild (--resume, --replay-at) -----------------------------------
+  // One path for every window and engine: StreamRecovery picks the newest
+  // valid checkpoint (at or before the replay target) and streams its
+  // window, then the WAL records after it, through window_step. Rebuilt
+  // elements were admitted once, arrive in order and fit the window, so
+  // the step refuses and expires none of them. The configuration checks
+  // run in `begin`, before any element is applied. Checkpoints are
+  // shard-count-agnostic (the merged window snapshot is byte-identical to
+  // a sequential one), so any checkpoint rebuilds into either engine.
+  psky::CheckpointState resume_state;  // base header, then source position
+  psky::RecoveredState recovered;
+  CarriedCounters carried;
+  uint64_t step = 0;
+  bool resumed = false;
+  if (args.resume || replay) {
+    bool refused = false;
+    size_t base_elements = 0;
+    size_t records = 0;
+    psky::WalRecord tip;
+    auto rebuild = [&](const psky::UncertainElement& e) {
+      psky::UncertainElement admitted = e;
+      PSKY_CHECK_MSG(
+          window_step(&admitted, [](const psky::UncertainElement&) {
+            return true;
+          }) == StepOutcome::kApplied,
+          "rebuild: admitted element rejected");
+    };
+    psky::RecoverySink sink;
+    sink.begin = [&](const psky::RecoveredState& base) {
+      if (base.has_checkpoint && !MatchesCheckpoint(base.checkpoint, args)) {
+        std::fprintf(stderr,
+                     "error: checkpoint was taken with a different "
+                     "dims/q/window configuration\n");
+        refused = true;
+      } else if (base.wal_dims != 0 &&
+                 base.wal_dims != static_cast<uint32_t>(args.dims)) {
+        std::fprintf(stderr, "error: WAL records carry %u dims, --dims is %d\n",
+                     base.wal_dims, args.dims);
+        refused = true;
+      }
+      resume_state = base.checkpoint;
+      return !refused;
+    };
+    sink.element = [&](const psky::UncertainElement& e) {
+      rebuild(e);
+      ++base_elements;
+    };
+    if (args.wal || replay) {
+      sink.record = [&](const psky::WalRecord& r) {
+        rebuild(r.element);
+        ++records;
+        tip = r;
+      };
+    }
+    std::string error;
+    if (!psky::StreamRecovery(args.checkpoint_dir, replay_target, sink,
+                              &recovered, &error)) {
+      if (refused) return 1;
+      if (replay) {
+        std::fprintf(stderr, "error: --replay-at: %s\n", error.c_str());
+      } else {
+        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
+                     args.checkpoint_dir.c_str(), error.c_str());
+      }
+      return 3;
+    }
+    if (!recovered.notes.empty()) {
+      std::fprintf(stderr, "warning: %s: %s\n",
+                   replay     ? "replay"
+                   : args.wal ? "recovery"
+                              : "skipped corrupt checkpoint(s)",
+                   recovered.notes.c_str());
+    }
+    const uint64_t base_step = resume_state.elements_consumed;
+    step = base_step + records;
+    if (replay) {
+      return ReportReplay(args, op, window_stream, step, base_step, records);
+    }
     if (options.record_events) op.TakeSkylineDelta();  // replay is not news
-    step = resume_state.elements_consumed;
     carried.bad_lines_skipped = resume_state.bad_lines_skipped;
     carried.probs_clamped = resume_state.probs_clamped;
     carried.ooo_dropped = resume_state.ooo_dropped;
-    std::fprintf(stderr,
-                 "resumed at step %llu (window holds %zu elements)\n",
-                 static_cast<unsigned long long>(step),
-                 disk_window != nullptr && !resume_ckpt_path.empty()
-                     ? disk_window->size()
-                     : resume_state.window.size());
-  }
-
-  // --- WAL tail replay (crash recovery past the checkpoint) -------------
-  if (args.wal && !recovered.tail.empty()) {
-    std::vector<psky::UncertainElement> tail_expired;
-    for (const psky::WalRecord& r : recovered.tail) {
-      psky::UncertainElement e = r.element;
-      if (engine != nullptr) {
-        // The WAL holds only admitted (post-clamp) elements, so the
-        // router cannot reject them.
-        PSKY_CHECK_MSG(engine->Route(e),
-                       "WAL replay: admitted element rejected");
-      } else if (time_window != nullptr) {
-        tail_expired.clear();
-        // The WAL holds only admitted elements with already-clamped
-        // timestamps, so re-admission cannot fail.
-        PSKY_CHECK_MSG(time_window->TryPush(&e, &tail_expired),
-                       "WAL replay: admitted element rejected");
-        for (const auto& old : tail_expired) op.Expire(old);
-      } else if (disk_window != nullptr) {
-        if (disk_window->full()) op.Expire(disk_window->PushRotate(e));
-        else disk_window->Push(e);
-      } else {
-        if (count_window->full()) op.Expire(count_window->PushRotate(e));
-        else count_window->Push(e);
-      }
-      if (engine == nullptr) op.Insert(e);
-      step = r.step_after;
+    resumed = recovered.has_checkpoint || records > 0;
+    if (resumed) {
+      std::fprintf(stderr,
+                   "resumed at step %llu (window holds %zu elements)\n",
+                   static_cast<unsigned long long>(base_step), base_elements);
     }
-    if (options.record_events) op.TakeSkylineDelta();  // replay is not news
-    // The tip record carries the absolute source position and cumulative
-    // counters: fast-forward the source from it (not the checkpoint) and
-    // restart the run-relative counters at zero.
-    const psky::WalRecord& tip = recovered.tail.back();
-    resume_state.next_seq = tip.next_seq_after;
-    resume_state.lines_consumed = tip.lines_after;
-    carried.bad_lines_skipped = tip.skipped_total;
-    carried.probs_clamped = tip.clamped_total;
-    carried.ooo_dropped = tip.ooo_total;
-    std::fprintf(stderr, "replayed %zu WAL record(s); now at step %llu\n",
-                 recovered.tail.size(),
-                 static_cast<unsigned long long>(step));
+    if (records > 0) {
+      // The tip record carries the absolute source position and
+      // cumulative counters: fast-forward the source from it (not the
+      // checkpoint) and restart the run-relative counters at zero.
+      resume_state.next_seq = tip.next_seq_after;
+      resume_state.lines_consumed = tip.lines_after;
+      carried.bad_lines_skipped = tip.skipped_total;
+      carried.probs_clamped = tip.clamped_total;
+      carried.ooo_dropped = tip.ooo_total;
+      std::fprintf(stderr, "replayed %zu WAL record(s); now at step %llu\n",
+                   records, static_cast<unsigned long long>(step));
+    }
   }
 
   Source source(args, resumed ? &resume_state : nullptr);
@@ -1433,95 +1338,48 @@ int main(int argc, char** argv) {
     watchdog->Start();
   }
 
-  const uint64_t resume_step = step;
   uint64_t processed_items = 0;
   auto heartbeat_last = std::chrono::steady_clock::now();
   uint64_t heartbeat_last_step = step;
 
   bool stopped_by_signal = false;
-  std::vector<psky::UncertainElement> expired;
 
-  // Processes one admitted element through the expire-before-insert cycle
-  // plus all per-step bookkeeping. Returns -1 to continue, or an exit code.
+  // Processes one admitted element through the window step plus all
+  // per-step bookkeeping. Returns -1 to continue, or an exit code.
   auto process_item = [&](const psky::IngestItem& item) -> int {
     if (psky::fault::Enabled()) {
       psky::fault::MaybeDelay(psky::fault::Site::kStep);
     }
-    const psky::UncertainElement& element = item.element;
-    if (engine != nullptr) {
-      psky::UncertainElement admitted;
-      if (!engine->Route(element, &admitted)) {
-        // Late timestamp under --ooo-policy reject (time windows only):
-        // same handling as the sequential TryPush rejection below.
-        if (args.on_bad_input == psky::BadInputPolicy::kFail) {
-          std::fprintf(
-              stderr,
-              "error: line %llu: out-of-order timestamp %g is behind "
-              "watermark %g (see --ooo-policy)\n",
-              static_cast<unsigned long long>(
-                  source.csv() != nullptr ? item.lines_after : step + 1),
-              element.time, engine->watermark());
-          return 2;
-        }
-        last.next_seq = item.next_seq_after;
-        last.lines = item.lines_after;
-        last.skipped = item.skipped_after;
-        last.clamped = item.clamped_after;
-        return -1;
-      }
-      // The insert command is already in flight when the WAL is stamped;
-      // that is safe because nothing is acknowledged until wal_log
-      // returns, and checkpoints barrier on the WAL before snapshotting.
-      if (args.wal && !wal_log(admitted, item, step + 1)) return 3;
-    } else if (time_window != nullptr) {
-      expired.clear();
-      psky::UncertainElement incoming = element;
-      if (!time_window->TryPush(&incoming, &expired)) {
-        // Late timestamp under --ooo-policy reject: treat like a
-        // malformed line.
-        if (args.on_bad_input == psky::BadInputPolicy::kFail) {
-          std::fprintf(
-              stderr,
-              "error: line %llu: out-of-order timestamp %g is behind "
-              "watermark %g (see --ooo-policy)\n",
-              static_cast<unsigned long long>(
-                  source.csv() != nullptr ? item.lines_after : step + 1),
-              incoming.time, time_window->watermark());
-          return 2;
-        }
-        // The element was consumed even though it was dropped: advance the
-        // carried source position so a checkpoint does not replay it.
-        last.next_seq = item.next_seq_after;
-        last.lines = item.lines_after;
-        last.skipped = item.skipped_after;
-        last.clamped = item.clamped_after;
-        return -1;
-      }
-      // Stamp the admitted (clamp-adjusted) element into the WAL before
-      // it reaches the operator.
-      if (args.wal && !wal_log(incoming, item, step + 1)) return 3;
-      for (const auto& old : expired) op.Expire(old);
-      op.Insert(incoming);
-    } else {
-      if (args.wal && !wal_log(element, item, step + 1)) return 3;
-      if (disk_window != nullptr) {
-        if (disk_window->full()) {
-          op.Expire(disk_window->PushRotate(element));
-        } else {
-          disk_window->Push(element);
-        }
-      } else if (count_window->full()) {
-        op.Expire(count_window->PushRotate(element));
-      } else {
-        count_window->Push(element);
-      }
-      op.Insert(element);
+    // Stamp the admitted (clamp-adjusted) element into the WAL before it
+    // reaches the operator.
+    psky::UncertainElement element = item.element;
+    const StepOutcome outcome =
+        window_step(&element, [&](const psky::UncertainElement& admitted) {
+          return !args.wal || wal_log(admitted, item, step + 1);
+        });
+    if (outcome == StepOutcome::kLogFailed) return 3;
+    if (outcome == StepOutcome::kLate &&
+        args.on_bad_input == psky::BadInputPolicy::kFail) {
+      // Late timestamp under --ooo-policy reject: treat like a malformed
+      // line.
+      std::fprintf(
+          stderr,
+          "error: line %llu: out-of-order timestamp %g is behind "
+          "watermark %g (see --ooo-policy)\n",
+          static_cast<unsigned long long>(
+              source.csv() != nullptr ? item.lines_after : step + 1),
+          element.time,
+          engine != nullptr ? engine->watermark() : time_window->watermark());
+      return 2;
     }
-    ++step;
+    // A dropped late element was still consumed: advance the carried
+    // source position so a checkpoint does not replay it.
     last.next_seq = item.next_seq_after;
     last.lines = item.lines_after;
     last.skipped = item.skipped_after;
     last.clamped = item.clamped_after;
+    if (outcome == StepOutcome::kLate) return -1;
+    ++step;
 
     if (args.inject_drift_at != 0 && step == args.inject_drift_at) {
       // Corrupt the newest live candidate's P_old in place — the class of
@@ -1638,13 +1496,12 @@ int main(int argc, char** argv) {
             stderr,
             "shard-heartbeat shards=%zu depth-max=%zu lag=%llu "
             "imbalance=%.2f merges=%llu merge-cands=%llu probes=%llu "
-            "cell-skips=%llu merge-ms=%.3f audit-violations=%llu\n",
+            "merge-ms=%.3f audit-violations=%llu\n",
             es.shards.size(), depth_max,
             static_cast<unsigned long long>(lag), es.imbalance,
             static_cast<unsigned long long>(es.merges),
             static_cast<unsigned long long>(es.merge_candidates),
             static_cast<unsigned long long>(es.merge_probes),
-            static_cast<unsigned long long>(es.merge_cell_skips),
             static_cast<double>(es.merge_ns) / 1e6,
             static_cast<unsigned long long>(violations));
       }
@@ -1882,16 +1739,14 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "shards: count=%zu imbalance=%.2f merges=%llu merge-cands=%llu "
-        "probes=%llu cell-skips=%llu merge-ms=%.3f barriers=%llu\n",
+        "probes=%llu merge-ms=%.3f barriers=%llu\n",
         es.shards.size(), es.imbalance,
         static_cast<unsigned long long>(es.merges),
         static_cast<unsigned long long>(es.merge_candidates),
         static_cast<unsigned long long>(es.merge_probes),
-        static_cast<unsigned long long>(es.merge_cell_skips),
         static_cast<double>(es.merge_ns) / 1e6,
         static_cast<unsigned long long>(es.barriers));
   }
-  (void)resume_step;
   if (skipped > 0 || clamped > 0 || ooo > 0) {
     std::fprintf(stderr,
                  "skipped %llu malformed lines, clamped %llu probabilities, "
