@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <limits>
 
 #include "base/check.h"
 #include "base/timer.h"
@@ -28,32 +27,43 @@ namespace {
 
 constexpr size_t kWorkerBatch = 256;
 
+// Oldest-first view of a shard's audit window.
+AuditManager::WindowStream StreamOf(const std::deque<UncertainElement>* w) {
+  AuditManager::WindowStream stream;
+  stream.size = [w] { return static_cast<uint64_t>(w->size()); };
+  stream.at = [w](uint64_t idx) { return (*w)[idx]; };
+  stream.scan = [w](const auto& visit) {
+    for (const UncertainElement& e : *w) visit(e);
+  };
+  return stream;
+}
+
 }  // namespace
 
 ShardEngine::Shard::Shard(const Options& opts)
-    : queue(opts.queue_capacity), op(opts.dims, opts.q, opts.tree_options) {}
+    : queue(opts.queue_capacity), op(opts.dims, opts.q, opts.tree_options) {
+  if (opts.audit.mode != AuditMode::kOff) {
+    audit_window = std::make_unique<std::deque<UncertainElement>>();
+    audit = std::make_unique<AuditManager>(&op, opts.audit,
+                                           StreamOf(audit_window.get()));
+  }
+}
 
 ShardEngine::ShardEngine(const Options& options)
     : options_(options),
-      grid_(options.dims, CellGrid::ChooseResolution(options.dims)),
-      watermark_(-std::numeric_limits<double>::infinity()) {
+      grid_(options.dims, CellGrid::ChooseResolution(options.dims)) {
   PSKY_CHECK(options_.shards >= 1 && options_.shards <= 255);
-  PSKY_CHECK(options_.window_capacity > 0 || options_.time_span > 0.0);
   PSKY_CHECK(options_.audit.pool == nullptr);
+  if (options_.window_capacity > 0) {
+    count_window_ = std::make_unique<CountWindow>(options_.window_capacity);
+  } else if (options_.time_span > 0.0) {
+    time_window_ =
+        std::make_unique<TimeWindow>(options_.time_span, options_.ooo_policy);
+  }
   shards_.reserve(static_cast<size_t>(options_.shards));
   for (int i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(options_));
     Shard* shard = shards_.back().get();
-    if (options_.audit.mode != AuditMode::kOff) {
-      AuditManager::WindowStream fifo;
-      fifo.size = [shard] { return static_cast<uint64_t>(shard->fifo.size()); };
-      fifo.at = [shard](uint64_t idx) { return shard->fifo[idx]; };
-      fifo.scan = [shard](const auto& visit) {
-        for (const UncertainElement& e : shard->fifo) visit(e);
-      };
-      shard->audit = std::make_unique<AuditManager>(&shard->op, options_.audit,
-                                                    std::move(fifo));
-    }
     shard->worker = std::thread([this, shard] { WorkerLoop(shard); });
   }
 }
@@ -87,54 +97,44 @@ void ShardEngine::Send(Shard* shard, Command cmd) {
   ++shard->routed;
 }
 
-void ShardEngine::SendExpireOldest(uint8_t shard) {
+void ShardEngine::SendElement(Command::Kind kind, const UncertainElement& e) {
+  Shard* shard = shards_[static_cast<size_t>(ShardOf(e))].get();
   Command cmd;
-  cmd.kind = Command::kExpireOldest;
-  Send(shards_[shard].get(), std::move(cmd));
+  cmd.kind = kind;
+  cmd.element = e;
+  Send(shard, std::move(cmd));
+  ++(kind == Command::kInsert ? shard->inserted : shard->expired);
 }
 
-void ShardEngine::SendInsert(const UncertainElement& e, uint8_t shard) {
-  Command cmd;
-  cmd.kind = Command::kInsert;
-  cmd.element = e;
-  Send(shards_[shard].get(), std::move(cmd));
-  ++shards_[shard]->inserted;
+void ShardEngine::Insert(const UncertainElement& e) {
+  PSKY_CHECK(!shutdown_);
+  PSKY_CHECK(count_window_ == nullptr && time_window_ == nullptr);
+  SendElement(Command::kInsert, e);
+}
+
+void ShardEngine::Expire(const UncertainElement& e) {
+  PSKY_CHECK(!shutdown_);
+  PSKY_CHECK(count_window_ == nullptr && time_window_ == nullptr);
+  SendElement(Command::kExpire, e);
 }
 
 bool ShardEngine::Route(const UncertainElement& e,
                         UncertainElement* out_admitted) {
   PSKY_CHECK(!shutdown_);
-  if (options_.window_capacity > 0) {
-    // CountWindow::Push semantics: overflow expires exactly the oldest.
-    if (ring_.size() == options_.window_capacity) {
-      SendExpireOldest(ring_.front().shard);
-      ring_.pop_front();
-    }
-    const uint8_t owner = static_cast<uint8_t>(ShardOf(e));
-    ring_.push_back(RingEntry{e.time, owner});
-    SendInsert(e, owner);
-    if (out_admitted != nullptr) *out_admitted = e;
-    return true;
-  }
-  // TimeWindow::TryPush semantics, replicated exactly (stream/window.cc).
   UncertainElement admitted = e;
-  if (admitted.time < watermark_) {
-    if (options_.ooo_policy == TimestampPolicy::kReject) {
-      ++rejected_;
-      return false;
+  if (count_window_ != nullptr) {
+    if (const auto old = count_window_->Push(e)) {
+      SendElement(Command::kExpire, *old);
     }
-    admitted.time = watermark_;
-    ++clamped_;
+  } else {
+    PSKY_CHECK(time_window_ != nullptr);
+    expired_.clear();
+    if (!time_window_->TryPush(&admitted, &expired_)) return false;
+    for (const UncertainElement& old : expired_) {
+      SendElement(Command::kExpire, old);
+    }
   }
-  watermark_ = admitted.time;
-  const double cutoff = admitted.time - options_.time_span;
-  while (!ring_.empty() && ring_.front().time <= cutoff) {
-    SendExpireOldest(ring_.front().shard);
-    ring_.pop_front();
-  }
-  const uint8_t owner = static_cast<uint8_t>(ShardOf(admitted));
-  ring_.push_back(RingEntry{admitted.time, owner});
-  SendInsert(admitted, owner);
+  SendElement(Command::kInsert, admitted);
   if (out_admitted != nullptr) *out_admitted = admitted;
   return true;
 }
@@ -169,31 +169,40 @@ void ShardEngine::WorkerLoop(Shard* shard) {
     const size_t n = shard->queue.PopBatch(&batch, kWorkerBatch);
     if (n == 0) break;  // closed and drained
     for (const Command& cmd : batch) ApplyCommand(shard, cmd);
-    shard->window_elements.store(shard->fifo.size(),
-                                 std::memory_order_relaxed);
     shard->candidates.store(shard->op.candidate_count(),
                             std::memory_order_relaxed);
+    if (shard->audit != nullptr) {
+      shard->audit_lag.store(shard->audit->steps_since_last_audit(),
+                             std::memory_order_relaxed);
+    }
     shard->applied.fetch_add(n, std::memory_order_release);
   }
   if (shard->audit != nullptr) shard->audit->Drain();
 }
 
 void ShardEngine::ApplyCommand(Shard* shard, const Command& cmd) {
-  if (cmd.kind == Command::kMergeProbe) {
-    ProbeMergeCandidates(shard);
-    return;
-  }
-  if (cmd.kind == Command::kExpireOldest) {
-    PSKY_CHECK(!shard->fifo.empty());
-    const UncertainElement oldest = shard->fifo.front();
-    shard->fifo.pop_front();
-    shard->op.Expire(oldest);
-    return;
-  }
-  shard->fifo.push_back(cmd.element);
-  shard->op.Insert(cmd.element);
-  if (shard->audit != nullptr && !shard->audit->Step()) {
-    shard->audit_violations.fetch_add(1, std::memory_order_relaxed);
+  std::deque<UncertainElement>* audit_window = shard->audit_window.get();
+  switch (cmd.kind) {
+    case Command::kMergeProbe:
+      ProbeMergeCandidates(shard);
+      return;
+    case Command::kExpire:
+      if (audit_window != nullptr) {
+        // The audit window holds this shard's substream, and windows
+        // expire oldest first: the named element must be its oldest.
+        PSKY_CHECK(!audit_window->empty() &&
+                   audit_window->front().seq == cmd.element.seq);
+        audit_window->pop_front();
+      }
+      shard->op.Expire(cmd.element);
+      return;
+    case Command::kInsert:
+      if (audit_window != nullptr) audit_window->push_back(cmd.element);
+      shard->op.Insert(cmd.element);
+      if (shard->audit != nullptr && !shard->audit->Step()) {
+        shard->audit_violations.fetch_add(1, std::memory_order_relaxed);
+      }
+      return;
   }
 }
 
@@ -324,33 +333,11 @@ std::vector<SkylineMember> ShardEngine::GlobalSkyline(
   return out;
 }
 
-std::vector<UncertainElement> ShardEngine::WindowSnapshot() {
-  Barrier();
-  // K-way merge of the shard FIFOs by arrival sequence. Each FIFO is
-  // already seq-sorted (commands arrive in global order), so a linear
-  // merge reconstructs the exact sequential window.
-  std::vector<UncertainElement> out;
-  out.reserve(ring_.size());
-  std::vector<size_t> cursor(static_cast<size_t>(shards()), 0);
-  while (true) {
-    int best = -1;
-    uint64_t best_seq = 0;
-    for (int i = 0; i < shards(); ++i) {
-      const auto& fifo = shards_[static_cast<size_t>(i)]->fifo;
-      const size_t c = cursor[static_cast<size_t>(i)];
-      if (c >= fifo.size()) continue;
-      if (best < 0 || fifo[c].seq < best_seq) {
-        best = i;
-        best_seq = fifo[c].seq;
-      }
-    }
-    if (best < 0) break;
-    out.push_back(
-        shards_[static_cast<size_t>(best)]->fifo[cursor[static_cast<size_t>(
-            best)]++]);
-  }
-  PSKY_CHECK(out.size() == ring_.size());
-  return out;
+std::vector<UncertainElement> ShardEngine::WindowSnapshot() const {
+  PSKY_CHECK(!shutdown_);
+  if (count_window_ != nullptr) return count_window_->Snapshot();
+  PSKY_CHECK(time_window_ != nullptr);
+  return time_window_->Snapshot();
 }
 
 ShardEngine::Stats ShardEngine::GetStats() const {
@@ -364,9 +351,9 @@ ShardEngine::Stats ShardEngine::GetStats() const {
     s.applied = shard->applied.load(std::memory_order_relaxed);
     s.inserted = shard->inserted;
     s.queue_depth = shard->queue.SizeApprox();
-    s.window_elements =
-        shard->window_elements.load(std::memory_order_relaxed);
+    s.window_elements = shard->inserted - shard->expired;
     s.candidates = shard->candidates.load(std::memory_order_relaxed);
+    s.audit_lag = shard->audit_lag.load(std::memory_order_relaxed);
     s.audit_violations =
         shard->audit_violations.load(std::memory_order_relaxed);
     total_window += s.window_elements;

@@ -6,33 +6,45 @@
 //
 //   router thread                      shard workers (one thread each)
 //   ─────────────                      ──────────────────────────────
-//   Route(e):                          loop:
-//     window policy (count ring /        PopBatch(commands)
-//     time watermark, replicated         kExpireOldest -> pop own FIFO,
-//     exactly from stream/window.h)        op.Expire()
-//     pop expired ring entries ->        kInsert -> FIFO push,
-//       kExpireOldest to owner shard       op.Insert(), audit.Step()
-//     kInsert(e) to owner shard          kMergeProbe -> dominator sums
-//                                          of merge_u_ against own tree
+//   Insert(e) / Expire(e):             loop:
+//     one command to ShardOf(e)          PopBatch(commands)
+//   Route(e):                            kExpire(e) -> op.Expire(e)
+//     the engine's own CountWindow /     kInsert(e) -> op.Insert(e),
+//     TimeWindow admits e, then            audit.Step()
+//     Expire(old) per expired element,   kMergeProbe -> dominator sums
+//     then Insert(e)                       of merge_u_ against own tree
 //   GlobalSkyline():                     publish applied counter
 //     kMergeProbe to shards 1..n-1,
 //     probes shard 0 itself
 //
-// The router owns every windowing decision: it keeps a global ring of
-// (owner shard, time) entries mirroring CountWindow / TimeWindow
-// semantics bit-for-bit, and turns each global expiry into a
-// kExpireOldest command for the owning shard. A shard therefore sees
-// exactly the global command sequence restricted to its partition, in
-// global order (SPSC FIFO) — shard state is a pure function of the
-// element stream, independent of thread scheduling, which is what makes
-// sharded runs deterministic and checkpoint/replay-compatible. A resume
-// re-feeds the checkpointed window through Route like any arrival: those
-// elements were admitted once, arrive in order and all fit the window,
-// so routing them expires and rejects nothing.
+// The engine keeps no window of its own unless asked to. Operator state
+// is a pure function of the admitted window sequence (the paper's
+// Theorems 2-4; a window expires before it inserts), so the caller's
+// window drives the engine: for each admitted element the caller sends
+// the expiry of every element its window dropped, then the insert, and
+// each command carries its element to the owning shard. A shard therefore
+// sees exactly the global command sequence restricted to its partition,
+// in global order (SPSC FIFO) — shard state is a pure function of the
+// window sequence, independent of thread scheduling, which is what
+// makes sharded runs deterministic and checkpoint/replay-compatible:
+// a checkpoint records the caller's window, whichever engine ran.
+//
+// An engine is fed one way. Built with Options::window_capacity or
+// time_span, it owns a stream/window.h window and is fed by Route (the
+// benchmark and the equivalence tests do this); built with neither, it
+// is fed by Insert/Expire from a window the caller owns (psky_stream
+// does this for its count, time and disk windows). Each form
+// PSKY_CHECKs that the other was not chosen.
+//
+// A shard copies window elements only for its auditor: with
+// Options::audit.mode != kOff it keeps its substream, oldest first, as
+// the audit window, and checks that every expiry pops the element the
+// command names.
 //
 // Routing is a pure function of the element (grid: splitmix-hashed cell
-// id of the position; band: occurrence-probability band), so a stream
-// routes identically across runs, shard counts permitting.
+// id of the position; band: occurrence-probability band), so an expiry
+// reaches the shard its insert did, and a stream routes identically
+// across runs, shard counts permitting.
 //
 // Exactness of the merge (GlobalSkyline)
 // --------------------------------------
@@ -102,14 +114,14 @@
 // therefore bit-identical to the single-threaded merge for any shard
 // count.
 //
-// Thread-safety: Route/Barrier/GlobalSkyline/WindowSnapshot/GetStats
-// must all be called from one thread (the router): GetStats reads
-// router-side counters. Barrier() returns only after every routed
-// command is applied, with acquire/release ordering on the per-shard
-// applied counters, so reading shard state after a barrier is
-// race-free. After Shutdown(), Route/Barrier/GlobalSkyline/
-// WindowSnapshot fail a PSKY_CHECK instead of waiting on a closed
-// queue.
+// Thread-safety: Route/Insert/Expire/Barrier/GlobalSkyline/
+// WindowSnapshot/GetStats must all be called from one thread (the
+// router): the window and GetStats' counters are router-side. Barrier()
+// returns only after every routed command is applied, with
+// acquire/release ordering on the per-shard applied counters, so
+// reading shard state after a barrier is race-free. After Shutdown(),
+// Route/Insert/Expire/Barrier/GlobalSkyline/WindowSnapshot fail a
+// PSKY_CHECK instead of waiting on a closed queue.
 
 #ifndef PSKY_CORE_SHARD_ENGINE_H_
 #define PSKY_CORE_SHARD_ENGINE_H_
@@ -117,6 +129,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -148,8 +161,10 @@ class ShardEngine {
     double q = 0.3;
     int shards = 2;
     ShardStrategy strategy = ShardStrategy::kGrid;
-    /// Windowing: count-based when window_capacity > 0, else time-based
-    /// over time_span seconds with `ooo_policy` (mirrors psky_stream).
+    /// The engine's own window, which Route feeds: count-based when
+    /// window_capacity > 0, else time-based over time_span seconds with
+    /// `ooo_policy` when time_span > 0. Leave both 0 to feed the engine
+    /// from the caller's window through Insert/Expire.
     size_t window_capacity = 0;
     double time_span = 0.0;
     TimestampPolicy ooo_policy = TimestampPolicy::kReject;
@@ -157,8 +172,9 @@ class ShardEngine {
     size_t queue_capacity = 4096;
     SkyTree::Options tree_options;
     /// Per-shard integrity auditing (core/audit.h), run inside the shard
-    /// worker against the shard's own substream. `pool` must be null —
-    /// oracle replays run synchronously on the worker.
+    /// worker against the shard's own substream, which the shard keeps
+    /// as its audit window. `pool` must be null — oracle replays run
+    /// synchronously on the worker.
     AuditOptions audit;
   };
 
@@ -167,14 +183,22 @@ class ShardEngine {
   ShardEngine(const ShardEngine&) = delete;
   ShardEngine& operator=(const ShardEngine&) = delete;
 
-  /// Routes one arrival: applies the window policy, emits the expiry
-  /// command(s) the sequential window would, and enqueues the insert to
-  /// the owning shard. Returns false iff the element was rejected as
-  /// out-of-order (time windows under TimestampPolicy::kReject) — the
-  /// exact condition TimeWindow::TryPush rejects on. When `admitted` is
-  /// non-null and the element was accepted, it receives the element as
-  /// actually windowed (timestamp clamp applied) — what a WAL should
-  /// stamp.
+  /// Sends the insert of `e`, which the caller's window just admitted,
+  /// to its shard. Requires an engine built without a window.
+  void Insert(const UncertainElement& e);
+
+  /// Sends the expiry of `e`, which the caller's window just dropped, to
+  /// its shard. Windows drop oldest first, so every shard sees its own
+  /// elements expire in arrival order. Requires an engine built without
+  /// a window.
+  void Expire(const UncertainElement& e);
+
+  /// Routes one arrival through the engine's own window (requires one):
+  /// admits it, then expires what the window dropped and inserts it, as
+  /// Insert/Expire would. Returns false iff the element was rejected as
+  /// out-of-order (time windows under TimestampPolicy::kReject). When
+  /// `admitted` is non-null and the element was accepted, it receives
+  /// the element as actually windowed (timestamp clamp applied).
   bool Route(const UncertainElement& e, UncertainElement* admitted = nullptr);
 
   /// Blocks until every routed command has been applied by its shard.
@@ -187,14 +211,16 @@ class ShardEngine {
   /// receives |S*| — exactly the sequential operator's candidate count.
   std::vector<SkylineMember> GlobalSkyline(size_t* candidate_count = nullptr);
 
-  /// Barrier + merged window contents in global arrival order — the
-  /// byte-identical input to CheckpointState::window that a sequential
-  /// run would snapshot.
-  std::vector<UncertainElement> WindowSnapshot();
+  /// Contents of the engine's own window (requires one), oldest first —
+  /// the byte-identical input to CheckpointState::window that a
+  /// sequential run would snapshot. Reads the router-side window, so it
+  /// never waits on the workers.
+  std::vector<UncertainElement> WindowSnapshot() const;
 
   /// Drains and joins all shard workers. Idempotent; called by the
-  /// destructor. The engine cannot be reused afterwards: Route, Barrier,
-  /// GlobalSkyline and WindowSnapshot then fail a PSKY_CHECK.
+  /// destructor. The engine cannot be reused afterwards: Route, Insert,
+  /// Expire, Barrier, GlobalSkyline and WindowSnapshot then fail a
+  /// PSKY_CHECK.
   void Shutdown();
 
   int shards() const { return static_cast<int>(shards_.size()); }
@@ -205,22 +231,32 @@ class ShardEngine {
   /// Owning shard of an element (pure function; exposed for tests).
   int ShardOf(const UncertainElement& e) const;
 
-  /// Elements currently windowed across all shards (router-side count,
-  /// exact: the router owns all windowing decisions).
-  size_t window_size() const { return ring_.size(); }
-
-  /// Time-window policy counters (router-side, mirror TimeWindow's).
-  uint64_t rejected() const { return rejected_; }
-  uint64_t clamped() const { return clamped_; }
-  double watermark() const { return watermark_; }
+  /// Time-window policy counters of the engine's own time window (0, and
+  /// a watermark of -infinity, for any other engine).
+  uint64_t rejected() const {
+    return time_window_ != nullptr ? time_window_->rejected() : 0;
+  }
+  uint64_t clamped() const {
+    return time_window_ != nullptr ? time_window_->clamped() : 0;
+  }
+  double watermark() const {
+    return time_window_ != nullptr
+               ? time_window_->watermark()
+               : -std::numeric_limits<double>::infinity();
+  }
 
   struct ShardStats {
     uint64_t routed = 0;       ///< commands sent (inserts, expiries, probes)
     uint64_t applied = 0;      ///< commands the worker has applied
     uint64_t inserted = 0;     ///< insert commands sent
     size_t queue_depth = 0;    ///< commands waiting in the SPSC queue
+    /// Inserts minus expiries sent: the shard's window share once its
+    /// queue drains (router-side, exact).
     size_t window_elements = 0;
     size_t candidates = 0;
+    /// The shard auditor's steps since its last slice audit (0 when the
+    /// shard does not audit).
+    uint64_t audit_lag = 0;
     uint64_t audit_violations = 0;
   };
 
@@ -259,15 +295,9 @@ class ShardEngine {
 
  private:
   struct Command {
-    enum Kind : uint8_t { kInsert, kExpireOldest, kMergeProbe };
+    enum Kind : uint8_t { kInsert, kExpire, kMergeProbe };
     Kind kind = kInsert;
     UncertainElement element;
-  };
-
-  /// Router-side record of one windowed element.
-  struct RingEntry {
-    double time = 0.0;
-    uint8_t shard = 0;
   };
 
   struct Shard {
@@ -275,10 +305,13 @@ class ShardEngine {
 
     SpscQueue<Command> queue;
     SskyOperator op;
-    std::deque<UncertainElement> fifo;  ///< shard window, oldest first
+    /// The auditor and the window it audits: this shard's substream,
+    /// oldest first, the only copy of window elements a shard keeps.
+    /// Both null unless the shard audits.
+    std::unique_ptr<std::deque<UncertainElement>> audit_window;
     std::unique_ptr<AuditManager> audit;
     /// Commands applied; the worker's release store after each batch is
-    /// the publication point for everything above (fifo, op...) — the
+    /// the publication point for everything above (op, audit...) — the
     /// router's acquire load in Barrier() pairs with it, which is the
     /// whole happens-before edge the merge relies on.
     std::atomic<uint64_t> applied{0};
@@ -286,8 +319,8 @@ class ShardEngine {
     // GetStats() with no ordering relative to anything — stale values
     // are fine, torn ones impossible. Every access spells its
     // memory_order (psky-lint `atomic-order`).
-    std::atomic<uint64_t> window_elements{0};
     std::atomic<uint64_t> candidates{0};
+    std::atomic<uint64_t> audit_lag{0};
     std::atomic<uint64_t> audit_violations{0};
     /// Merge-round output, indexed like merge_u_: this shard's dominator
     /// sums per candidate. Written during the probe round (by the worker
@@ -296,6 +329,7 @@ class ShardEngine {
     std::vector<SkyTree::DominatorSums> merge_sums;
     uint64_t routed = 0;    ///< router-side; commands enqueued
     uint64_t inserted = 0;  ///< router-side; insert commands enqueued
+    uint64_t expired = 0;   ///< router-side; expire commands enqueued
     std::thread worker;
   };
 
@@ -306,21 +340,21 @@ class ShardEngine {
   /// worker, or on the router for shard 0.
   void ProbeMergeCandidates(Shard* shard) const;
   void Send(Shard* shard, Command cmd);
-  void SendExpireOldest(uint8_t shard);
-  void SendInsert(const UncertainElement& e, uint8_t shard);
+  /// Sends an insert or expire command for `e` to its owning shard.
+  void SendElement(Command::Kind kind, const UncertainElement& e);
   /// Waits until every shard has applied every command routed to it.
   void WaitApplied();
 
   Options options_;
   CellGrid grid_;
+  /// The engine's own window (Route), at most one of the two.
+  std::unique_ptr<CountWindow> count_window_;
+  std::unique_ptr<TimeWindow> time_window_;
+  std::vector<UncertainElement> expired_;  ///< Route's scratch
   /// Merge candidate union U, rebuilt by the router per GlobalSkyline;
   /// read-only for the workers during the probe round.
   std::vector<UncertainElement> merge_u_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::deque<RingEntry> ring_;  ///< global window mirror, oldest first
-  double watermark_;
-  uint64_t rejected_ = 0;
-  uint64_t clamped_ = 0;
   uint64_t merges_ = 0;
   uint64_t merge_candidates_ = 0;
   uint64_t merge_probes_ = 0;

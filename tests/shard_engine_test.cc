@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "core/ssky_operator.h"
 #include "geom/cell_grid.h"
 #include "geom/dominance_kernel.h"
+#include "store/segment_store.h"
 #include "stream/generator.h"
 #include "stream/window.h"
 
@@ -453,6 +455,23 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+// Bitwise comparison of two merges: candidate counts, members by seq,
+// and the bits of every reported probability.
+void ExpectSameBits(size_t want_candidates,
+                    const std::vector<SkylineMember>& want,
+                    size_t got_candidates,
+                    const std::vector<SkylineMember>& got) {
+  EXPECT_EQ(want_candidates, got_candidates);
+  EXPECT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
+    EXPECT_EQ(want[i].element.seq, got[i].element.seq) << "member " << i;
+    EXPECT_TRUE(SameBits(want[i].pnew, got[i].pnew)) << "member " << i;
+    EXPECT_TRUE(SameBits(want[i].pold, got[i].pold)) << "member " << i;
+    EXPECT_TRUE(SameBits(want[i].psky, got[i].psky)) << "member " << i;
+    EXPECT_TRUE(got[i].in_skyline);
+  }
+}
+
 // Merges once against the reference and compares bitwise; returns
 // |U \ S*| so callers can assert which regime they exercised.
 size_t ExpectMergeBitIdentical(ShardEngine* engine) {
@@ -460,16 +479,7 @@ size_t ExpectMergeBitIdentical(ShardEngine* engine) {
   const ReferenceMerge ref = SerialReferenceMerge(*engine);
   size_t candidates = 0;
   const std::vector<SkylineMember> got = engine->GlobalSkyline(&candidates);
-  EXPECT_EQ(ref.candidates, candidates);
-  EXPECT_EQ(ref.skyline.size(), got.size());
-  for (size_t i = 0; i < std::min(ref.skyline.size(), got.size()); ++i) {
-    const SkylineMember& want = ref.skyline[i];
-    EXPECT_EQ(want.element.seq, got[i].element.seq) << "member " << i;
-    EXPECT_TRUE(SameBits(want.pnew, got[i].pnew)) << "member " << i;
-    EXPECT_TRUE(SameBits(want.pold, got[i].pold)) << "member " << i;
-    EXPECT_TRUE(SameBits(want.psky, got[i].psky)) << "member " << i;
-    EXPECT_TRUE(got[i].in_skyline);
-  }
+  ExpectSameBits(ref.candidates, ref.skyline, candidates, got);
   return ref.rejected;
 }
 
@@ -551,6 +561,126 @@ TEST(MergeBitIdentityEdge, BandStrategyWithEmptyShards) {
   EXPECT_GT(stats.shards[0].window_elements, 0u);
   EXPECT_EQ(stats.shards[2].inserted, 0u);
   EXPECT_EQ(stats.shards[3].inserted, 0u);
+}
+
+// --- Fed from the caller's window ---------------------------------------
+//
+// psky_stream keeps one window for both engines and feeds the shards
+// through Insert/Expire. Fed from any window kind, the engine must merge
+// bit for bit what Route gives over its own window.
+
+using Expired = std::vector<UncertainElement>;
+
+// Streams `stream` into an engine without a window, fed by `push` (the
+// caller's window: false when it refuses the element, else the expired
+// elements land in `expired`), and through Route into an engine built
+// with `routed_opts`; the two merge identically at three points.
+template <typename Push>
+void RunFedFromWindow(const std::vector<UncertainElement>& stream,
+                      const ShardEngine::Options& routed_opts, Push push) {
+  ShardEngine::Options fed_opts = routed_opts;
+  fed_opts.window_capacity = 0;
+  fed_opts.time_span = 0.0;
+  ShardEngine fed(fed_opts);
+  ShardEngine routed(routed_opts);
+  Expired expired;
+  const size_t merges_at[] = {kWindow / 2, kWindow, kStream};
+  size_t next = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    UncertainElement e = stream[i];
+    expired.clear();
+    const bool admitted = push(&e, &expired);
+    ASSERT_EQ(admitted, routed.Route(stream[i]));
+    if (admitted) {
+      for (const UncertainElement& old : expired) fed.Expire(old);
+      fed.Insert(e);
+    }
+    if (next < std::size(merges_at) && i + 1 == merges_at[next]) {
+      ++next;
+      size_t want_candidates = 0;
+      size_t got_candidates = 0;
+      const std::vector<SkylineMember> want =
+          routed.GlobalSkyline(&want_candidates);
+      const std::vector<SkylineMember> got =
+          fed.GlobalSkyline(&got_candidates);
+      ExpectSameBits(want_candidates, want, got_candidates, got);
+    }
+  }
+  ASSERT_EQ(next, std::size(merges_at));
+}
+
+// The push of a count window (CountWindow, StoredCountWindow).
+template <typename W>
+auto CountPush(W* window) {
+  return [window](UncertainElement* e, Expired* out) {
+    if (const auto old = window->Push(*e)) out->push_back(*old);
+    return true;
+  };
+}
+
+TEST(ShardEngineFedFromWindow, CountWindow) {
+  CountWindow window(kWindow);
+  RunFedFromWindow(MakeStream(SpatialDistribution::kAntiCorrelated),
+                   CountOptions(3), CountPush(&window));
+}
+
+void RunFedFromTimeWindow(TimestampPolicy policy) {
+  std::vector<UncertainElement> stream =
+      MakeStream(SpatialDistribution::kIndependent);
+  // Pull every 7th timestamp backwards so the policy fires.
+  for (size_t i = 7; i < stream.size(); i += 7) {
+    stream[i].time = stream[i - 3].time;
+  }
+  ShardEngine::Options opts = CountOptions(4);
+  opts.window_capacity = 0;
+  opts.time_span = 2.0;  // ~2000 elements at the default rate
+  opts.ooo_policy = policy;
+  TimeWindow window(opts.time_span, policy);
+  RunFedFromWindow(stream, opts, [&](UncertainElement* e, Expired* out) {
+    return window.TryPush(e, out);
+  });
+  EXPECT_GT(policy == TimestampPolicy::kReject ? window.rejected()
+                                               : window.clamped(),
+            0u);
+}
+
+TEST(ShardEngineFedFromWindow, TimeWindowRejectingLateElements) {
+  RunFedFromTimeWindow(TimestampPolicy::kReject);
+}
+
+TEST(ShardEngineFedFromWindow, TimeWindowClampingLateElements) {
+  RunFedFromTimeWindow(TimestampPolicy::kClampToWatermark);
+}
+
+TEST(ShardEngineFedFromWindow, StoredCountWindow) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "psky_shard_fed_segments";
+  std::filesystem::remove_all(dir);
+  SegmentStore::Options store;
+  store.dir = dir.string();
+  store.dims = kDims;
+  store.elements_per_segment = 128;
+  store.resident_budget = 4;
+  StoredCountWindow window(kWindow, store);
+  std::string error;
+  ASSERT_TRUE(window.Init(&error)) << error;
+  RunFedFromWindow(MakeStream(SpatialDistribution::kCorrelated),
+                   CountOptions(2), CountPush(&window));
+}
+
+TEST(ShardEngineDeathTest, FedOneWayOnly) {
+  // The engines below run worker threads: fork a fresh process per
+  // death instead of the threaded one.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const UncertainElement e = StreamGenerator(StreamConfig{}).Next();
+  ShardEngine windowed(CountOptions(2));
+  EXPECT_DEATH(windowed.Insert(e), "time_window_ == nullptr");
+  EXPECT_DEATH(windowed.Expire(e), "time_window_ == nullptr");
+  ShardEngine::Options fed_opts = CountOptions(2);
+  fed_opts.window_capacity = 0;
+  ShardEngine fed(fed_opts);
+  EXPECT_DEATH((void)fed.Route(e), "time_window_ != nullptr");
+  EXPECT_DEATH((void)fed.WindowSnapshot(), "time_window_ != nullptr");
 }
 
 TEST(ShardEngine, RoutingIsDeterministicAndStrategySensitive) {

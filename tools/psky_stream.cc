@@ -63,11 +63,13 @@
 //                            1 (default) keeps the sequential operator
 //   --shard-by grid|band     partition function: spatial grid cell hash
 //                            (default) or occurrence-probability band
-//   Sharded runs support --emit counts|final (and --topk); deltas,
-//   --window-store disk, --query-deadline-ms and --inject-drift-at
-//   require the sequential operator. --threads only drives the audit
-//   oracle pool and is ignored with --shards > 1 (each shard audits on
-//   its own worker).
+//   The shards are fed from the same window a sequential run keeps
+//   (count, time or disk): each window step sends the expiries and the
+//   insert to the owning shards. Sharded runs support --emit
+//   counts|final (and --topk); deltas, --query-deadline-ms and
+//   --inject-drift-at require the sequential operator. --threads only
+//   drives the audit oracle pool and is ignored with --shards > 1 (each
+//   shard audits on its own worker).
 //
 // Overload management (see docs/operations.md):
 //   --max-queue N            bounded ingest queue in front of the operator;
@@ -442,9 +444,6 @@ Args Parse(int argc, char** argv) {
     if (args.emit == "deltas") {
       Usage("--emit deltas requires the sequential operator (--shards 1)");
     }
-    if (args.window_store == "disk") {
-      Usage("--window-store disk requires --shards 1");
-    }
     if (args.inject_drift_at != 0) {
       Usage("--inject-drift-at requires --shards 1");
     }
@@ -606,25 +605,39 @@ struct CarriedCounters {
 // SIG_DFL bound the damage if the dump itself faults. Dumps are governed:
 // one per failure burst, each with a monotonic sequence number, so a CHECK
 // storm cannot bury the evidence under thousands of files.
+//
+// The window belongs to the pipeline thread, so only a dump requested
+// there embeds it. A failure on any other thread (a shard worker, the
+// ingest producer, the WAL sync thread, a pool task) dumps the reason,
+// the audit counters and the checkpoint header with an empty window: it
+// must neither wait for the pipeline thread nor read a window that
+// thread is changing. Its counters are the pipeline thread's latest,
+// read without synchronization from a process that is about to abort.
 
 struct PostMortemContext {
-  std::function<psky::CheckpointState()> snapshot;
+  /// The state to embed; the window only when `with_window`.
+  std::function<psky::CheckpointState(bool with_window)> snapshot;
+  std::thread::id pipeline_thread;
   const psky::AuditManager* audit = nullptr;
   std::string dir = ".";
   psky::QuarantineGovernor governor;
   psky::RetryPolicy io_policy;            // transient write errors retried
   psky::RetryStats* io_stats = nullptr;   // shared with checkpoint writes
-  bool dumping = false;                   // recursion guard
+  std::atomic<bool> dumping{false};       // recursion and cross-thread guard
 };
 PostMortemContext g_postmortem;
 
 void DumpQuarantine(const std::string& reason) {
-  if (!g_postmortem.snapshot || g_postmortem.dumping) return;
-  g_postmortem.dumping = true;
+  if (!g_postmortem.snapshot ||
+      g_postmortem.dumping.exchange(true, std::memory_order_acquire)) {
+    return;
+  }
   psky::QuarantineDump dump;
   dump.reason = reason;
   if (g_postmortem.audit != nullptr) dump.report = g_postmortem.audit->report();
-  dump.state = g_postmortem.snapshot();
+  const bool with_window =
+      std::this_thread::get_id() == g_postmortem.pipeline_thread;
+  dump.state = g_postmortem.snapshot(with_window);
   uint64_t dump_seq = 0;
   if (!g_postmortem.governor.Admit(dump.state.elements_consumed, &dump_seq)) {
     std::fprintf(stderr,
@@ -632,7 +645,7 @@ void DumpQuarantine(const std::string& reason) {
                  "suppressed so far)\n",
                  static_cast<unsigned long long>(
                      g_postmortem.governor.dumps_suppressed()));
-    g_postmortem.dumping = false;
+    g_postmortem.dumping.store(false, std::memory_order_release);
     return;
   }
   const std::string path =
@@ -641,11 +654,12 @@ void DumpQuarantine(const std::string& reason) {
   std::string error;
   if (psky::WriteQuarantineFileRetry(path, dump, g_postmortem.io_policy,
                                      g_postmortem.io_stats, &error)) {
-    std::fprintf(stderr, "quarantine dump written to %s\n", path.c_str());
+    std::fprintf(stderr, "quarantine dump written to %s%s\n", path.c_str(),
+                 with_window ? "" : " (off the pipeline thread: no window)");
   } else {
     std::fprintf(stderr, "error: quarantine dump failed: %s\n", error.c_str());
   }
-  g_postmortem.dumping = false;
+  g_postmortem.dumping.store(false, std::memory_order_release);
 }
 
 void QuarantineOnCheckFailure(const char* condition, const char* file,
@@ -811,34 +825,29 @@ int main(int argc, char** argv) {
   options.record_events = args.emit == "deltas" && !replay;
   psky::SskyOperator op(args.dims, args.q, options);
 
-  // --shards > 1: the sharded engine replaces the sequential operator
-  // and the window objects below — it owns windowing (router-side) and
-  // runs one sky-tree per shard. Queries merge exactly (bit-equivalent
-  // window state, same skyline within summation rounding). --replay-at
-  // always rebuilds into the sequential operator over a memory window.
+  // --shards > 1: the sharded engine replaces the sequential operator;
+  // it runs one sky-tree per shard and is fed by the window below, like
+  // the operator. Queries merge exactly (same skyline within summation
+  // rounding). --replay-at always rebuilds into the sequential operator
+  // over a memory window.
   std::unique_ptr<psky::ShardEngine> engine;
-  std::unique_ptr<psky::CountWindow> count_window;
-  std::unique_ptr<psky::TimeWindow> time_window;
-  std::unique_ptr<psky::StoredCountWindow> disk_window;
   if (args.shards > 1 && !replay) {
     psky::ShardEngine::Options eng;
     eng.dims = args.dims;
     eng.q = args.q;
     eng.shards = args.shards;
     eng.strategy = args.shard_by;
-    if (args.time_span > 0.0) {
-      eng.time_span = args.time_span;
-      eng.ooo_policy = args.ooo_policy;
-    } else {
-      eng.window_capacity = args.window;
-    }
     // Per-shard auditing runs synchronously inside each shard worker
     // (the engine rejects a thread pool), over the shard's own substream.
     eng.audit.mode = args.audit_mode;
     eng.audit.audit_every = args.audit_every;
     eng.audit.oracle_every = args.audit_oracle_every;
     engine = std::make_unique<psky::ShardEngine>(eng);
-  } else if (args.time_span > 0.0) {
+  }
+  std::unique_ptr<psky::CountWindow> count_window;
+  std::unique_ptr<psky::TimeWindow> time_window;
+  std::unique_ptr<psky::StoredCountWindow> disk_window;
+  if (args.time_span > 0.0) {
     time_window =
         std::make_unique<psky::TimeWindow>(args.time_span, args.ooo_policy);
   } else if (args.window_store == "disk" && !replay) {
@@ -867,61 +876,57 @@ int main(int argc, char** argv) {
   } else {
     count_window = std::make_unique<psky::CountWindow>(args.window);
   }
-  // The sequential window, read one way (oldest first, in place) by the
-  // auditor, checkpoints, quarantine dumps and drift injection. Sharded
-  // runs read the engine's merged window instead.
+  // The window, read one way (oldest first, in place) by the auditor,
+  // checkpoints, quarantine dumps and drift injection, whichever engine
+  // runs.
   using WindowStream = psky::AuditManager::WindowStream;
   const WindowStream window_stream =
-      time_window != nullptr    ? WindowStream::Of(time_window.get())
-      : disk_window != nullptr  ? WindowStream::Of(disk_window.get())
-      : count_window != nullptr ? WindowStream::Of(count_window.get())
-                                : WindowStream{};
-  // Out-of-order rejections under --ooo-policy reject, whichever side
-  // owns the time-window watermark.
+      time_window != nullptr   ? WindowStream::Of(time_window.get())
+      : disk_window != nullptr ? WindowStream::Of(disk_window.get())
+                               : WindowStream::Of(count_window.get());
+  // Out-of-order rejections under --ooo-policy reject.
   auto ooo_rejected = [&]() -> uint64_t {
-    if (time_window != nullptr) return time_window->rejected();
-    if (engine != nullptr) return engine->rejected();
-    return 0;
+    return time_window != nullptr ? time_window->rejected() : 0;
   };
 
-  // The window step every element takes, live or rebuilt: admission to
-  // the window (count rotation, time watermark and expiry, or the shard
-  // router), then `stamp` on the admitted element, then the sequential
-  // operator's expire-before-insert. The live loop's stamp appends the
-  // element to the WAL, so the log leads the operator and every output;
-  // rebuilt elements were logged once already and stamp nothing.
+  // The window step every element takes, live or rebuilt, on either
+  // engine: admission to the window (count rotation, or time watermark
+  // and expiry), then `stamp` on the admitted element, then
+  // expire-before-insert on the sequential operator or the shard engine.
+  // The live loop's stamp appends the element to the WAL, so the log
+  // leads the operator, the shard commands and every output; rebuilt
+  // elements were logged once already and stamp nothing.
   std::vector<psky::UncertainElement> expired;
+  auto expire = [&](const psky::UncertainElement& x) {
+    if (engine != nullptr) return engine->Expire(x);
+    op.Expire(x);
+  };
+  auto insert = [&](const psky::UncertainElement& x) {
+    if (engine != nullptr) return engine->Insert(x);
+    op.Insert(x);
+  };
   auto window_step = [&](psky::UncertainElement* e,
                          auto&& stamp) -> StepOutcome {
-    if (engine != nullptr) {
-      // The insert command is already in flight when the WAL is stamped;
-      // that is safe because nothing is acknowledged until the stamp
-      // returns, and checkpoints barrier on the WAL before snapshotting.
-      psky::UncertainElement admitted;
-      if (!engine->Route(*e, &admitted)) return StepOutcome::kLate;
-      *e = admitted;
-      return stamp(*e) ? StepOutcome::kApplied : StepOutcome::kLogFailed;
-    }
     if (time_window != nullptr) {
       expired.clear();
       if (!time_window->TryPush(e, &expired)) return StepOutcome::kLate;
       if (!stamp(*e)) return StepOutcome::kLogFailed;
-      for (const auto& old : expired) op.Expire(old);
+      for (const auto& old : expired) expire(old);
     } else {
       if (!stamp(*e)) return StepOutcome::kLogFailed;
       if (disk_window != nullptr) {
         if (disk_window->full()) {
-          op.Expire(disk_window->PushRotate(*e));
+          expire(disk_window->PushRotate(*e));
         } else {
           disk_window->Push(*e);
         }
       } else if (count_window->full()) {
-        op.Expire(count_window->PushRotate(*e));
+        expire(count_window->PushRotate(*e));
       } else {
         count_window->Push(*e);
       }
     }
-    op.Insert(*e);
+    insert(*e);
     return StepOutcome::kApplied;
   };
 
@@ -931,9 +936,9 @@ int main(int argc, char** argv) {
   // window, then the WAL records after it, through window_step. Rebuilt
   // elements were admitted once, arrive in order and fit the window, so
   // the step refuses and expires none of them. The configuration checks
-  // run in `begin`, before any element is applied. Checkpoints are
-  // shard-count-agnostic (the merged window snapshot is byte-identical to
-  // a sequential one), so any checkpoint rebuilds into either engine.
+  // run in `begin`, before any element is applied. Every engine
+  // checkpoints the same window, so any checkpoint rebuilds into either
+  // engine at any shard count.
   psky::CheckpointState resume_state;  // base header, then source position
   psky::RecoveredState recovered;
   CarriedCounters carried;
@@ -1046,8 +1051,7 @@ int main(int argc, char** argv) {
   }
 
   // Everything a checkpoint records except the window contents, which
-  // stream into the file; build_state() adds the materialized window for
-  // quarantine dumps.
+  // stream into the file; a quarantine dump adds the materialized window.
   auto build_header = [&]() -> psky::CheckpointState {
     psky::CheckpointState state;
     state.dims = args.dims;
@@ -1065,17 +1069,6 @@ int main(int argc, char** argv) {
     state.bad_lines_skipped = carried.bad_lines_skipped + last.skipped;
     state.probs_clamped = carried.probs_clamped + last.clamped;
     state.ooo_dropped = carried.ooo_dropped + ooo_rejected();
-    return state;
-  };
-  auto build_state = [&]() -> psky::CheckpointState {
-    psky::CheckpointState state = build_header();
-    if (engine != nullptr) {
-      state.window = engine->WindowSnapshot();
-    } else {
-      window_stream.scan([&](const psky::UncertainElement& e) {
-        state.window.push_back(e);
-      });
-    }
     return state;
   };
 
@@ -1223,23 +1216,19 @@ int main(int argc, char** argv) {
     const std::string path =
         args.checkpoint_dir + "/" + psky::CheckpointFileName(step);
     // The window flows into the file one element at a time, so a
-    // giant disk window checkpoints in O(1) elements of memory. Each
-    // retry attempt restarts the read at the oldest element.
-    std::vector<psky::UncertainElement> merged;  // sharded runs only
-    if (engine != nullptr) merged = engine->WindowSnapshot();
+    // giant disk window checkpoints in O(1) elements of memory, and a
+    // sharded run never waits on its workers. Each retry attempt
+    // restarts the read at the oldest element.
     auto source_factory = [&]() -> psky::CheckpointElementSource {
       return [&, i = uint64_t{0}](psky::UncertainElement* e) mutable {
-        *e = engine != nullptr ? merged[static_cast<size_t>(i)]
-                               : window_stream.at(i);
-        ++i;
+        *e = window_stream.at(i++);
         return true;
       };
     };
     std::string error;
     if (!psky::WriteCheckpointFileStreamedRetry(
-            path, build_header(),
-            engine != nullptr ? merged.size() : window_stream.size(),
-            source_factory, io_policy, &io_stats, &error)) {
+            path, build_header(), window_stream.size(), source_factory,
+            io_policy, &io_stats, &error)) {
       std::fprintf(stderr, "error: checkpoint failed: %s\n", error.c_str());
       // The retry budget is exhausted (or the error was permanent): this
       // run is about to exit 3, so preserve the evidence.
@@ -1298,7 +1287,16 @@ int main(int argc, char** argv) {
   audit_options.pool = disk_window != nullptr ? nullptr : pool.get();
   psky::AuditManager audit(&op, audit_options, window_stream);
 
-  g_postmortem.snapshot = build_state;
+  g_postmortem.snapshot = [&](bool with_window) {
+    psky::CheckpointState state = build_header();
+    if (with_window) {
+      window_stream.scan([&](const psky::UncertainElement& e) {
+        state.window.push_back(e);
+      });
+    }
+    return state;
+  };
+  g_postmortem.pipeline_thread = std::this_thread::get_id();
   g_postmortem.audit = &audit;
   g_postmortem.dir = args.checkpoint_dir.empty() ? "." : args.checkpoint_dir;
   g_postmortem.io_policy = io_policy;
@@ -1368,8 +1366,7 @@ int main(int argc, char** argv) {
           "watermark %g (see --ooo-policy)\n",
           static_cast<unsigned long long>(
               source.csv() != nullptr ? item.lines_after : step + 1),
-          element.time,
-          engine != nullptr ? engine->watermark() : time_window->watermark());
+          element.time, time_window->watermark());
       return 2;
     }
     // A dropped late element was still consumed: advance the carried
@@ -1448,6 +1445,17 @@ int main(int argc, char** argv) {
       heartbeat_last_step = step;
       const psky::QueueStats qs =
           queue != nullptr ? queue->StatsSnapshot() : psky::QueueStats{};
+      // Audited sharded runs audit inside the shard workers: report the
+      // shard auditor furthest behind.
+      uint64_t audit_lag = audit.steps_since_last_audit();
+      const psky::ShardEngine::Stats es =
+          engine != nullptr ? engine->GetStats() : psky::ShardEngine::Stats{};
+      if (engine != nullptr && args.audit_mode != psky::AuditMode::kOff) {
+        audit_lag = 0;
+        for (const auto& s : es.shards) {
+          audit_lag = std::max(audit_lag, s.audit_lag);
+        }
+      }
       std::fprintf(
           stderr,
           "heartbeat step=%llu eps=%.0f queue=%zu/%zu "
@@ -1459,7 +1467,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(qs.shed_oldest),
           static_cast<unsigned long long>(qs.shed_low_prob),
           static_cast<unsigned long long>(qs.shed_incoming), ladder.rung(),
-          static_cast<unsigned long long>(audit.steps_since_last_audit()));
+          static_cast<unsigned long long>(audit_lag));
       if (disk_window != nullptr) {
         // Out-of-core window health: residency should sit at the budget
         // (or 3 in steady state) and the readahead hit rate near 100%;
@@ -1483,7 +1491,6 @@ int main(int argc, char** argv) {
       if (engine != nullptr) {
         // Per-shard health: SPSC backlog, window imbalance (1.0 = even),
         // merge-side counters. Readable without a barrier.
-        const psky::ShardEngine::Stats es = engine->GetStats();
         size_t depth_max = 0;
         uint64_t lag = 0;
         uint64_t violations = 0;
