@@ -22,7 +22,7 @@
 //                                    open range
 //   <err>  := eio | enospc | eintr   injected errno (default eio)
 //   <site> := ckpt-open | ckpt-write | ckpt-fsync | ckpt-rename |
-//             qrtn-write | pool-task | step | wal-append | wal-fsync |
+//             qrtn-write | step | wal-append | wal-fsync |
 //             segment-map | segment-recycle
 //
 // Example: "seed=7;fail=ckpt-fsync@2..3;delay=step@100..200:5" fails the
@@ -50,14 +50,13 @@ enum class Site : int {
   kCheckpointFsync,     ///< fsync of the checkpoint temp file
   kCheckpointRename,    ///< rename of temp over final checkpoint
   kQuarantineWrite,     ///< any stage of a quarantine dump write
-  kPoolTask,            ///< start of a thread-pool task (delay only)
   kStep,                ///< one pipeline step (delay only)
   kWalAppend,           ///< appending one record to the write-ahead log
   kWalFsync,            ///< group-commit fsync of the write-ahead log
   kSegmentMap,          ///< mapping a new window-store segment file
   kSegmentRecycle,      ///< recycling a drained window-store segment
 };
-inline constexpr int kSiteCount = 11;
+inline constexpr int kSiteCount = 10;
 
 /// Canonical schedule-syntax name of a site ("ckpt-fsync", ...).
 const char* SiteName(Site site);

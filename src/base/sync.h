@@ -114,7 +114,6 @@ namespace lockrank {
 inline constexpr int kIngestQueue = 10;    ///< BoundedIngestQueue::mu_
 inline constexpr int kWatchdog = 20;       ///< Watchdog::mu_
 inline constexpr int kShardDoorbell = 30;  ///< SpscQueue<T>::door_mu_
-inline constexpr int kThreadPool = 40;     ///< ThreadPool::mu_
 inline constexpr int kWalAsync = 50;       ///< WalWriter::AsyncSync::mu
 inline constexpr int kFaultSchedule = 60;  ///< fault_injection's g_mu
 inline constexpr int kLeaf = 90;           ///< generic leaf (tests, tools)

@@ -36,12 +36,6 @@ AuditManager::AuditManager(SskyOperator* op, AuditOptions options,
       window_(std::move(window)),
       q_log_(std::log(op->threshold())) {}
 
-AuditManager::~AuditManager() {
-  // Wait for the worker so it is not left running against freed inputs;
-  // the verdict is discarded (callers that care ran Drain() already).
-  if (pending_oracle_.has_value()) pending_oracle_->want.wait();
-}
-
 void AuditManager::AuditBatch(
     const std::vector<std::pair<uint64_t, UncertainElement>>& targets) {
   if (targets.empty()) return;
@@ -229,41 +223,6 @@ bool AuditManager::RunOracleCheck() {
   return false;
 }
 
-void AuditManager::LaunchOracleAsync() {
-  ++report_.oracle_replays;
-  PendingOracle pending;
-  pending.reported = SkylineSeqs(op_->Skyline());
-  // The replay touches only its by-value window copy and fresh naive
-  // state — never the live tree or window — so it is safe on a worker
-  // thread. The copy is taken here, on the pipeline thread.
-  std::vector<UncertainElement> window;
-  window.reserve(static_cast<size_t>(window_.size()));
-  window_.scan([&](const UncertainElement& e) { window.push_back(e); });
-  const int dims = op_->dims();
-  const double q = op_->threshold();
-  pending.want = options_.pool->Async(
-      [dims, q, window = std::move(window)]() {
-        NaiveSkylineOperator oracle(dims, q);
-        for (const UncertainElement& e : window) oracle.Insert(e);
-        return SkylineSeqs(oracle.Skyline());
-      });
-  pending_oracle_ = std::move(pending);
-}
-
-bool AuditManager::HarvestOracle() {
-  if (!pending_oracle_.has_value()) return true;
-  const std::vector<uint64_t> want = pending_oracle_->want.get();
-  const std::vector<uint64_t> reported = std::move(pending_oracle_->reported);
-  pending_oracle_.reset();
-  if (reported == want) return true;
-  // The async verdict is stale by up to oracle_every steps; only a
-  // disagreement that also holds against the *live* operator (after repair
-  // escalation, per mode) counts as a violation.
-  return RunOracleCheck();
-}
-
-bool AuditManager::Drain() { return HarvestOracle(); }
-
 bool AuditManager::Step() {
   ++report_.steps_seen;
   if (options_.mode == AuditMode::kOff) return true;
@@ -277,12 +236,7 @@ bool AuditManager::Step() {
   }
   if (!suspend_oracle_ && options_.oracle_every > 0 &&
       report_.steps_seen % options_.oracle_every == 0) {
-    if (options_.pool != nullptr) {
-      HarvestOracle();
-      LaunchOracleAsync();
-    } else {
-      RunOracleCheck();
-    }
+    RunOracleCheck();
   }
   return report_.violations_unrepaired == before;
 }

@@ -38,8 +38,7 @@
 // against blocks of 256 positions with the SIMD dominance kernel, and
 // WindowStream::scan feeds the shadow oracle. A memory window and a disk
 // window (SegmentStore, read one resolved segment at a time) therefore
-// audit identically, and no path snapshots the window except the
-// asynchronous oracle's launch, which copies it on the pipeline thread.
+// audit identically, and no path snapshots the window.
 //
 // Exactness of the re-derivation: for a live element e, the window W and
 // candidate set S determine the true values —
@@ -61,13 +60,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "base/thread_pool.h"
 #include "core/checkpoint.h"
 #include "core/ssky_operator.h"
 #include "stream/element.h"
@@ -93,19 +89,9 @@ struct AuditOptions {
   /// that could matter at a threshold.
   double tolerance = 1e-7;
   /// Steps between shadow-oracle replays (0 disables the oracle). Each
-  /// replay costs O(window^2); sample accordingly.
+  /// replay runs inline on the caller's thread and costs O(window^2);
+  /// sample accordingly.
   uint64_t oracle_every = 0;
-  /// When set, shadow-oracle replays run asynchronously on this pool: the
-  /// window (copied through WindowStream::scan) and the operator's
-  /// reported skyline are snapshotted on the main thread, the
-  /// O(window^2) naive replay happens on a worker, and the verdict is
-  /// harvested at the next oracle step (or Drain()). A stale disagreement
-  /// is re-confirmed synchronously against the live operator before it
-  /// counts as a violation. The pool must outlive the AuditManager. Leave
-  /// it null for out-of-core windows, whose copy would be O(N) RAM. Slice
-  /// audits always stay on the main thread: they read and repair live
-  /// tree state.
-  ThreadPool* pool = nullptr;
 };
 
 /// Per-run integrity counters. All monotone; suitable for logging and for
@@ -170,19 +156,10 @@ class AuditManager {
 
   AuditManager(SskyOperator* op, AuditOptions options, WindowStream window);
 
-  /// Blocks on any in-flight asynchronous oracle replay (without counting
-  /// its verdict — a destroyed auditor reports what it has harvested).
-  ~AuditManager();
-
   /// Advances the audit schedule by one stream step (call after the
   /// operator processed the element). Returns false when this step
   /// detected a violation it could not repair.
   bool Step();
-
-  /// Harvests the in-flight asynchronous oracle replay, if any, blocking
-  /// until its verdict is in. Call at end of stream so no replay's result
-  /// is dropped. Returns false on an unrepaired violation.
-  bool Drain();
 
   /// Audits every window element immediately (repairing per mode),
   /// regardless of cadence. Returns the number of violations left
@@ -191,9 +168,8 @@ class AuditManager {
 
   /// Overload response (core/overload.h): stretches the slice-audit
   /// cadence by `audit_stretch` (1 restores the configured cadence) and,
-  /// while `suspend_oracle` is set, skips shadow-oracle launches and
-  /// harvests entirely — an in-flight replay is picked up by the next
-  /// oracle step after release, or by Drain(). Reversible at any step.
+  /// while `suspend_oracle` is set, skips shadow-oracle replays.
+  /// Reversible at any step.
   void SetDegradation(bool suspend_oracle, uint64_t audit_stretch) {
     suspend_oracle_ = suspend_oracle;
     audit_stretch_ = audit_stretch == 0 ? 1 : audit_stretch;
@@ -201,8 +177,12 @@ class AuditManager {
 
   /// Steps since the last slice audit actually ran — the audit lag a
   /// heartbeat line reports; grows while the ladder has auditing
-  /// stretched or the cadence simply has not come due.
+  /// stretched or the cadence simply has not come due. Always 0 when no
+  /// slice auditor runs (mode kOff or audit_every 0): nothing lags.
   uint64_t steps_since_last_audit() const {
+    if (options_.mode == AuditMode::kOff || options_.audit_every == 0) {
+      return 0;
+    }
     return report_.steps_seen - last_slice_audit_step_;
   }
 
@@ -215,21 +195,6 @@ class AuditManager {
   const AuditOptions& options() const { return options_; }
 
  private:
-  // An asynchronous oracle replay in flight: the skyline the operator
-  // reported at snapshot time, plus the future delivering what the naive
-  // oracle says it should have been.
-  //
-  // Concurrency contract (why this class carries no Mutex of its own):
-  // the worker job owns value *copies* captured at launch — it never
-  // touches the live operator, window, or this object — and its only
-  // communication back is the future, whose set/get pair is the
-  // synchronization edge. Everything else in AuditManager runs on the
-  // single pipeline thread.
-  struct PendingOracle {
-    std::vector<uint64_t> reported;
-    std::future<std::vector<uint64_t>> want;
-  };
-
   // Exact-state check given `e`'s window-exact P_new; all the tree
   // lookups, drift accounting, and repairs live here.
   void AuditElement(const UncertainElement& e, double exact_pnew);
@@ -239,12 +204,6 @@ class AuditManager {
   void AuditBatch(
       const std::vector<std::pair<uint64_t, UncertainElement>>& targets);
   void RunSliceAudit();
-  // Snapshots window + reported skyline and queues the replay on pool.
-  void LaunchOracleAsync();
-  // Joins pending_oracle_ (if any) and applies its verdict. A stale
-  // mismatch escalates to a synchronous RunOracleCheck against live
-  // state. Returns false on an unrepaired violation.
-  bool HarvestOracle();
 
   SskyOperator* op_;
   AuditOptions options_;
@@ -252,7 +211,6 @@ class AuditManager {
   AuditReport report_;
   uint64_t cursor_ = 0;  // rotating position into the window
   double q_log_;
-  std::optional<PendingOracle> pending_oracle_;
   // Degradation state (SetDegradation); defaults are "no degradation".
   bool suspend_oracle_ = false;
   uint64_t audit_stretch_ = 1;

@@ -1,33 +1,9 @@
 #include "core/msky_operator.h"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 namespace psky {
-
-namespace {
-
-// Runs one independent job per item, either sequentially or fanned out
-// across `pool`. The jobs must be read-only with respect to shared state;
-// results come back in input order either way.
-template <typename Result, typename Job>
-std::vector<Result> FanOut(size_t count, ThreadPool* pool, const Job& job) {
-  std::vector<Result> out(count);
-  if (pool == nullptr || pool->num_threads() <= 1 || count <= 1) {
-    for (size_t i = 0; i < count; ++i) out[i] = job(i);
-    return out;
-  }
-  std::vector<std::future<Result>> futures;
-  futures.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    futures.push_back(pool->Async([&job, i] { return job(i); }));
-  }
-  for (size_t i = 0; i < count; ++i) out[i] = futures[i].get();
-  return out;
-}
-
-}  // namespace
 
 MskyOperator::MskyOperator(int dims, std::vector<double> thresholds,
                            SkyTree::Options options)
@@ -61,71 +37,6 @@ std::vector<SkylineMember> MskyOperator::AdHocQuery(double q_prime) const {
 
 size_t MskyOperator::AdHocCount(double q_prime) const {
   return tree_.CountAtLeast(q_prime);
-}
-
-std::vector<std::vector<SkylineMember>> MskyOperator::SkylineAll(
-    ThreadPool* pool) const {
-  const size_t k = static_cast<size_t>(num_thresholds());
-  return FanOut<std::vector<SkylineMember>>(
-      k, pool, [this](size_t i) { return Skyline(static_cast<int>(i) + 1); });
-}
-
-std::vector<std::vector<SkylineMember>> MskyOperator::AdHocQueryMany(
-    const std::vector<double>& q_primes, ThreadPool* pool) const {
-  return FanOut<std::vector<SkylineMember>>(
-      q_primes.size(), pool,
-      [this, &q_primes](size_t i) { return AdHocQuery(q_primes[i]); });
-}
-
-std::vector<size_t> MskyOperator::AdHocCountMany(
-    const std::vector<double>& q_primes, ThreadPool* pool) const {
-  return FanOut<size_t>(q_primes.size(), pool, [this, &q_primes](size_t i) {
-    return AdHocCount(q_primes[i]);
-  });
-}
-
-// The ctl-aware batch variants share one QueryControl across all fanned-out
-// traversals — safe because the control is read-only; each traversal keeps
-// its own QueryTicker inside the tree query.
-
-bool MskyOperator::AdHocQueryMany(
-    const std::vector<double>& q_primes, const QueryControl& ctl,
-    ThreadPool* pool, std::vector<std::vector<SkylineMember>>* out) const {
-  using One = std::pair<bool, std::vector<SkylineMember>>;
-  std::vector<One> results =
-      FanOut<One>(q_primes.size(), pool, [this, &q_primes, &ctl](size_t i) {
-        One r;
-        r.first = tree_.CollectAtLeast(q_primes[i], ctl, &r.second);
-        return r;
-      });
-  out->clear();
-  out->reserve(results.size());
-  bool completed = true;
-  for (One& r : results) {
-    completed = completed && r.first;
-    out->push_back(std::move(r.second));
-  }
-  return completed;
-}
-
-bool MskyOperator::AdHocCountMany(const std::vector<double>& q_primes,
-                                  const QueryControl& ctl, ThreadPool* pool,
-                                  std::vector<size_t>* out) const {
-  using One = std::pair<bool, size_t>;
-  std::vector<One> results =
-      FanOut<One>(q_primes.size(), pool, [this, &q_primes, &ctl](size_t i) {
-        One r{false, 0};
-        r.first = tree_.CountAtLeast(q_primes[i], ctl, &r.second);
-        return r;
-      });
-  out->clear();
-  out->reserve(results.size());
-  bool completed = true;
-  for (const One& r : results) {
-    completed = completed && r.first;
-    out->push_back(r.second);
-  }
-  return completed;
 }
 
 }  // namespace psky

@@ -13,7 +13,6 @@
 
 #include <vector>
 
-#include "base/thread_pool.h"
 #include "core/operator.h"
 #include "core/sky_tree.h"
 
@@ -50,37 +49,6 @@ class MskyOperator {
 
   /// Ad-hoc count-only query; prunes whole subtrees via the P_sky bounds.
   size_t AdHocCount(double q_prime) const;
-
-  /// All k continuous results in one call, result[i-1] == Skyline(i).
-  /// With `pool` each threshold's collection runs as an independent
-  /// read-only traversal on a worker thread; results are identical to the
-  /// sequential loop. The caller must not mutate the operator while a
-  /// fan-out is in flight.
-  std::vector<std::vector<SkylineMember>> SkylineAll(
-      ThreadPool* pool = nullptr) const;
-
-  /// Batched QSKY: one ad-hoc query per entry of `q_primes`, optionally
-  /// fanned out across `pool`. Equivalent to calling AdHocQuery on each.
-  std::vector<std::vector<SkylineMember>> AdHocQueryMany(
-      const std::vector<double>& q_primes, ThreadPool* pool = nullptr) const;
-
-  /// Batched count-only QSKY, optionally fanned out across `pool`.
-  std::vector<size_t> AdHocCountMany(const std::vector<double>& q_primes,
-                                     ThreadPool* pool = nullptr) const;
-
-  /// Deadline/cancellation-aware batched QSKY: every per-threshold
-  /// traversal shares `ctl` (one deadline bounds the whole batch).
-  /// Returns false when any traversal was cut short; `(*out)[i]` then
-  /// holds that query's well-formed partial result. Results are identical
-  /// to AdHocQueryMany when the control never fires.
-  bool AdHocQueryMany(const std::vector<double>& q_primes,
-                      const QueryControl& ctl, ThreadPool* pool,
-                      std::vector<std::vector<SkylineMember>>* out) const;
-
-  /// Deadline/cancellation-aware batched count-only QSKY; same contract.
-  bool AdHocCountMany(const std::vector<double>& q_primes,
-                      const QueryControl& ctl, ThreadPool* pool,
-                      std::vector<size_t>* out) const;
 
   const SkyTree& tree() const { return tree_; }
 

@@ -270,7 +270,6 @@ void Watchdog::Loop() {
   uint64_t prev_step = last_step_.load(std::memory_order_relaxed);
   uint64_t gap_ms = 0;
   bool step_alarmed = false;
-  bool pool_alarmed = false;
   for (;;) {
     {
       MutexLock lock(mu_);
@@ -306,28 +305,6 @@ void Watchdog::Loop() {
                  std::to_string(gap_ms) + " ms (last step " +
                  std::to_string(step) + ")");
         }
-      }
-    }
-
-    if (pool_ != nullptr) {
-      const ThreadPool::Status status = pool_->GetStatus();
-      const uint64_t worst =
-          std::max(status.oldest_queued_ms, status.longest_running_ms);
-      if (worst >= options_.task_stall_ms) {
-        if (!pool_alarmed) {
-          pool_alarmed = true;
-          {
-            MutexLock lock(mu_);
-            ++stats_.pool_stalls;
-          }
-          if (alarm_) {
-            alarm_("thread-pool task wedged: " + std::to_string(worst) +
-                   " ms (queued=" + std::to_string(status.queued) +
-                   " active=" + std::to_string(status.active) + ")");
-          }
-        }
-      } else {
-        pool_alarmed = false;
       }
     }
   }

@@ -1,6 +1,6 @@
 // Overload management for the streaming pipeline: a bounded ingest queue
 // with pluggable pressure policies, a hysteresis-driven degradation
-// ladder, and a watchdog for stalled steps and wedged pool tasks.
+// ladder, and a watchdog for stalled steps.
 //
 // The paper's sliding-window semantics give load shedding a principled
 // currency that random dropping lacks: an element with a low occurrence
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "base/sync.h"
-#include "base/thread_pool.h"
 #include "stream/element.h"
 
 namespace psky {
@@ -133,9 +132,9 @@ class BoundedIngestQueue {
 ///
 /// Rungs trade auxiliary work for ingest headroom, mildest first:
 ///   1  widen the consumer batch (amortize per-batch overheads)
-///   2  suspend the asynchronous audit shadow-oracle replay and shrink
-///      the disk window store's resident-segment budget (cheap,
-///      reversible RSS relief for out-of-core windows)
+///   2  suspend the audit's shadow-oracle replays and shrink the disk
+///      window store's resident-segment budget (cheap, reversible RSS
+///      relief for out-of-core windows)
 ///   3  stretch the slice-audit cadence (sampled audit)
 ///   4  stretch the checkpoint interval
 /// Effects are cumulative: rung 3 implies rungs 1 and 2.
@@ -196,21 +195,18 @@ class DegradationLadder {
 };
 
 /// Detects a wedged pipeline: a consumer that claims to be busy but has
-/// not completed a step within `stall_ms`, or a thread-pool task queued or
-/// running longer than `task_stall_ms`. Alarms are edge-triggered — one
-/// per excursion, re-armed when the condition clears — so a hard wedge
-/// produces one alarm, not one per poll.
+/// not completed a step within `stall_ms`. Alarms are edge-triggered —
+/// one per excursion, re-armed when the condition clears — so a hard
+/// wedge produces one alarm, not one per poll.
 class Watchdog {
  public:
   struct Options {
     uint64_t poll_ms = 100;
     uint64_t stall_ms = 2000;
-    uint64_t task_stall_ms = 2000;
   };
 
   struct Stats {
     uint64_t step_stalls = 0;
-    uint64_t pool_stalls = 0;
     uint64_t max_step_gap_ms = 0;
   };
 
@@ -222,9 +218,6 @@ class Watchdog {
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Optional: also monitor `pool` for wedged tasks. Set before Start().
-  void WatchPool(const ThreadPool* pool) { pool_ = pool; }
 
   /// Starts the poll thread. No-op while it is running or while a
   /// concurrent Stop() is still joining it.
@@ -258,7 +251,6 @@ class Watchdog {
 
   Options options_;
   AlarmFn alarm_;
-  const ThreadPool* pool_ = nullptr;
   std::atomic<uint64_t> last_step_{0};
   std::atomic<bool> busy_{false};
   mutable Mutex mu_{"watchdog", lockrank::kWatchdog};

@@ -53,7 +53,6 @@ ShardEngine::ShardEngine(const Options& options)
     : options_(options),
       grid_(options.dims, CellGrid::ChooseResolution(options.dims)) {
   PSKY_CHECK(options_.shards >= 1 && options_.shards <= 255);
-  PSKY_CHECK(options_.audit.pool == nullptr);
   if (options_.window_capacity > 0) {
     count_window_ = std::make_unique<CountWindow>(options_.window_capacity);
   } else if (options_.time_span > 0.0) {
@@ -177,7 +176,6 @@ void ShardEngine::WorkerLoop(Shard* shard) {
     }
     shard->applied.fetch_add(n, std::memory_order_release);
   }
-  if (shard->audit != nullptr) shard->audit->Drain();
 }
 
 void ShardEngine::ApplyCommand(Shard* shard, const Command& cmd) {
@@ -377,7 +375,6 @@ AuditReport ShardEngine::AuditReportMerged() {
   AuditReport merged;
   for (const auto& shard : shards_) {
     if (shard->audit == nullptr) continue;
-    shard->audit->Drain();
     const AuditReport& r = shard->audit->report();
     merged.steps_seen += r.steps_seen;
     merged.elements_audited += r.elements_audited;

@@ -173,8 +173,7 @@ class ShardEngine {
     SkyTree::Options tree_options;
     /// Per-shard integrity auditing (core/audit.h), run inside the shard
     /// worker against the shard's own substream, which the shard keeps
-    /// as its audit window. `pool` must be null — oracle replays run
-    /// synchronously on the worker.
+    /// as its audit window; oracle replays run on the worker too.
     AuditOptions audit;
   };
 

@@ -134,6 +134,44 @@ TEST(AuditTest, OffModeNeverAudits) {
   p.Run(1000);
   EXPECT_EQ(p.audit.report().elements_audited, 0u);
   EXPECT_EQ(p.audit.report().oracle_replays, 0u);
+  // Steps still count (quarantine dumps carry them), but an auditor that
+  // never runs does not lag.
+  EXPECT_EQ(p.audit.report().steps_seen, 1000u);
+  EXPECT_EQ(p.audit.steps_since_last_audit(), 0u);
+
+  // Neither does a check-mode auditor whose slice cadence is 0.
+  AuditOptions no_slices = Options(AuditMode::kCheck);
+  no_slices.audit_every = 0;
+  Pipeline q(no_slices);
+  q.Run(1000);
+  EXPECT_EQ(q.audit.report().elements_audited, 0u);
+  EXPECT_EQ(q.audit.report().steps_seen, 1000u);
+  EXPECT_EQ(q.audit.steps_since_last_audit(), 0u);
+}
+
+TEST(AuditTest, DegradationSuspendsOracleAndStretchesSlices) {
+  AuditOptions options = Options(AuditMode::kCheck);  // a slice per 4 steps
+  options.oracle_every = 100;
+  Pipeline p(options);
+  p.Run(400);
+  EXPECT_EQ(p.audit.report().oracle_replays, 4u);
+  EXPECT_EQ(p.audit.report().elements_audited, 400u);  // 100 slices of 4
+
+  // Oracle suspended, slices 8x apart: steps 401..1040 hold 20 multiples
+  // of 32 (416..1024), and the last slice ran 16 steps ago.
+  p.audit.SetDegradation(/*suspend_oracle=*/true, /*audit_stretch=*/8);
+  p.Run(640);
+  EXPECT_EQ(p.audit.report().oracle_replays, 4u);
+  EXPECT_EQ(p.audit.report().elements_audited, 400u + 80u);
+  EXPECT_EQ(p.audit.steps_since_last_audit(), 16u);
+
+  // Released: steps 1041..1440 run 100 slices and 4 replays again.
+  p.audit.SetDegradation(/*suspend_oracle=*/false, /*audit_stretch=*/1);
+  p.Run(400);
+  EXPECT_EQ(p.audit.report().oracle_replays, 8u);
+  EXPECT_EQ(p.audit.report().elements_audited, 480u + 400u);
+  EXPECT_EQ(p.audit.report().oracle_mismatches, 0u);
+  EXPECT_EQ(p.audit.report().violations_unrepaired, 0u);
 }
 
 TEST(AuditTest, CheckModeDetectsInjectedDriftWithoutMutating) {

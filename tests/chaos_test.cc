@@ -96,10 +96,10 @@ TEST_F(ChaosTest, DelayClauseReportsMilliseconds) {
 
 TEST_F(ChaosTest, ProbabilisticFailureIsSeededAndReproducible) {
   auto run = [this]() {
-    Arm("seed=11;pfail=pool-task:0.5");
+    Arm("seed=11;pfail=wal-append:0.5");
     std::vector<int> outcomes;
     for (int i = 0; i < 64; ++i) {
-      outcomes.push_back(fault::FailErrno(fault::Site::kPoolTask));
+      outcomes.push_back(fault::FailErrno(fault::Site::kWalAppend));
     }
     return outcomes;
   };

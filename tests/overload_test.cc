@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "base/cancel.h"
-#include "base/thread_pool.h"
-#include "core/msky_operator.h"
 #include "core/overload.h"
 #include "core/sky_tree.h"
 #include "core/ssky_operator.h"
@@ -322,7 +320,6 @@ Watchdog::Options FastWatchdog() {
   Watchdog::Options o;
   o.poll_ms = 10;
   o.stall_ms = 60;
-  o.task_stall_ms = 60;
   return o;
 }
 
@@ -375,26 +372,6 @@ TEST(WatchdogTest, ReArmsAfterStallClears) {
   EXPECT_EQ(dog.StatsSnapshot().step_stalls, 2u);
 }
 
-TEST(WatchdogTest, DetectsWedgedPoolTask) {
-  AlarmLog log;
-  ThreadPool pool(1);
-  Watchdog dog(FastWatchdog(), [&](const std::string& w) { log.Add(w); });
-  dog.WatchPool(&pool);
-  dog.Start();
-  std::atomic<bool> release{false};
-  auto wedged = pool.Async([&] {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  release.store(true);
-  wedged.get();
-  dog.Stop();
-  EXPECT_GE(dog.StatsSnapshot().pool_stalls, 1u);
-  EXPECT_GE(log.count(), 1u);
-}
-
 // Regression: two threads calling Stop() concurrently used to race to
 // join the same std::thread (UB); the loser could also return while the
 // poller was still running. Every Stop() caller must return only once
@@ -416,32 +393,6 @@ TEST(WatchdogTest, ConcurrentStopJoinsExactlyOnceAndStaysRestartable) {
   }
   dog.Stop();  // stop-when-idle is a no-op
   EXPECT_EQ(log.count(), 0u);
-}
-
-TEST(ThreadPoolStatusTest, ReportsQueuedAndRunningAges) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  auto running = pool.Async([&] {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  });
-  auto queued = pool.Async([] {});
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  const ThreadPool::Status status = pool.GetStatus();
-  EXPECT_EQ(status.active, 1);
-  EXPECT_EQ(status.queued, 1u);
-  EXPECT_GE(status.longest_running_ms, 50u);
-  EXPECT_GE(status.oldest_queued_ms, 50u);
-  release.store(true);
-  running.get();
-  queued.get();
-  // A future is ready inside its job, before the worker retires it from
-  // `active`; Wait() returns only once the pool is idle.
-  pool.Wait();
-  const ThreadPool::Status idle = pool.GetStatus();
-  EXPECT_EQ(idle.active, 0);
-  EXPECT_EQ(idle.queued, 0u);
 }
 
 // --- cooperative cancellation on query paths -----------------------------
@@ -504,37 +455,6 @@ TEST_F(CancellableQueryTest, PartialTopKIsExactPrefix) {
   for (size_t i = 0; i < partial.size(); ++i) {
     EXPECT_EQ(partial[i].element.seq, full[i].element.seq);
   }
-}
-
-TEST(MskyCancellationTest, BatchQueriesShareOneControl) {
-  MskyOperator op(2, {0.6, 0.4, 0.2});
-  for (uint64_t i = 0; i < 200; ++i) {
-    const double x = 1.0 + 0.001 * static_cast<double>(i);
-    const double y = 1.0 + 0.001 * static_cast<double>(200 - i);
-    op.Insert(MakeElement({x, y}, 0.9, i));
-  }
-  ThreadPool pool(2);
-  const std::vector<double> qs = {0.25, 0.45, 0.65};
-  std::vector<std::vector<SkylineMember>> results;
-  EXPECT_TRUE(
-      op.AdHocQueryMany(qs, QueryControl::Unbounded(), &pool, &results));
-  ASSERT_EQ(results.size(), 3u);
-  for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(SeqsOf(results[i]), SeqsOf(op.AdHocQuery(qs[i])));
-  }
-  std::vector<size_t> counts;
-  EXPECT_TRUE(
-      op.AdHocCountMany(qs, QueryControl::Unbounded(), &pool, &counts));
-  for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(counts[i], op.AdHocCount(qs[i]));
-  }
-  // One cancelled control stops the whole batch.
-  CancelToken token;
-  token.Cancel();
-  QueryControl ctl;
-  ctl.cancel = &token;
-  EXPECT_FALSE(op.AdHocQueryMany(qs, ctl, &pool, &results));
-  EXPECT_FALSE(op.AdHocCountMany(qs, ctl, &pool, &counts));
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ class LockRankTest : public ::testing::Test {
 
 TEST_F(LockRankTest, IncreasingRankOrderIsClean) {
   Mutex low{"low", lockrank::kIngestQueue};
-  Mutex mid{"mid", lockrank::kThreadPool};
+  Mutex mid{"mid", lockrank::kWalAsync};
   Mutex high{"high", lockrank::kLeaf};
   {
     MutexLock l1(low);
@@ -67,7 +67,7 @@ TEST_F(LockRankTest, IncreasingRankOrderIsClean) {
     const int n = lockrank::HeldRanks(ranks, 8);
     ASSERT_EQ(n, 3);
     EXPECT_EQ(ranks[0], lockrank::kIngestQueue);
-    EXPECT_EQ(ranks[1], lockrank::kThreadPool);
+    EXPECT_EQ(ranks[1], lockrank::kWalAsync);
     EXPECT_EQ(ranks[2], lockrank::kLeaf);
   }
   EXPECT_EQ(ViolationCount(), 0);

@@ -67,9 +67,8 @@
 //   (count, time or disk): each window step sends the expiries and the
 //   insert to the owning shards. Sharded runs support --emit
 //   counts|final (and --topk); deltas, --query-deadline-ms and
-//   --inject-drift-at require the sequential operator. --threads only
-//   drives the audit oracle pool and is ignored with --shards > 1 (each
-//   shard audits on its own worker).
+//   --inject-drift-at require the sequential operator. With auditing on,
+//   each shard audits its own substream on its own worker.
 //
 // Overload management (see docs/operations.md):
 //   --max-queue N            bounded ingest queue in front of the operator;
@@ -85,6 +84,7 @@
 //   --audit-mode off|check|repair  what to do with detected drift
 //   --audit-every K          re-derive a slice of exact values every K steps
 //   --audit-oracle-every K   replay the window through the naive oracle
+//                            every K steps, inline on the step path
 //   --strict                 exit 4 on any violation the auditor could not
 //                            repair (a quarantine dump is written first)
 // On PSKY_CHECK failure or a fatal signal the window state and audit
@@ -123,7 +123,6 @@
 #include "base/check.h"
 #include "base/fault_injection.h"
 #include "base/retry.h"
-#include "base/thread_pool.h"
 #include "core/audit.h"
 #include "core/checkpoint.h"
 #include "core/overload.h"
@@ -162,10 +161,6 @@ struct Args {
   /// interleaving per element is preserved (see StreamProcessor::StepBatch);
   /// batching amortizes source dispatch and the window-full test.
   size_t batch_size = 1;
-  /// Worker threads for off-critical-path work (currently the audit
-  /// shadow-oracle replay). 1 keeps everything on the main thread; 0
-  /// means "one per hardware thread".
-  int threads = 1;
   /// Stream partitions, each with its own sky-tree and worker thread;
   /// 1 keeps the sequential operator (the default, bit-identical to
   /// previous releases).
@@ -232,7 +227,7 @@ struct Args {
                "anti|inde|corr|stock --count N]\n"
                "                   [--emit counts|deltas|final] [--every K] "
                "[--topk K] [--seed S]\n"
-               "                   [--batch-size B] [--threads T]\n"
+               "                   [--batch-size B]\n"
                "                   [--shards N] [--shard-by grid|band]\n"
                "                   [--checkpoint-dir DIR [--checkpoint-every "
                "K] [--resume]]\n"
@@ -327,8 +322,6 @@ Args Parse(int argc, char** argv) {
       args.topk = static_cast<size_t>(ParseUint64Value(flag, need(i++)));
     } else if (flag == "--batch-size") {
       args.batch_size = static_cast<size_t>(ParseUint64Value(flag, need(i++)));
-    } else if (flag == "--threads") {
-      args.threads = ParseIntValue(flag, need(i++));
     } else if (flag == "--shards") {
       args.shards = ParseIntValue(flag, need(i++));
     } else if (flag == "--shard-by") {
@@ -436,7 +429,6 @@ Args Parse(int argc, char** argv) {
     Usage("--window must be positive");
   }
   if (args.batch_size == 0) Usage("--batch-size must be positive");
-  if (args.threads == 0) args.threads = psky::ThreadPool::DefaultThreads();
   if (args.shards < 1 || args.shards > 64) {
     Usage("--shards must be in [1, 64]");
   }
@@ -608,10 +600,10 @@ struct CarriedCounters {
 //
 // The window belongs to the pipeline thread, so only a dump requested
 // there embeds it. A failure on any other thread (a shard worker, the
-// ingest producer, the WAL sync thread, a pool task) dumps the reason,
-// the audit counters and the checkpoint header with an empty window: it
-// must neither wait for the pipeline thread nor read a window that
-// thread is changing. Its counters are the pipeline thread's latest,
+// ingest producer, the WAL sync thread) dumps the reason, the audit
+// counters and the checkpoint header with an empty window: it must
+// neither wait for the pipeline thread nor read a window that thread is
+// changing. Its counters are the pipeline thread's latest,
 // read without synchronization from a process that is about to abort.
 
 struct PostMortemContext {
@@ -837,8 +829,8 @@ int main(int argc, char** argv) {
     eng.q = args.q;
     eng.shards = args.shards;
     eng.strategy = args.shard_by;
-    // Per-shard auditing runs synchronously inside each shard worker
-    // (the engine rejects a thread pool), over the shard's own substream.
+    // Per-shard auditing runs inside each shard worker, over the shard's
+    // own substream.
     eng.audit.mode = args.audit_mode;
     eng.audit.audit_every = args.audit_every;
     eng.audit.oracle_every = args.audit_oracle_every;
@@ -1268,13 +1260,6 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  // Declared before the AuditManager so workers are still alive when its
-  // destructor waits on an in-flight oracle replay.
-  std::unique_ptr<psky::ThreadPool> pool;
-  if (args.threads > 1) {
-    pool = std::make_unique<psky::ThreadPool>(args.threads);
-  }
-
   psky::AuditOptions audit_options;
   // Sharded runs audit per shard inside the engine; the sequential
   // manager below stays off so it doesn't audit the unused operator.
@@ -1282,9 +1267,6 @@ int main(int argc, char** argv) {
       engine != nullptr ? psky::AuditMode::kOff : args.audit_mode;
   audit_options.audit_every = args.audit_every;
   audit_options.oracle_every = args.audit_oracle_every;
-  // The async oracle copies the window at each launch, so disk windows
-  // replay synchronously, in place, on the pipeline thread.
-  audit_options.pool = disk_window != nullptr ? nullptr : pool.get();
   psky::AuditManager audit(&op, audit_options, window_stream);
 
   g_postmortem.snapshot = [&](bool with_window) {
@@ -1326,13 +1308,11 @@ int main(int argc, char** argv) {
   if (args.watchdog_stall_ms > 0) {
     psky::Watchdog::Options wd;
     wd.stall_ms = args.watchdog_stall_ms;
-    wd.task_stall_ms = args.watchdog_stall_ms;
     wd.poll_ms = std::max<uint64_t>(10, std::min<uint64_t>(
                                             100, args.watchdog_stall_ms / 4));
     watchdog = std::make_unique<psky::Watchdog>(wd, [](const std::string& w) {
       std::fprintf(stderr, "watchdog: %s\n", w.c_str());
     });
-    if (pool != nullptr) watchdog->WatchPool(pool.get());
     watchdog->Start();
   }
 
@@ -1446,15 +1426,12 @@ int main(int argc, char** argv) {
       const psky::QueueStats qs =
           queue != nullptr ? queue->StatsSnapshot() : psky::QueueStats{};
       // Audited sharded runs audit inside the shard workers: report the
-      // shard auditor furthest behind.
+      // auditor furthest behind. An auditor that never runs lags by 0.
       uint64_t audit_lag = audit.steps_since_last_audit();
       const psky::ShardEngine::Stats es =
           engine != nullptr ? engine->GetStats() : psky::ShardEngine::Stats{};
-      if (engine != nullptr && args.audit_mode != psky::AuditMode::kOff) {
-        audit_lag = 0;
-        for (const auto& s : es.shards) {
-          audit_lag = std::max(audit_lag, s.audit_lag);
-        }
+      for (const auto& s : es.shards) {
+        audit_lag = std::max(audit_lag, s.audit_lag);
       }
       std::fprintf(
           stderr,
@@ -1695,8 +1672,8 @@ int main(int argc, char** argv) {
       members = merged_skyline;
       if (args.topk > 0) {
         // The merged skyline holds every member with psky >= q; the
-        // sequential top-k printer stops below q anyway, so sorting by
-        // psky (ties by arrival) and truncating matches its output.
+        // sequential top-k is cut below q anyway, so sorting by psky
+        // (ties by arrival) and truncating matches its output.
         std::sort(members.begin(), members.end(),
                   [](const psky::SkylineMember& a,
                      const psky::SkylineMember& b) {
@@ -1715,15 +1692,16 @@ int main(int argc, char** argv) {
     } else {
       members = args.topk > 0 ? op.tree().TopK(args.topk) : op.Skyline();
     }
-    for (const auto& m : members) {
-      if (args.topk > 0 && m.psky < args.q) break;
-      std::printf("seq=%llu psky=%.6f pos=",
-                  static_cast<unsigned long long>(m.element.seq), m.psky);
-      for (int i = 0; i < args.dims; ++i) {
-        std::printf(i == 0 ? "%g" : ",%g", m.element.pos[i]);
-      }
-      std::printf(" prob=%g\n", m.element.prob);
+    if (args.topk > 0) {
+      // Top-k ranks candidates, best first; one below q is no skyline
+      // member, and neither is any after it.
+      const auto below_q = [&args](const psky::SkylineMember& m) {
+        return m.psky < args.q;
+      };
+      members.erase(std::find_if(members.begin(), members.end(), below_q),
+                    members.end());
     }
+    PrintSkylineMembers(members, args.dims);
     if (!complete) {
       std::fprintf(stderr,
                    "final query deadline of %llu ms exceeded; emitted %zu "
@@ -1818,14 +1796,11 @@ int main(int argc, char** argv) {
     watchdog->Stop();
     const psky::Watchdog::Stats ws = watchdog->StatsSnapshot();
     std::fprintf(stderr,
-                 "watchdog: step-stalls=%llu pool-stalls=%llu "
-                 "max-gap-ms=%llu\n",
+                 "watchdog: step-stalls=%llu max-gap-ms=%llu\n",
                  static_cast<unsigned long long>(ws.step_stalls),
-                 static_cast<unsigned long long>(ws.pool_stalls),
                  static_cast<unsigned long long>(ws.max_step_gap_ms));
   }
   if (args.audit_mode != psky::AuditMode::kOff) {
-    audit.Drain();  // harvest any in-flight asynchronous oracle verdict
     psky::AuditReport merged_report;
     if (engine != nullptr) {
       engine->Barrier();  // shard audit state is read directly
