@@ -100,8 +100,8 @@ void BM_DominanceKernel(benchmark::State& state, bool dispatch) {
     } else {
       cand[0] = cand[1] = dominated[0] = dominated[1] = 0;
       dominance_internal::BlockComparePortable(probe.data(), kDims,
-                                               block.data(), kStride, 0,
-                                               kCount, cand, dominated);
+                                               block.data(), kStride, kCount,
+                                               cand, dominated);
     }
     benchmark::DoNotOptimize(cand[0]);
     benchmark::DoNotOptimize(dominated[0]);

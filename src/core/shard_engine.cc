@@ -138,6 +138,27 @@ bool ShardEngine::Route(const UncertainElement& e,
   return true;
 }
 
+void ShardEngine::SetAuditDegradation(bool suspend_oracle,
+                                      uint64_t audit_stretch) {
+  PSKY_CHECK(!shutdown_);
+  if (audit_stretch == 0) audit_stretch = 1;  // as SetDegradation reads it
+  if (options_.audit.mode == AuditMode::kOff ||
+      (suspend_oracle == suspend_oracle_ && audit_stretch == audit_stretch_)) {
+    return;
+  }
+  suspend_oracle_ = suspend_oracle;
+  audit_stretch_ = audit_stretch;
+  // A slice cadence stretched past 2^32 steps never comes due either way.
+  const uint64_t capped = std::min<uint64_t>(audit_stretch, UINT32_MAX);
+  for (auto& shard : shards_) {
+    Command cmd;
+    cmd.kind = Command::kDegrade;
+    cmd.suspend_oracle = suspend_oracle;
+    cmd.audit_stretch = static_cast<uint32_t>(capped);
+    Send(shard.get(), std::move(cmd));
+  }
+}
+
 void ShardEngine::Barrier() {
   PSKY_CHECK(!shutdown_);
   ++barriers_;
@@ -183,6 +204,9 @@ void ShardEngine::ApplyCommand(Shard* shard, const Command& cmd) {
   switch (cmd.kind) {
     case Command::kMergeProbe:
       ProbeMergeCandidates(shard);
+      return;
+    case Command::kDegrade:
+      shard->audit->SetDegradation(cmd.suspend_oracle, cmd.audit_stretch);
       return;
     case Command::kExpire:
       if (audit_window != nullptr) {

@@ -200,6 +200,15 @@ class ShardEngine {
   /// the element as actually windowed (timestamp clamp applied).
   bool Route(const UncertainElement& e, UncertainElement* admitted = nullptr);
 
+  /// Applies the degradation ladder's audit effects (see
+  /// AuditManager::SetDegradation) to every shard auditor: each one gets
+  /// them as a command through its shard's queue, so they take effect in
+  /// order with the inserts and expiries sent before and after. A call
+  /// that repeats the current setting sends nothing, so callers may pass
+  /// the ladder's effects once per batch. No-op when the shards do not
+  /// audit.
+  void SetAuditDegradation(bool suspend_oracle, uint64_t audit_stretch);
+
   /// Blocks until every routed command has been applied by its shard.
   void Barrier();
 
@@ -245,7 +254,7 @@ class ShardEngine {
   }
 
   struct ShardStats {
-    uint64_t routed = 0;       ///< commands sent (inserts, expiries, probes)
+    uint64_t routed = 0;       ///< commands sent, of every kind
     uint64_t applied = 0;      ///< commands the worker has applied
     uint64_t inserted = 0;     ///< insert commands sent
     size_t queue_depth = 0;    ///< commands waiting in the SPSC queue
@@ -293,10 +302,14 @@ class ShardEngine {
   }
 
  private:
+  // The kDegrade fields fit in the padding before `element`, so they add
+  // nothing to a command or to a shard queue's footprint.
   struct Command {
-    enum Kind : uint8_t { kInsert, kExpire, kMergeProbe };
+    enum Kind : uint8_t { kInsert, kExpire, kMergeProbe, kDegrade };
     Kind kind = kInsert;
-    UncertainElement element;
+    bool suspend_oracle = false;  ///< kDegrade
+    uint32_t audit_stretch = 1;   ///< kDegrade, capped at UINT32_MAX
+    UncertainElement element;     ///< kInsert, kExpire
   };
 
   struct Shard {
@@ -359,6 +372,9 @@ class ShardEngine {
   uint64_t merge_probes_ = 0;
   uint64_t merge_ns_ = 0;
   uint64_t barriers_ = 0;
+  /// The audit degradation last sent (SetAuditDegradation).
+  bool suspend_oracle_ = false;
+  uint64_t audit_stretch_ = 1;
   bool shutdown_ = false;
 };
 

@@ -15,7 +15,76 @@ namespace psky {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
 }  // namespace
+
+// std::min and std::max keep the earlier of two equal values, so a leaf's
+// fold extended by its new last element equals the fold over all its
+// elements, bit for bit. An internal node's fold extended by the same
+// element equals the fold over its children with the extended child's
+// bounds: min and max are associative and commutative on values, and
+// only the sign of a zero could tell the two apart (these log values are
+// never -0.0). That is what lets AppendAgg extend a fresh node in O(1).
+struct SkyTree::Bounds {
+  double min_pnew = kInf;
+  double max_pnew = -kInf;
+  double min_psky = kInf;
+  double max_psky = -kInf;
+  int band_lo = std::numeric_limits<int>::max();
+  int band_hi = 0;
+
+  static Bounds Of(const Node& n) {
+    Bounds b;
+    b.min_pnew = n.min_pnew_log;
+    b.max_pnew = n.max_pnew_log;
+    b.min_psky = n.min_psky_log;
+    b.max_psky = n.max_psky_log;
+    b.band_lo = n.band_lo;
+    b.band_hi = n.band_hi;
+    return b;
+  }
+  void Add(double pnew, double psky, int band) {
+    min_pnew = std::min(min_pnew, pnew);
+    max_pnew = std::max(max_pnew, pnew);
+    min_psky = std::min(min_psky, psky);
+    max_psky = std::max(max_psky, psky);
+    band_lo = std::min(band_lo, band);
+    band_hi = std::max(band_hi, band);
+  }
+  void Add(const Elem& e) { Add(e.pnew_log, PskyLogOf(e), e.band); }
+  void Add(const Node& child) {
+    min_pnew = std::min(min_pnew, child.min_pnew_log);
+    max_pnew = std::max(max_pnew, child.max_pnew_log);
+    min_psky = std::min(min_psky, child.min_psky_log);
+    max_psky = std::max(max_psky, child.max_psky_log);
+    band_lo = std::min(band_lo, child.band_lo);
+    band_hi = std::max(band_hi, child.band_hi);
+  }
+  void StoreIn(Node* n) const {
+    n->min_pnew_log = min_pnew;
+    n->max_pnew_log = max_pnew;
+    n->min_psky_log = min_psky;
+    n->max_psky_log = max_psky;
+    n->band_lo = band_lo;
+    n->band_hi = band_hi;
+    n->fresh = true;
+  }
+  bool SameBitsAs(const Bounds& o) const {
+    return SameBits(min_pnew, o.min_pnew) && SameBits(max_pnew, o.max_pnew) &&
+           SameBits(min_psky, o.min_psky) && SameBits(max_psky, o.max_psky) &&
+           band_lo == o.band_lo && band_hi == o.band_hi;
+  }
+};
+
+struct SkyTree::Rescanned {
+  Mbr mbr;
+  int64_t count = 0;
+  double pnoc_log = 0.0;
+  Bounds bounds;
+};
 
 SkyTree::SkyTree(int dims, std::vector<double> thresholds)
     : SkyTree(dims, std::move(thresholds), Options()) {}
@@ -114,6 +183,7 @@ void SkyTree::ApplyNewAddend(Node* n, double addend) {
   n->min_psky_log += addend;
   n->max_psky_log += addend;
   n->lazy_new_log += addend;
+  n->fresh = false;
   n->dirty_all = true;
   if (!options_.use_lazy) PushDownRecursive(n);
 }
@@ -122,6 +192,7 @@ void SkyTree::ApplyOldAddend(Node* n, double addend) {
   n->min_psky_log += addend;
   n->max_psky_log += addend;
   n->lazy_old_log += addend;
+  n->fresh = false;
   n->dirty_all = true;
   if (!options_.use_lazy) PushDownRecursive(n);
 }
@@ -148,6 +219,7 @@ void SkyTree::PushDown(Node* n) {
       child->max_pnew_log += n->lazy_new_log;
       child->min_psky_log += psky_addend;
       child->max_psky_log += psky_addend;
+      child->fresh = false;
     }
   }
   n->lazy_new_log = 0.0;
@@ -163,77 +235,103 @@ void SkyTree::PushDownRecursive(Node* n) {
 
 void SkyTree::RecomputeProbAgg(Node* n) {
   PSKY_DCHECK(n->lazy_new_log == 0.0 && n->lazy_old_log == 0.0);
-  double min_pnew = kInf, max_pnew = -kInf;
-  double min_psky = kInf, max_psky = -kInf;
-  int band_lo = std::numeric_limits<int>::max();
-  int band_hi = 0;
+  Bounds bounds;
   if (n->is_leaf) {
-    for (const Elem& e : n->elems) {
-      min_pnew = std::min(min_pnew, e.pnew_log);
-      max_pnew = std::max(max_pnew, e.pnew_log);
-      const double psky = PskyLogOf(e);
-      min_psky = std::min(min_psky, psky);
-      max_psky = std::max(max_psky, psky);
-      band_lo = std::min(band_lo, e.band);
-      band_hi = std::max(band_hi, e.band);
-    }
+    for (const Elem& e : n->elems) bounds.Add(e);
   } else {
-    for (const auto& child : n->children) {
-      min_pnew = std::min(min_pnew, child->min_pnew_log);
-      max_pnew = std::max(max_pnew, child->max_pnew_log);
-      min_psky = std::min(min_psky, child->min_psky_log);
-      max_psky = std::max(max_psky, child->max_psky_log);
-      band_lo = std::min(band_lo, child->band_lo);
-      band_hi = std::max(band_hi, child->band_hi);
+    for (const auto& child : n->children) bounds.Add(*child);
+  }
+  bounds.StoreIn(n);
+}
+
+SkyTree::Rescanned SkyTree::Rescan(const Node& n, double* soa) const {
+  Rescanned r;
+  r.mbr = Mbr::Empty(dims_);
+  if (n.is_leaf) {
+    PSKY_DCHECK(n.elems.size() <= static_cast<size_t>(soa_stride_));
+    for (size_t i = 0; i < n.elems.size(); ++i) {
+      const Elem& e = n.elems[i];
+      r.mbr.Expand(e.pos);
+      // order-sensitive: element order; AppendAgg's one addition extends
+      // exactly this sum.
+      r.pnoc_log += e.log_one_minus_prob;
+      r.bounds.Add(e);
+      if (soa != nullptr) WriteSoaColumn(soa, i, e.pos);
+    }
+    r.count = static_cast<int64_t>(n.elems.size());
+  } else {
+    for (const auto& child : n.children) {
+      r.mbr.Expand(child->mbr);
+      r.count += child->count;
+      // order-sensitive: child order, as AppendAgg re-sums it.
+      r.pnoc_log += child->pnoc_log;
+      r.bounds.Add(*child);
     }
   }
-  n->min_pnew_log = min_pnew;
-  n->max_pnew_log = max_pnew;
-  n->min_psky_log = min_psky;
-  n->max_psky_log = max_psky;
-  n->band_lo = band_lo;
-  n->band_hi = band_hi;
+  return r;
 }
 
 void SkyTree::RecomputeAgg(Node* n) {
   PSKY_DCHECK(n->lazy_new_log == 0.0 && n->lazy_old_log == 0.0);
-  Mbr mbr = Mbr::Empty(dims_);
-  int64_t count = 0;
-  double pnoc_log = 0.0;
-  if (n->is_leaf) {
-    for (const Elem& e : n->elems) {
-      mbr.Expand(e.pos);
-      ++count;
-      pnoc_log += e.log_one_minus_prob;
-    }
-  } else {
-    for (const auto& child : n->children) {
-      mbr.Expand(child->mbr);
-      count += child->count;
-      pnoc_log += child->pnoc_log;
-    }
-  }
-  n->mbr = mbr;
-  n->count = count;
-  n->pnoc_log = pnoc_log;
-  RecomputeProbAgg(n);
-  // Every leaf-membership change funnels through here, so rebuilding the
-  // SoA mirror at this single point keeps it consistent by construction.
-  if (n->is_leaf) RebuildSoa(n);
-}
-
-void SkyTree::RebuildSoa(Node* n) {
-  PSKY_DCHECK(n->is_leaf);
-  if (n->soa.data == nullptr) {
+  if (n->is_leaf && n->soa.data == nullptr) {
     n->soa.arena = &soa_arena_;
     n->soa.data = soa_arena_.Alloc();
   }
-  const int cnt = static_cast<int>(n->elems.size());
-  PSKY_DCHECK(cnt <= soa_stride_);
-  for (int k = 0; k < dims_; ++k) {
-    double* row = n->soa.data + k * soa_stride_;
-    for (int i = 0; i < cnt; ++i) row[i] = n->elems[i].pos[k];
+  // One pass over a leaf derives its aggregates and rewrites its SoA
+  // columns.
+  const Rescanned r = Rescan(*n, n->is_leaf ? n->soa.data : nullptr);
+  n->mbr = r.mbr;
+  n->count = r.count;
+  n->pnoc_log = r.pnoc_log;
+  r.bounds.StoreIn(n);
+}
+
+bool SkyTree::AppendAgg(Node* n, const Elem& elem, bool below_extended) {
+  PSKY_DCHECK(n->lazy_new_log == 0.0 && n->lazy_old_log == 0.0);
+  n->mbr.Expand(elem.pos);
+  ++n->count;
+  if (n->is_leaf) {
+    PSKY_DCHECK(n->soa.data != nullptr && !n->elems.empty());
+    // order-sensitive: `elem` is the leaf's last element, so this is the
+    // last addition of Rescan's ordered sum.
+    n->pnoc_log += elem.log_one_minus_prob;
+    WriteSoaColumn(n->soa.data, n->elems.size() - 1, elem.pos);
+  } else {
+    double pnoc_log = 0.0;
+    for (const auto& child : n->children) {
+      // order-sensitive: child order, as Rescan sums it.
+      pnoc_log += child->pnoc_log;
+    }
+    n->pnoc_log = pnoc_log;
   }
+  const bool extend = n->fresh && below_extended;
+  if (extend) {
+    Bounds bounds = Bounds::Of(*n);
+    bounds.Add(elem);
+    bounds.StoreIn(n);
+  } else {
+    RecomputeProbAgg(n);
+  }
+  PSKY_DCHECK(MatchesRescan(*n));
+  return extend;
+}
+
+bool SkyTree::MatchesRescan(const Node& n) const {
+  const Rescanned r = Rescan(n, nullptr);
+  // Mbr's == compares coordinates by value; only the sign of a zero could
+  // tell a value-equal extension from a rescan, and no decision reads it.
+  if (!(r.mbr == n.mbr) || r.count != n.count ||
+      !SameBits(r.pnoc_log, n.pnoc_log) ||
+      !r.bounds.SameBitsAs(Bounds::Of(n))) {
+    return false;
+  }
+  for (size_t i = 0; i < n.elems.size(); ++i) {
+    const double* col = n.soa.data + i;
+    for (int k = 0; k < dims_; ++k) {
+      if (col[k * soa_stride_] != n.elems[i].pos[k]) return false;
+    }
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -450,9 +548,12 @@ void SkyTree::Reflag(Node* n) {
   }
   PushDown(n);
   if (n->is_leaf) {
+    // Re-band each element and re-derive the leaf's bounds in one pass.
+    Bounds bounds;
     for (Elem& el : n->elems) {
       ++counters_.elements_touched;
-      const int band = BandOf(PskyLogOf(el));
+      const double psky = PskyLogOf(el);
+      const int band = BandOf(psky);
       if (band != el.band) {
         --band_counts_[static_cast<size_t>(el.band)];
         ++band_counts_[static_cast<size_t>(band)];
@@ -460,14 +561,16 @@ void SkyTree::Reflag(Node* n) {
         el.band = band;
         ++counters_.band_flips;
       }
+      bounds.Add(el.pnew_log, psky, el.band);
     }
+    bounds.StoreIn(n);
   } else {
     for (auto& child : n->children) {
       if (n->dirty_all) child->dirty_all = true;
       Reflag(child.get());
     }
+    RecomputeProbAgg(n);
   }
-  RecomputeProbAgg(n);
   n->dirty_some = n->dirty_all = false;
 }
 
@@ -500,13 +603,15 @@ std::unique_ptr<SkyTree::Node> SkyTree::Split(Node* n) {
   return sibling;
 }
 
-std::unique_ptr<SkyTree::Node> SkyTree::InsertRec(Node* n, Elem elem) {
+std::unique_ptr<SkyTree::Node> SkyTree::InsertRec(Node* n, const Elem& elem,
+                                                  bool* extended) {
   ++counters_.nodes_visited;
   PushDown(n);
+  *extended = false;
   if (n->is_leaf) {
-    n->elems.push_back(std::move(elem));
-    RecomputeAgg(n);
+    n->elems.push_back(elem);
     if (n->Fanout() > options_.max_entries) return Split(n);
+    *extended = AppendAgg(n, elem, /*below_extended=*/true);
     return nullptr;
   }
   // Least-enlargement child (ties by area).
@@ -524,15 +629,21 @@ std::unique_ptr<SkyTree::Node> SkyTree::InsertRec(Node* n, Elem elem) {
     }
   }
   PSKY_DCHECK(best != nullptr);
-  std::unique_ptr<Node> sibling = InsertRec(best, std::move(elem));
-  if (sibling != nullptr) n->children.push_back(std::move(sibling));
-  RecomputeAgg(n);
+  bool below_extended = false;
+  std::unique_ptr<Node> sibling = InsertRec(best, elem, &below_extended);
+  if (sibling == nullptr) {
+    *extended = AppendAgg(n, elem, below_extended);
+    return nullptr;
+  }
+  n->children.push_back(std::move(sibling));
   if (n->Fanout() > options_.max_entries) return Split(n);
+  RecomputeAgg(n);
   return nullptr;
 }
 
-void SkyTree::InsertElem(Elem elem) {
-  std::unique_ptr<Node> sibling = InsertRec(root_.get(), std::move(elem));
+void SkyTree::InsertElem(const Elem& elem) {
+  bool extended = false;
+  std::unique_ptr<Node> sibling = InsertRec(root_.get(), elem, &extended);
   if (sibling != nullptr) {
     auto new_root = std::make_unique<Node>();
     new_root->is_leaf = false;
@@ -614,7 +725,7 @@ void SkyTree::Arrive(const UncertainElement& e) {
     // The element left the node that carried its dirty marker; its P_new
     // may have just changed, so re-band it before it lands elsewhere.
     RebandElem(&el);
-    InsertElem(std::move(el));
+    InsertElem(el);
   }
 
   // Phase C: survivors dominated by an evictee recover that factor in
@@ -641,7 +752,7 @@ void SkyTree::Arrive(const UncertainElement& e) {
   elem.band = BandOf(PskyLogOf(elem));
   ++band_counts_[static_cast<size_t>(elem.band)];
   RecordEvent(elem.seq, 0, elem.band);
-  InsertElem(std::move(elem));
+  InsertElem(elem);
 
   // Phase E: re-band every region whose P_sky changed.
   Reflag(root_.get());
@@ -657,7 +768,7 @@ bool SkyTree::Expire(const UncertainElement& e) {
   ShrinkRoot();
   for (Elem& el : orphans) {
     RebandElem(&el);
-    InsertElem(std::move(el));
+    InsertElem(el);
   }
   --band_counts_[static_cast<size_t>(removed.band)];
   RecordEvent(removed.seq, removed.band, 0);
@@ -747,7 +858,7 @@ bool SkyTree::CollectAtLeast(double qprime, const QueryControl& ctl,
         for (const Elem& e : n->elems) {
           const double pnew = e.pnew_log + new_log;
           const double pold = e.pold_log + old_log;
-          if (std::log(e.prob) + pnew + pold >= q_log) {
+          if (e.log_prob + pnew + pold >= q_log) {
             out->push_back(tree->MakeMember(e, pnew, pold));
           }
         }
@@ -1051,6 +1162,8 @@ void SkyTree::CheckInvariants(bool deep) const {
         for (const Elem& e : n->elems) {
           ex.mbr.Expand(e.pos);
           ++ex.count;
+          // order-sensitive: element order, as Rescan sums it (compared
+          // within kTol below).
           ex.pnoc_log += LogOneMinusProb(e.prob);
           // Cached logs must match their definitions exactly.
           PSKY_CHECK(e.log_prob == std::log(e.prob));
@@ -1085,6 +1198,7 @@ void SkyTree::CheckInvariants(bool deep) const {
               Walk(child.get(), depth + 1, false, new_log, old_log);
           ex.mbr.Expand(sub.mbr);
           ex.count += sub.count;
+          // order-sensitive: child order, as Rescan sums it.
           ex.pnoc_log += sub.pnoc_log;
           ex.min_pnew = std::min(ex.min_pnew, sub.min_pnew);
           ex.max_pnew = std::max(ex.max_pnew, sub.max_pnew);

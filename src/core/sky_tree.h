@@ -228,9 +228,11 @@ class SkyTree {
   // (geom/dominance_kernel.h) can scan a whole leaf branchlessly over
   // contiguous rows. Blocks come from a free-list arena: fixed-size,
   // allocated in contiguous chunks, recycled when nodes die, never
-  // malloc'd per insert. The mirror is rebuilt wherever leaf membership
-  // changes — exactly the RecomputeAgg() call sites — so it can never
-  // drift out of sync with the Elem array.
+  // malloc'd per insert. The mirror is written in exactly two places:
+  // AppendAgg writes an appended element's column, and RecomputeAgg,
+  // which every other leaf-membership change (evict, remove, split)
+  // calls, rewrites every column in the same pass that derives the leaf's
+  // aggregates. So it can never drift out of sync with the Elem array.
   class SoaArena {
    public:
     SoaArena() = default;
@@ -307,16 +309,30 @@ class SkyTree {
     double lazy_old_log = 0.0;  // pending addend for pold_log below
     bool dirty_some = false;    // some descendant region changed P_sky
     bool dirty_all = false;     // the whole subtree changed P_sky
+    // The P_new/P_sky bounds and band range are bit for bit what a
+    // recompute from the level below would give. Every recompute sets it;
+    // a lazy addend (ApplyNewAddend, ApplyOldAddend, the parent's
+    // PushDown) clears it, because `bound + addend` can differ in the last
+    // bit from a bound over `value + addend`. Only fresh bounds are
+    // extended by an append (AppendAgg).
+    bool fresh = false;
     std::vector<std::unique_ptr<Node>> children;
     std::vector<Elem> elems;
-    // Dim-major coordinate mirror of `elems` (leaves only); rebuilt by
-    // RecomputeAgg whenever leaf membership changes.
+    // Dim-major coordinate mirror of `elems` (leaves only); written by
+    // AppendAgg and RecomputeAgg.
     SoaBlock soa;
     int Fanout() const {
       return is_leaf ? static_cast<int>(elems.size())
                      : static_cast<int>(children.size());
     }
   };
+
+  // P_new/P_sky bounds and band range folded in element or child order
+  // (sky_tree.cc).
+  struct Bounds;
+  // A node's aggregates as a rescan of its elements or children derives
+  // them.
+  struct Rescanned;
 
   // --- probability plumbing -------------------------------------------
   int BandOf(double psky_log) const;
@@ -333,10 +349,25 @@ class SkyTree {
   // P_noc are untouched — used on probability-only update paths.
   void RecomputeProbAgg(Node* n);
   // Full recomputation including MBR, count and P_noc — used when the
-  // node's membership changed (insert / remove / evict / split).
+  // node's membership changed (remove / evict / split, or an insert that
+  // split a child). A leaf's SoA columns are rewritten in the same pass.
   void RecomputeAgg(Node* n);
-  // Rebuilds the leaf's dim-major SoA coordinate mirror from its elems.
-  void RebuildSoa(Node* n);
+  // Rescans `n` one level deep. When `soa` is not null (leaves only), also
+  // writes every element's coordinates into it.
+  Rescanned Rescan(const Node& n, double* soa) const;
+  // Extends the aggregates of `n` by `elem`, just appended below it, in
+  // O(d): MBR, count and P_noc always, the bounds only when they are
+  // fresh and `below_extended` (the child on the path extended its own);
+  // otherwise the bounds are recomputed. Returns whether they extended.
+  bool AppendAgg(Node* n, const Elem& elem, bool below_extended);
+  // True when the aggregates of `n` equal a rescan bit for bit (and a
+  // leaf's SoA columns equal its elements); checks AppendAgg in
+  // assertion builds.
+  bool MatchesRescan(const Node& n) const;
+  void WriteSoaColumn(double* soa, size_t i, const Point& pos) const {
+    double* col = soa + i;
+    for (int k = 0; k < dims_; ++k) col[k * soa_stride_] = pos[k];
+  }
 
   // --- arrival phases ---------------------------------------------------
   // Returns true when some P_new below `n` changed.
@@ -351,8 +382,11 @@ class SkyTree {
   // --- structure maintenance --------------------------------------------
   void CollectElems(Node* n, std::vector<Elem>* out);
   std::unique_ptr<Node> Split(Node* n);
-  std::unique_ptr<Node> InsertRec(Node* n, Elem elem);
-  void InsertElem(Elem elem);
+  // Inserts below `n`; returns the split-off sibling of `n`, if any, and
+  // sets `*extended` when `n`'s bounds were extended rather than
+  // recomputed.
+  std::unique_ptr<Node> InsertRec(Node* n, const Elem& elem, bool* extended);
+  void InsertElem(const Elem& elem);
   bool RemoveRec(Node* n, const Point& pos, uint64_t seq, Elem* removed,
                  std::vector<Elem>* orphans);
   void ShrinkRoot();

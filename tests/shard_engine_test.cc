@@ -322,6 +322,62 @@ TEST(ShardEngine, PerShardAuditRunsClean) {
   EXPECT_EQ(report.oracle_mismatches, 0u);
 }
 
+// The degradation ladder's audit effects reach every shard auditor in
+// order with the inserts: degraded from the first insert, no shard
+// replays its oracle and slices run 8x apart, against an undegraded twin;
+// released, replays resume.
+TEST(ShardEngine, AuditDegradationReachesShardAuditors) {
+  StreamConfig cfg;
+  cfg.dims = kDims;
+  cfg.spatial = SpatialDistribution::kIndependent;
+  cfg.seed = 78;
+  const std::vector<UncertainElement> stream =
+      StreamGenerator(cfg).Take(kStream + kWindow);
+  ShardEngine::Options opts = CountOptions(3);
+  opts.audit.mode = AuditMode::kCheck;
+  opts.audit.audit_every = 8;
+  opts.audit.oracle_every = 500;
+  ShardEngine twin(opts);
+  ShardEngine degraded(opts);
+  degraded.SetAuditDegradation(/*suspend_oracle=*/true, /*audit_stretch=*/8);
+  for (size_t i = 0; i < kStream; ++i) {
+    ASSERT_TRUE(twin.Route(stream[i]));
+    ASSERT_TRUE(degraded.Route(stream[i]));
+    // Repeating the current setting sends no command.
+    degraded.SetAuditDegradation(true, 8);
+  }
+  twin.Barrier();
+  degraded.Barrier();
+
+  // A slice audits 4 elements whenever a shard's step count is a multiple
+  // of its cadence: 8 steps for the twin, 64 for the degraded engine.
+  uint64_t twin_audited = 0;
+  uint64_t degraded_audited = 0;
+  const ShardEngine::Stats stats = degraded.GetStats();
+  for (const ShardEngine::ShardStats& s : stats.shards) {
+    twin_audited += s.inserted / 8 * 4;
+    degraded_audited += s.inserted / 64 * 4;
+    EXPECT_EQ(s.routed, s.inserted + (s.inserted - s.window_elements) + 1);
+  }
+  const AuditReport twin_report = twin.AuditReportMerged();
+  const AuditReport degraded_report = degraded.AuditReportMerged();
+  EXPECT_GT(twin_report.oracle_replays, 0u);
+  EXPECT_EQ(degraded_report.oracle_replays, 0u);
+  EXPECT_EQ(twin_report.elements_audited, twin_audited);
+  EXPECT_EQ(degraded_report.elements_audited, degraded_audited);
+  EXPECT_LT(degraded_audited, twin_audited);
+
+  degraded.SetAuditDegradation(/*suspend_oracle=*/false, /*audit_stretch=*/1);
+  for (size_t i = kStream; i < stream.size(); ++i) {
+    ASSERT_TRUE(degraded.Route(stream[i]));
+  }
+  degraded.Barrier();
+  const AuditReport released = degraded.AuditReportMerged();
+  EXPECT_GT(released.oracle_replays, 0u);
+  EXPECT_EQ(released.oracle_mismatches, 0u);
+  EXPECT_EQ(released.violations_unrepaired, 0u);
+}
+
 TEST(ShardEngine, StatsExposeDepthImbalanceAndMergeCounters) {
   const std::vector<UncertainElement> stream =
       MakeStream(SpatialDistribution::kAntiCorrelated);

@@ -5,17 +5,25 @@
 // configurations (no lazy multipliers / no min-max pruning), which must be
 // functionally identical and only differ in work done.
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <ostream>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/msky_operator.h"
 #include "core/naive_operator.h"
 #include "core/ssky_operator.h"
 #include "stream/generator.h"
 #include "stream/stock.h"
+#include "stream/window.h"
 #include "test_util.h"
 
 namespace psky {
@@ -293,6 +301,183 @@ TEST(SkyTree, EvictionsAreCountedAndPruningReducesWork) {
   EXPECT_LT(fast.nodes_visited, unpruned.nodes_visited);
   EXPECT_LE(fast.elements_touched, eager.elements_touched);
 }
+
+// --- golden bit-identity --------------------------------------------------
+// A faster tree must reach exactly the same state as the one it replaces:
+// the same candidates in the same bands with bitwise-equal materialized
+// probabilities, after exactly the same work. Each row below was recorded
+// on commit 97496c7, before the sky-tree's O(d) leaf appends; the fanout-8
+// rows grow deeper trees than the default fanout does at this window. A
+// change that reorders any floating-point sum, or visits one node more,
+// fails it.
+
+enum class Engine { kSsky, kMsky };
+
+constexpr SpatialDistribution kInde = SpatialDistribution::kIndependent;
+constexpr SpatialDistribution kCorr = SpatialDistribution::kCorrelated;
+constexpr SpatialDistribution kAnti = SpatialDistribution::kAntiCorrelated;
+
+struct GoldenCase {
+  SpatialDistribution dist;
+  int dims;
+  Engine engine;
+  int fanout;      // SkyTree::Options::max_entries
+  uint64_t state;  // chained over the per-snapshot candidate hashes
+  uint64_t work;   // chained over the per-snapshot counters
+  uint64_t nodes_visited;
+  uint64_t elements_touched;
+  uint64_t evictions;
+  uint64_t pushdowns;
+  uint64_t band_flips;
+};
+
+constexpr size_t kGoldenWindow = 2000;
+constexpr size_t kGoldenSteps = 20000;
+constexpr size_t kGoldenEvery = 2000;
+
+uint64_t Mix(uint64_t x) {
+  // splitmix64 finalizer
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Order-independent: a sum of per-candidate hashes over (seq, band and the
+// bit patterns of the materialized P_new and P_old).
+uint64_t CandidateHash(const SkyTree& tree) {
+  uint64_t sum = 0;
+  tree.ForEach([&sum](const SkylineMember& m, int band) {
+    uint64_t h = Mix(m.element.seq);
+    h = Mix(h ^ static_cast<uint64_t>(band));
+    h = Mix(h ^ std::bit_cast<uint64_t>(m.pnew));
+    h = Mix(h ^ std::bit_cast<uint64_t>(m.pold));
+    sum += h;
+  });
+  return Mix(sum ^ tree.size());
+}
+
+uint64_t CountersHash(const SkyTree::Counters& c) {
+  uint64_t h = Mix(c.nodes_visited);
+  h = Mix(h ^ c.elements_touched);
+  h = Mix(h ^ c.evictions);
+  h = Mix(h ^ c.pushdowns);
+  return Mix(h ^ c.band_flips);
+}
+
+const char* DistName(SpatialDistribution d) {
+  switch (d) {
+    case SpatialDistribution::kIndependent:
+      return "kInde";
+    case SpatialDistribution::kCorrelated:
+      return "kCorr";
+    case SpatialDistribution::kAntiCorrelated:
+      return "kAnti";
+  }
+  return "?";
+}
+
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  const char* engine = c.engine == Engine::kSsky ? "SSKY" : "MSKY";
+  *os << DistName(c.dist) << " d=" << c.dims << " " << engine;
+  *os << " fanout=" << c.fanout;
+}
+
+class SkyTreeGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(SkyTreeGolden, MatchesRecordedState) {
+  const GoldenCase& want = GetParam();
+  StreamConfig cfg;
+  cfg.dims = want.dims;
+  cfg.spatial = want.dist;
+  cfg.seed = 20000 + static_cast<uint64_t>(want.dims);
+  StreamGenerator gen(cfg);
+
+  SkyTree::Options options;
+  options.max_entries = want.fanout;
+  options.min_entries = std::min(options.min_entries, want.fanout / 2);
+  SskyOperator ssky(want.dims, 0.3, options);
+  MskyOperator msky(want.dims, {0.9, 0.6, 0.3}, options);
+  const SkyTree& tree =
+      want.engine == Engine::kSsky ? ssky.tree() : msky.tree();
+  CountWindow window(kGoldenWindow);
+
+  uint64_t state = 0;
+  uint64_t work = 0;
+  for (size_t step = 1; step <= kGoldenSteps; ++step) {
+    const UncertainElement e = gen.Next();
+    const std::optional<UncertainElement> expired = window.Push(e);
+    if (want.engine == Engine::kSsky) {
+      if (expired) ssky.Expire(*expired);
+      ssky.Insert(e);
+    } else {
+      if (expired) msky.Expire(*expired);
+      msky.Insert(e);
+    }
+    if (step % kGoldenEvery == 0) {
+      state = Mix(state ^ CandidateHash(tree));
+      work = Mix(work ^ CountersHash(tree.counters()));
+    }
+  }
+  tree.CheckInvariants();
+
+  // On a mismatch, the hash columns as the table spells them.
+  std::ostringstream got;
+  got << std::hex << "0x" << state << "ULL, 0x" << work << "ULL";
+  EXPECT_EQ(state, want.state) << "state differs; got " << got.str();
+  EXPECT_EQ(work, want.work) << "work differs; got " << got.str();
+  const SkyTree::Counters& c = tree.counters();
+  EXPECT_EQ(c.nodes_visited, want.nodes_visited);
+  EXPECT_EQ(c.elements_touched, want.elements_touched);
+  EXPECT_EQ(c.evictions, want.evictions);
+  EXPECT_EQ(c.pushdowns, want.pushdowns);
+  EXPECT_EQ(c.band_flips, want.band_flips);
+}
+
+// clang-format off
+constexpr GoldenCase kGoldenCases[] = {
+    {kAnti, 2, Engine::kSsky, 128, 0xacae866561a9bcdbULL, 0x5c06737883927b61ULL, 204792, 3970849, 19658, 1, 203},
+    {kAnti, 2, Engine::kMsky, 128, 0xf1d705a4dd92b5b1ULL, 0xbd96b75f9b91091cULL, 204792, 3970849, 19658, 1, 266},
+    {kAnti, 3, Engine::kSsky, 128, 0xe9dfea0d65b1c062ULL, 0x769311bacbc996d0ULL, 357123, 7153108, 18990, 0, 479},
+    {kAnti, 3, Engine::kMsky, 128, 0xc7a72dd27eea1717ULL, 0x1f37f2fac9ad6299ULL, 357123, 7153108, 18990, 0, 676},
+    {kAnti, 4, Engine::kSsky, 128, 0x7d63dc951c964a28ULL, 0x86443d36e8cfee37ULL, 550528, 9219325, 17614, 0, 1084},
+    {kAnti, 4, Engine::kMsky, 128, 0x249b7bde58fd6896ULL, 0x030bf3deb756a77bULL, 550528, 9219325, 17614, 0, 1573},
+    {kInde, 2, Engine::kSsky, 128, 0x6d448a4cdaa84dabULL, 0x330bbe16bc068d6cULL, 108637, 3238951, 19813, 1, 86},
+    {kInde, 2, Engine::kMsky, 128, 0xdd217486e6f3bcc8ULL, 0xe61fbedf10b5ba1aULL, 108637, 3238951, 19813, 1, 129},
+    {kInde, 3, Engine::kSsky, 128, 0xc5a8b86fd8a065d8ULL, 0x953b6d7c4b8ea4f4ULL, 322413, 5154118, 19297, 1, 377},
+    {kInde, 3, Engine::kMsky, 128, 0x96328205218d8deaULL, 0x7fe4bab2e301a018ULL, 322413, 5154122, 19297, 1, 523},
+    {kInde, 4, Engine::kSsky, 128, 0x954ad2cbc54a6c1aULL, 0x242ba380755e3994ULL, 462480, 9211419, 18042, 0, 800},
+    {kInde, 4, Engine::kMsky, 128, 0x4003d0eebb75de02ULL, 0x046de47164bc82e3ULL, 462480, 9211419, 18042, 0, 1119},
+    {kCorr, 2, Engine::kSsky, 128, 0x11542f195422c2f2ULL, 0x53cb82791bfc4c78ULL, 110344, 1124376, 19879, 4, 54},
+    {kCorr, 2, Engine::kMsky, 128, 0x8e5ae791f6433310ULL, 0x76910b8e0fe14a9fULL, 110344, 1124382, 19879, 4, 89},
+    {kCorr, 3, Engine::kSsky, 128, 0xf480f380b98628b5ULL, 0x14a1e16f6637d76dULL, 110044, 1608227, 19793, 5, 81},
+    {kCorr, 3, Engine::kMsky, 128, 0xbc0c3a1de605347aULL, 0x8830acea04ef1498ULL, 110044, 1608230, 19793, 5, 127},
+    {kCorr, 4, Engine::kSsky, 128, 0xfeb5a4fdf4a047f0ULL, 0xb48abae4a4d0d14fULL, 109733, 1912379, 19713, 1, 81},
+    {kCorr, 4, Engine::kMsky, 128, 0xb7ed5fbb52b170e4ULL, 0xc2f4de9f3ebce437ULL, 109733, 1912388, 19713, 1, 119},
+    {kAnti, 3, Engine::kSsky, 8, 0x815216007f1f6e5fULL, 0xc353c35d5b702c1dULL, 1519070, 1836866, 18990, 1407, 479},
+    {kAnti, 3, Engine::kMsky, 8, 0x6b1c6d930c00b764ULL, 0x593224a8d395467eULL, 1519070, 1836913, 18990, 1407, 676},
+    {kInde, 3, Engine::kSsky, 8, 0xdf6e988ae34fa875ULL, 0x55247d9638d17911ULL, 1261643, 1809476, 19297, 1320, 377},
+    {kInde, 3, Engine::kMsky, 8, 0xa30a32e87aa2c9b8ULL, 0x2155fa6661f66d3aULL, 1261643, 1809534, 19297, 1320, 523},
+    {kCorr, 3, Engine::kSsky, 8, 0x99e1491d8566e91cULL, 0xdae683c7e1aa7842ULL, 426011, 250685, 19793, 3362, 81},
+    {kCorr, 3, Engine::kMsky, 8, 0x0d37708e8d0dacf5ULL, 0x3da2fef0473230dcULL, 426011, 250704, 19793, 3362, 127},
+};
+// clang-format on
+
+std::string GoldenName(const ::testing::TestParamInfo<GoldenCase>& info) {
+  const GoldenCase& c = info.param;
+  std::string name = DistName(c.dist) + 1;  // drop the leading 'k'
+  name += 'D';
+  name += std::to_string(c.dims);
+  name += c.engine == Engine::kSsky ? "Ssky" : "Msky";
+  if (c.fanout != 128) {
+    name += 'F';
+    name += std::to_string(c.fanout);
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Streams, SkyTreeGolden,
+                         ::testing::ValuesIn(kGoldenCases), GoldenName);
 
 }  // namespace
 }  // namespace psky

@@ -58,6 +58,7 @@ class BadFixtureTest(unittest.TestCase):
             ("src/guard_bad.h", 1, "include-guard"),
             ("src/guard_pragma.h", 1, "include-guard"),
             ("src/order.cc", 7, "order-sensitive"),
+            ("src/pnoc.cc", 7, "order-sensitive"),
             ("src/sync_raw.cc", 2, "sync-wrappers"),
             ("src/sync_raw.cc", 3, "sync-wrappers"),
             ("src/sync_raw.cc", 4, "sync-wrappers"),
@@ -79,6 +80,14 @@ class BadFixtureTest(unittest.TestCase):
         rc, findings, _ = run_lint("--root", BAD)
         mg = [f for f in findings if f[2] == "mutation-guard"]
         self.assertEqual(mg, [("src/core/sky_tree.cc", 2, "mutation-guard")])
+
+    def test_pnoc_sum_needs_marker_outside_kernel_consumers(self):
+        # pnoc.cc never calls the block kernel; its P_noc sum is flagged
+        # for the pnoc_log accumulation alone, once per line.
+        rc, findings, _ = run_lint("--root", BAD,
+                                   os.path.join(BAD, "src", "pnoc.cc"))
+        self.assertEqual(rc, 1)
+        self.assertEqual(findings, [("src/pnoc.cc", 7, "order-sensitive")])
 
     def test_explicit_paths_scope_the_run(self):
         rc, findings, _ = run_lint("--root", BAD,

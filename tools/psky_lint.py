@@ -24,10 +24,13 @@ cannot check. This linter enforces them mechanically:
                    PSKY_<PATH>_H_ (no #pragma once, no mismatched names).
   order-sensitive  Floating-point accumulations in dominance-kernel
                    consumer functions (anything touching
-                   DominanceBlockCompare or mask bit-walking) must carry
-                   an `// order-sensitive` marker: summation order there
-                   is part of the bit-identity contract with the scalar
-                   reference, and the marker forces a reviewer to see it.
+                   DominanceBlockCompare or mask bit-walking), and every
+                   accumulation into a `pnoc_log` anywhere in src/, must
+                   carry an `// order-sensitive` marker: summation order
+                   there is part of the bit-identity contract (with the
+                   scalar reference, and between the sky-tree's O(d)
+                   appends and its rescans), and the marker forces a
+                   reviewer to see it.
   sync-wrappers    No raw std::mutex / std::condition_variable /
                    std::lock_guard family in src/ or tools/ — all locking
                    goes through the annotated Mutex/MutexLock/CondVar in
@@ -405,6 +408,10 @@ KERNEL_CONTEXT_RE = re.compile(r"DominanceBlockCompare|countr_zero")
 FP_ACCUM_RE = re.compile(
     r"[A-Za-z_][\w.\->\[\]]*(?:_log|_acc)\s*[+\-]=|"
     r"\*\s*[A-Za-z_]\w*(?:_log|_acc)[\w.\->\[\]]*\s*[+\-]=")
+# The sky-tree's P_noc is one ordered sum that an append extends by its
+# last term and a rescan re-derives; both must add in the same order, in
+# any function.
+PNOC_ACCUM_RE = re.compile(r"\bpnoc_log\s*[+\-]=")
 ORDER_MARKER = "// order-sensitive"
 
 
@@ -413,6 +420,12 @@ def check_order_sensitive(path: str, rel: str, lines: list[str]) -> list[Finding
     if not relu.startswith("src/") or not rel.endswith(CXX_EXTENSIONS):
         return []
     findings = []
+
+    def unmarked(k: int) -> bool:
+        window = lines[max(0, k - 3):k + 1]
+        if any(ORDER_MARKER in w for w in window):
+            return False
+        return "order-sensitive" not in allowed_rules(lines, k)
     # Function-scope scan: a function is "kernel context" when its body
     # mentions the block kernel or walks its output masks. Extents follow
     # the Google-style layout this repo uses — definitions start at column
@@ -435,12 +448,7 @@ def check_order_sensitive(path: str, rel: str, lines: list[str]) -> list[Finding
         body = "\n".join(text_lines[k] for k in block)
         if KERNEL_CONTEXT_RE.search(body):
             for k in block:
-                if not FP_ACCUM_RE.search(text_lines[k]):
-                    continue
-                window = lines[max(0, k - 3):k + 1]
-                if any(ORDER_MARKER in w for w in window):
-                    continue
-                if "order-sensitive" in allowed_rules(lines, k):
+                if not FP_ACCUM_RE.search(text_lines[k]) or not unmarked(k):
                     continue
                 findings.append(Finding(
                     path, k + 1, "order-sensitive",
@@ -450,7 +458,18 @@ def check_order_sensitive(path: str, rel: str, lines: list[str]) -> list[Finding
                     "the 3 lines above) after confirming the order matches "
                     "the scalar reference"))
         i = j + 1 if j > i else i + 1
-    return findings
+    flagged = {f.line for f in findings}
+    for k, line in enumerate(text_lines):
+        if k + 1 in flagged or not PNOC_ACCUM_RE.search(line):
+            continue
+        if unmarked(k):
+            findings.append(Finding(
+                path, k + 1, "order-sensitive",
+                "accumulation into pnoc_log; an append extends this ordered "
+                "sum by its last term and a rescan re-derives it, so both "
+                "must add in the same order — add an `// order-sensitive` "
+                "marker (within the 3 lines above) after confirming it"))
+    return sorted(findings, key=lambda f: f.line)
 
 
 # --- rule: sync-wrappers ----------------------------------------------------
@@ -540,7 +559,8 @@ RULES = {
     "no-iostream": "no stdout/stderr printing from library code (src/)",
     "no-naked-new": "no naked new/delete anywhere",
     "include-guard": "canonical PSKY_<PATH>_H_ include guards",
-    "order-sensitive": "kernel-consumer FP accumulations need // order-sensitive",
+    "order-sensitive": "kernel-consumer and pnoc_log FP accumulations need "
+                       "// order-sensitive",
     "sync-wrappers": "raw std::mutex/condvar in src//tools/; use base/sync.h",
     "atomic-order": "atomic calls outside src/base/ must spell memory_order",
 }

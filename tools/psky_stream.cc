@@ -1585,6 +1585,10 @@ int main(int argc, char** argv) {
       ladder.Observe(queue->pressure());
       effects = ladder.effects();
       audit.SetDegradation(effects.suspend_oracle, effects.audit_stretch);
+      if (engine != nullptr) {
+        engine->SetAuditDegradation(effects.suspend_oracle,
+                                    effects.audit_stretch);
+      }
       if (disk_window != nullptr &&
           effects.segment_budget_divisor != applied_budget_divisor) {
         // Rung >= 2 memory relief: shrink the mapped-segment budget (the
