@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "base/build_info.h"
 #include "base/crc32.h"
@@ -36,8 +37,7 @@ AuditManager::AuditManager(SskyOperator* op, AuditOptions options,
       window_(std::move(window)),
       q_log_(std::log(op->threshold())) {}
 
-void AuditManager::AuditBatch(
-    const std::vector<std::pair<uint64_t, UncertainElement>>& targets) {
+void AuditManager::AuditBatch(const std::vector<Target>& targets) {
   if (targets.empty()) return;
   // Exact P_new from first principles: every dominator that arrived after
   // a target is still in the window (windows expire oldest-first), so the
@@ -54,18 +54,31 @@ void AuditManager::AuditBatch(
   // blocks are taken oldest first, so each target's sum receives the
   // same terms in the same order as a per-element scan: the sums, and
   // every drift and repair derived from them, are bit-identical to it.
+  //
+  // A target the tree no longer holds needs only its verdict: a false
+  // eviction iff its exact P_new >= q_log_ + tolerance (AuditElement).
+  // Every later term log1p(-P) is <= 0, and adding a term <= 0 can only
+  // round the sum down, so once its partial sum is below that bound the
+  // verdict is "sound". After each block such a target settles: the
+  // kernel skips it, and the pass ends when only settled targets remain
+  // (audit.h gives the expected cost). A held target never settles: its
+  // sum is the full scan.
   constexpr int kBlock = kDominanceKernelMaxBlock;
   constexpr int kWords = kDominanceKernelMaskWords;
   const int dims = op_->dims();
-  uint64_t oldest = targets.front().first;
-  for (const auto& t : targets) oldest = std::min(oldest, t.first);
+  const double settle_below = q_log_ + options_.tolerance;
+  uint64_t oldest = targets.front().index;
+  for (const Target& t : targets) oldest = std::min(oldest, t.index);
   const uint64_t n = window_.size();
   std::vector<double> coords(static_cast<size_t>(dims) * kBlock);
   double prob[kBlock];
   double factor[kBlock];
   std::vector<uint64_t> masks(targets.size() * kWords);
   std::vector<double> exact_pnew(targets.size(), 0.0);
-  for (uint64_t start = oldest + 1; start < n; start += kBlock) {
+  std::vector<char> settled(targets.size(), 0);
+  size_t unsettled = targets.size();
+  for (uint64_t start = oldest + 1; start < n && unsettled > 0;
+       start += kBlock) {
     const int count = static_cast<int>(std::min<uint64_t>(kBlock, n - start));
     const int words = (count + 63) / 64;
     for (int r = 0; r < count; ++r) {
@@ -81,14 +94,14 @@ void AuditManager::AuditBatch(
       uint64_t* mask = &masks[t * kWords];
       // Block positions at or before the target are not newer than it.
       const uint64_t not_newer =
-          targets[t].first < start ? 0 : targets[t].first - start + 1;
-      if (not_newer >= static_cast<uint64_t>(count)) {
+          targets[t].index < start ? 0 : targets[t].index - start + 1;
+      if (settled[t] != 0 || not_newer >= static_cast<uint64_t>(count)) {
         std::fill(mask, mask + words, uint64_t{0});
         continue;
       }
       uint64_t dominated[kWords];
-      DominanceBlockCompare(targets[t].second.pos.data(), dims, coords.data(),
-                            kBlock, count, mask, dominated);
+      DominanceBlockCompare(targets[t].element.pos.data(), dims,
+                            coords.data(), kBlock, count, mask, dominated);
       for (int wd = 0; wd < words && not_newer > 64u * wd; ++wd) {
         const uint64_t cut = not_newer - 64u * wd;
         mask[wd] &= cut >= 64 ? 0 : ~uint64_t{0} << cut;
@@ -111,12 +124,17 @@ void AuditManager::AuditBatch(
           exact_pnew[t] += factor[wd * 64 + std::countr_zero(bits)];
         }
       }
+      if (settled[t] == 0 && !targets[t].held &&
+          exact_pnew[t] < settle_below) {
+        settled[t] = 1;
+        --unsettled;
+      }
     }
   }
   // P_new is a function of raw window contents only, so repairs applied
   // while draining the batch cannot invalidate the accumulated sums.
   for (size_t t = 0; t < targets.size(); ++t) {
-    AuditElement(targets[t].second, exact_pnew[t]);
+    AuditElement(targets[t].element, exact_pnew[t]);
   }
 }
 
@@ -173,14 +191,19 @@ void AuditManager::AuditElement(const UncertainElement& e, double exact_pnew) {
   }
 }
 
+AuditManager::Target AuditManager::TargetAt(uint64_t index) const {
+  const UncertainElement e = window_.at(index);
+  const bool held = op_->tree().Contains(e.pos, e.seq);
+  return Target{index, e, held};
+}
+
 void AuditManager::RunSliceAudit() {
   const uint64_t n = window_.size();
   if (n == 0) return;
-  std::vector<std::pair<uint64_t, UncertainElement>> targets;
+  std::vector<Target> targets;
   targets.reserve(static_cast<size_t>(options_.elements_per_audit));
   for (int k = 0; k < options_.elements_per_audit; ++k) {
-    const uint64_t idx = cursor_ % n;
-    targets.emplace_back(idx, window_.at(idx));
+    targets.push_back(TargetAt(cursor_ % n));
     ++cursor_;
   }
   AuditBatch(targets);
@@ -189,18 +212,25 @@ void AuditManager::RunSliceAudit() {
 uint64_t AuditManager::AuditAll() {
   const uint64_t before = report_.violations_unrepaired;
   // Batched full sweep: bounded target memory per scan regardless of
-  // window size.
-  constexpr uint64_t kBatch = 256;
+  // window size. Held and evicted targets fill separate batches, so an
+  // evicted batch ends once its targets settle (AuditBatch) and only the
+  // held batches scan to the window end. Held targets keep their window
+  // order, so repairs run in the order of a sweep of mixed batches; an
+  // evicted target's audit changes nothing in the tree, so when it runs
+  // does not matter.
+  constexpr size_t kBatch = 256;
   const uint64_t n = window_.size();
-  std::vector<std::pair<uint64_t, UncertainElement>> targets;
-  for (uint64_t start = 0; start < n; start += kBatch) {
-    const uint64_t stop = std::min(start + kBatch, n);
-    targets.clear();
-    for (uint64_t idx = start; idx < stop; ++idx) {
-      targets.emplace_back(idx, window_.at(idx));
+  std::vector<Target> batches[2];  // [held]
+  for (uint64_t idx = 0; idx < n; ++idx) {
+    const Target t = TargetAt(idx);
+    std::vector<Target>& batch = batches[t.held ? 1 : 0];
+    batch.push_back(t);
+    if (batch.size() == kBatch) {
+      AuditBatch(batch);
+      batch.clear();
     }
-    AuditBatch(targets);
   }
+  for (const std::vector<Target>& batch : batches) AuditBatch(batch);
   return report_.violations_unrepaired - before;
 }
 

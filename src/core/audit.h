@@ -12,13 +12,17 @@
 //     re-derives exact P_new/P_old for a rotating slice of window
 //     elements — from raw element probabilities only, never from lazy
 //     state — and compares against the operator's materialized values
-//     within a drift tolerance. Each slice scans the window from its
-//     oldest target to the newest element, so the cost is
-//     O(N / audit_every) per stream step for an N-element window: about
-//     40 ns per scanned element for a disk window at d = 3 with the
-//     default 4-element slices (perfbench durable_corr, 4-vCPU Xeon VM),
-//     mostly the element read and one log1p per element that dominates
-//     a target.
+//     within a drift tolerance. A slice scans the window from its oldest
+//     target, but the scan for a target the tree no longer holds stops
+//     once its partial P_new is below the retention bound (AuditBatch):
+//     its verdict cannot change after that. Every arrival enters
+//     S_{N,q} (Algorithm 4, Phase D) and stays about E|S_{N,q}| steps
+//     (Little's law), and an evicted target's scan settles about where
+//     it was evicted. A target still in S_{N,q} reads to the window end,
+//     but only a fraction |S_{N,q}| / N of targets is, so a k-element
+//     slice reads expected O(k |S_{N,q}|) positions, O(log^d N) by
+//     Theorem 8, and the cost per stream step is
+//     O(|S_{N,q}| / audit_every), down from O(N / audit_every).
 //  2. *Self-healing repair*: in kRepair mode, drift beyond tolerance (or a
 //     band misclassification) renormalizes the affected leaf path in
 //     place (SkyTree::RepairElement) and recounts. Counters record the
@@ -34,8 +38,9 @@
 //
 // The auditor reads the window one way, through a WindowStream: one
 // oldest→newest pass over the positions newer than the slice's oldest
-// target derives the exact P_new of the whole slice, testing each target
-// against blocks of 256 positions with the SIMD dominance kernel, and
+// target derives the exact P_new of the whole slice (or settles it),
+// testing each target against blocks of 256 positions with the SIMD
+// dominance kernel, and
 // WindowStream::scan feeds the shadow oracle. A memory window and a disk
 // window (SegmentStore, read one resolved segment at a time) therefore
 // audit identically, and no path snapshots the window.
@@ -61,7 +66,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -198,11 +202,19 @@ class AuditManager {
   // Exact-state check given `e`'s window-exact P_new; all the tree
   // lookups, drift accounting, and repairs live here.
   void AuditElement(const UncertainElement& e, double exact_pnew);
-  // Audits `targets` ({window index, element} pairs): one oldest→newest
-  // pass over the positions newer than the oldest target accumulates
-  // every target's exact P_new.
-  void AuditBatch(
-      const std::vector<std::pair<uint64_t, UncertainElement>>& targets);
+  // One audit target: a window position, its element, and whether the
+  // tree still holds it (SkyTree::Contains, asked before the pass).
+  struct Target {
+    uint64_t index;
+    UncertainElement element;
+    bool held;
+  };
+  Target TargetAt(uint64_t index) const;
+  // Audits `targets`: one oldest→newest pass over the positions newer than
+  // the oldest target accumulates every target's exact P_new; the pass
+  // ends early once every target the tree no longer holds has a settled
+  // verdict and no held target is left.
+  void AuditBatch(const std::vector<Target>& targets);
   void RunSliceAudit();
 
   SskyOperator* op_;

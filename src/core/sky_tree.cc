@@ -981,39 +981,45 @@ bool SkyTree::TopK(size_t k, const QueryControl& ctl,
 // Integrity auditing (src/core/audit.h).
 // ---------------------------------------------------------------------------
 
+bool SkyTree::FindForAudit(const Node* n, const Point& pos, uint64_t seq,
+                           double acc_new, double acc_old,
+                           uint64_t* nodes_visited, AuditView* out) const {
+  if (nodes_visited != nullptr) ++*nodes_visited;
+  if (n->count == 0 || !n->mbr.Contains(pos)) return false;
+  const double new_log = acc_new + n->lazy_new_log;
+  const double old_log = acc_old + n->lazy_old_log;
+  if (n->is_leaf) {
+    for (const Elem& e : n->elems) {
+      if (e.seq != seq || !(e.pos == pos)) continue;
+      out->found = true;
+      out->prob = e.prob;
+      out->pnew_log = e.pnew_log + new_log;
+      out->pold_log = e.pold_log + old_log;
+      out->band = e.band;
+      return true;
+    }
+    return false;
+  }
+  for (const auto& child : n->children) {
+    if (FindForAudit(child.get(), pos, seq, new_log, old_log, nodes_visited,
+                     out)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 SkyTree::AuditView SkyTree::LookupForAudit(const Point& pos,
                                            uint64_t seq) const {
   AuditView out;
-  struct Walker {
-    const SkyTree* tree;
-    const Point& pos;
-    uint64_t seq;
-    AuditView* out;
-    bool Walk(const Node* n, double acc_new, double acc_old) {
-      ++tree->counters_.nodes_visited;
-      if (n->count == 0 || !n->mbr.Contains(pos)) return false;
-      const double new_log = acc_new + n->lazy_new_log;
-      const double old_log = acc_old + n->lazy_old_log;
-      if (n->is_leaf) {
-        for (const Elem& e : n->elems) {
-          if (e.seq != seq || !(e.pos == pos)) continue;
-          out->found = true;
-          out->prob = e.prob;
-          out->pnew_log = e.pnew_log + new_log;
-          out->pold_log = e.pold_log + old_log;
-          out->band = e.band;
-          return true;
-        }
-        return false;
-      }
-      for (const auto& child : n->children) {
-        if (Walk(child.get(), new_log, old_log)) return true;
-      }
-      return false;
-    }
-  };
-  Walker{this, pos, seq, &out}.Walk(root_.get(), 0.0, 0.0);
+  FindForAudit(root_.get(), pos, seq, 0.0, 0.0, &counters_.nodes_visited,
+               &out);
   return out;
+}
+
+bool SkyTree::Contains(const Point& pos, uint64_t seq) const {
+  AuditView out;
+  return FindForAudit(root_.get(), pos, seq, 0.0, 0.0, nullptr, &out);
 }
 
 SkyTree::DominatorSums SkyTree::ExactDominators(const Point& pos,

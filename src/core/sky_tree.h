@@ -189,6 +189,11 @@ class SkyTree {
   };
   AuditView LookupForAudit(const Point& pos, uint64_t seq) const;
 
+  /// Whether (pos, seq) is in S_{N,q}: LookupForAudit's walk, but it
+  /// ticks no counter, so an auditor can sort its targets before the
+  /// audit proper without changing the work counters.
+  bool Contains(const Point& pos, uint64_t seq) const;
+
   /// Exact Σ log(1 - P(a)) over live candidates a ≠ (pos, seq) that
   /// dominate `pos`, split by arrival order relative to `seq`. Computed by
   /// fresh traversal from element probabilities only — no lazy state is
@@ -392,6 +397,13 @@ class SkyTree {
   void ShrinkRoot();
   bool RepairRec(Node* n, const Point& pos, uint64_t seq, double pnew_log,
                  double pold_log, RepairOutcome* out);
+
+  // The walk of LookupForAudit and Contains: finds (pos, seq) below `n`
+  // and materializes it into `*out`, adding one to `*nodes_visited` per
+  // node visited when that is not null.
+  bool FindForAudit(const Node* n, const Point& pos, uint64_t seq,
+                    double acc_new, double acc_old, uint64_t* nodes_visited,
+                    AuditView* out) const;
 
   void ForEachNode(const Node* n, double acc_new_log, double acc_old_log,
                    const std::function<void(const Elem&, double pnew_log,

@@ -9,8 +9,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,29 +64,30 @@ struct Pipeline {
     }
   }
 
-  // Corrupts a current skyline member's probability state in place by the
-  // given log-domain deltas — the damage unbounded rounding drift would
-  // cause, writ large. Safe for pnew here because the tests audit before
-  // any further arrival can act on the corrupted retention value. Returns
-  // the victim's seq.
-  uint64_t CorruptSkylineMember(double delta_new, double delta_old) {
-    const std::vector<SkylineMember> sky = op.Skyline();
-    EXPECT_FALSE(sky.empty()) << "stream produced no skyline to corrupt";
-    const SkylineMember& victim = sky.front();
-    const SkyTree::AuditView view =
-        op.tree().LookupForAudit(victim.element.pos, victim.element.seq);
-    EXPECT_TRUE(view.found);
-    op.mutable_tree()->RepairElement(victim.element.pos, victim.element.seq,
-                                     view.pnew_log + delta_new,
-                                     view.pold_log + delta_old);
-    return victim.element.seq;
-  }
-
   SskyOperator op;
   CountWindow window;
   StreamGenerator gen;
   AuditManager audit;
 };
+
+// Corrupts the oldest skyline member's probability state in place by the
+// given log-domain deltas — the damage unbounded rounding drift would
+// cause, writ large. Safe for pnew in the tests that audit before any
+// further arrival can act on the corrupted retention value. Returns the
+// victim's seq.
+uint64_t CorruptSkylineMember(SskyOperator* op, double delta_new,
+                              double delta_old) {
+  const std::vector<SkylineMember> sky = op->Skyline();
+  EXPECT_FALSE(sky.empty()) << "stream produced no skyline to corrupt";
+  const SkylineMember& victim = sky.front();
+  const SkyTree::AuditView view =
+      op->tree().LookupForAudit(victim.element.pos, victim.element.seq);
+  EXPECT_TRUE(view.found);
+  op->mutable_tree()->RepairElement(victim.element.pos, victim.element.seq,
+                                    view.pnew_log + delta_new,
+                                    view.pold_log + delta_old);
+  return victim.element.seq;
+}
 
 AuditOptions Options(AuditMode mode) {
   AuditOptions o;
@@ -177,7 +181,7 @@ TEST(AuditTest, DegradationSuspendsOracleAndStretchesSlices) {
 TEST(AuditTest, CheckModeDetectsInjectedDriftWithoutMutating) {
   Pipeline p(Options(AuditMode::kCheck));
   p.Run(2000);
-  const uint64_t seq = p.CorruptSkylineMember(-2.0, 0.0);
+  const uint64_t seq = CorruptSkylineMember(&p.op, -2.0, 0.0);
 
   EXPECT_GT(p.audit.AuditAll(), 0u);
   const AuditReport& r = p.audit.report();
@@ -195,7 +199,7 @@ TEST(AuditTest, RepairModeHealsInjectedDrift) {
   Pipeline p(Options(AuditMode::kRepair));
   p.Run(2000);
   const std::vector<SkylineMember> before = p.op.Candidates();
-  p.CorruptSkylineMember(-2.0, 0.0);
+  CorruptSkylineMember(&p.op, -2.0, 0.0);
 
   EXPECT_EQ(p.audit.AuditAll(), 0u);
   const AuditReport& r = p.audit.report();
@@ -218,7 +222,7 @@ TEST(AuditTest, RepairCountsPreventedBandFlips) {
   const size_t skyline_before = p.op.skyline_count();
   // -5.0 in the log domain shrinks P_sky by >100x: a guaranteed band flip
   // for a skyline member, which repair must reverse and count.
-  p.CorruptSkylineMember(0.0, -5.0);
+  CorruptSkylineMember(&p.op, 0.0, -5.0);
   EXPECT_LT(p.op.skyline_count(), skyline_before);
 
   EXPECT_EQ(p.audit.AuditAll(), 0u);
@@ -230,7 +234,7 @@ TEST(AuditTest, OracleFlagsCorruptionInCheckMode) {
   Pipeline p(Options(AuditMode::kCheck));
   p.Run(2000);
   EXPECT_TRUE(p.audit.RunOracleCheck());
-  p.CorruptSkylineMember(0.0, -5.0);
+  CorruptSkylineMember(&p.op, 0.0, -5.0);
   EXPECT_FALSE(p.audit.RunOracleCheck());
   const AuditReport& r = p.audit.report();
   EXPECT_EQ(r.oracle_replays, 2u);
@@ -240,7 +244,7 @@ TEST(AuditTest, OracleFlagsCorruptionInCheckMode) {
 TEST(AuditTest, OracleEscalatesToFullRepair) {
   Pipeline p(Options(AuditMode::kRepair));
   p.Run(2000);
-  p.CorruptSkylineMember(0.0, -5.0);
+  CorruptSkylineMember(&p.op, 0.0, -5.0);
   EXPECT_TRUE(p.audit.RunOracleCheck());
   const AuditReport& r = p.audit.report();
   EXPECT_EQ(r.oracle_mismatches, 0u);
@@ -601,6 +605,493 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(param_info.param) ? "_StoredCountWindow"
                                             : "_CountWindow");
     });
+
+// --- false evictions and where a scan stops --------------------------------
+
+// Wraps `ws` so it counts at() calls and remembers the largest index read.
+struct ReadCount {
+  uint64_t calls = 0;
+  uint64_t max_index = 0;
+};
+AuditManager::WindowStream Counted(AuditManager::WindowStream ws,
+                                   ReadCount* count) {
+  ws.at = [at = ws.at, count](uint64_t i) {
+    ++count->calls;
+    count->max_index = std::max(count->max_index, i);
+    return at(i);
+  };
+  return ws;
+}
+
+void PushElement(SskyOperator* op, CountWindow* window,
+                 const UncertainElement& e) {
+  if (auto expired = window->Push(e)) op->Expire(*expired);
+  op->Insert(e);
+}
+
+// A false eviction planted by hand: the newest window element, at a corner
+// where it dominates nothing, leaves the tree but stays in the window.
+// Nothing is newer, so its exact P_new is 1 >= q: a slice audit and an
+// AuditAll each report one false eviction, and neither mode can repair it.
+TEST(AuditFalseEvictionTest, NewestElementRemovedFromTheTreeIsReported) {
+  constexpr uint64_t n = 600;
+  for (const AuditMode mode : {AuditMode::kCheck, AuditMode::kRepair}) {
+    SCOPED_TRACE(mode == AuditMode::kCheck ? "check" : "repair");
+    AuditOptions off;
+    off.mode = AuditMode::kOff;
+    Pipeline p(off, SpatialDistribution::kIndependent, n);
+    p.Run(3 * n - 1);
+    const UncertainElement newest =
+        MakeElement({1.0, 1.0, 1.0}, 0.5, p.window.At(n - 1).seq + 1);
+    PushElement(&p.op, &p.window, newest);
+    ASSERT_TRUE(p.op.tree().Contains(newest.pos, newest.seq));
+    p.op.Expire(newest);
+    ASSERT_FALSE(p.op.tree().Contains(newest.pos, newest.seq));
+    ASSERT_EQ(p.window.At(n - 1).seq, newest.seq);
+
+    AuditOptions options = Options(mode);
+    options.audit_every = 1;
+    AuditManager audit(&p.op, options,
+                       AuditManager::WindowStream::Of(&p.window));
+    // Step k audits positions 4(k - 1) .. 4k - 1, so step n / 4 holds n - 1.
+    for (uint64_t k = 1; k < n / 4; ++k) ASSERT_TRUE(audit.Step());
+    EXPECT_FALSE(audit.Step());
+    EXPECT_EQ(audit.report().false_evictions, 1u);
+    EXPECT_EQ(audit.report().violations_unrepaired, 1u);
+    EXPECT_EQ(audit.AuditAll(), 1u);
+    EXPECT_EQ(audit.report().false_evictions, 2u);
+    EXPECT_EQ(audit.report().violations_unrepaired, 2u);
+    EXPECT_EQ(audit.report().repairs_applied, 0u);
+  }
+}
+
+// A hand-built window of 600: the target at index 0, (0.5, 0.5, 0.5),
+// dominates nothing; its only newer dominators sit at the given indices
+// near (0.4, 0.4, 0.4); every other position is a filler incomparable to
+// all of them. A one-element slice at index 0 scans blocks [1, 257),
+// [257, 513) and [513, 600).
+struct HandWindow {
+  static constexpr uint64_t kSize = 600;
+  explicit HandWindow(std::vector<std::pair<uint64_t, double>> dominators)
+      : op(kDims, kQ), window(kSize), dominators_(std::move(dominators)) {}
+
+  // Pushes positions up to `end` (exclusive).
+  void FillTo(uint64_t end) {
+    for (; pushed_ < end; ++pushed_) {
+      const uint64_t i = pushed_;
+      UncertainElement e;
+      if (i == 0) {
+        e = MakeElement({0.5, 0.5, 0.5}, 0.9, i);
+      } else if (next_ < dominators_.size() && dominators_[next_].first == i) {
+        const double c = 0.4 + 0.01 * static_cast<double>(next_);
+        e = MakeElement({c, c, c}, dominators_[next_++].second, i);
+      } else {
+        // x >= 0.6 and y < 0.3: incomparable to the target and to every
+        // dominator.
+        const double u = static_cast<double>((i * 37) % 101) / 101.0;
+        const double v = static_cast<double>((i * 53) % 97) / 97.0;
+        e = MakeElement({0.6 + 0.4 * u, 0.3 * v, u * v}, 0.5, i);
+      }
+      PushElement(&op, &window, e);
+    }
+  }
+
+  const UncertainElement& target() const { return window.At(0); }
+
+  // The auditor's sum for the target: its newer dominators' factors, in
+  // window order.
+  double ExactPnew() const {
+    return ScalarExactPnew(AuditManager::WindowStream::Of(&window), 0);
+  }
+
+  SskyOperator op;
+  CountWindow window;
+
+ private:
+  std::vector<std::pair<uint64_t, double>> dominators_;
+  size_t next_ = 0;
+  uint64_t pushed_ = 0;
+};
+
+// The settle bound AuditElement's false-eviction test uses.
+double SettleBound(const AuditOptions& options) {
+  return std::log(kQ) + options.tolerance;
+}
+
+// An evicted target whose newer dominators sum to exactly the settle
+// bound, log q + tolerance, at the end of the middle block: it is a false
+// eviction, and its scan runs to the window end. A scan that settled at
+// <= would stop after the middle block.
+TEST(AuditFalseEvictionTest, TargetAtTheBoundScansToTheWindowEnd) {
+  const double bound = SettleBound(Options(AuditMode::kCheck));
+  // One dominator just above the bound, then a tiny one that brings the
+  // rounded sum to the bound exactly.
+  const double p1 = -std::expm1(bound + 5e-10);
+  const double a = LogOneMinusProb(ClampProb(p1));
+  ASSERT_GT(a, bound);
+  const auto sum_with = [a](double p2) {
+    return a + LogOneMinusProb(ClampProb(p2));
+  };
+  double lo = kMinElementProb, hi = 1e-8;
+  ASSERT_GT(sum_with(lo), bound);
+  ASSERT_LT(sum_with(hi), bound);
+  for (int i = 0; i < 200; ++i) {
+    const double mid = lo + (hi - lo) / 2;
+    (sum_with(mid) > bound ? lo : hi) = mid;
+  }
+  ASSERT_EQ(sum_with(hi), bound);
+
+  for (const AuditMode mode : {AuditMode::kCheck, AuditMode::kRepair}) {
+    SCOPED_TRACE(mode == AuditMode::kCheck ? "check" : "repair");
+    HandWindow h({{100, p1}, {400, hi}});
+    h.FillTo(HandWindow::kSize);
+    ASSERT_EQ(h.ExactPnew(), bound);
+    ASSERT_TRUE(h.op.tree().Contains(h.target().pos, h.target().seq));
+    h.op.Expire(h.target());
+
+    AuditOptions options = Options(mode);
+    options.audit_every = 1;
+    options.elements_per_audit = 1;
+    ReadCount reads;
+    AuditManager audit(&h.op, options,
+                       Counted(AuditManager::WindowStream::Of(&h.window),
+                               &reads));
+    EXPECT_FALSE(audit.Step());
+    EXPECT_EQ(reads.max_index, HandWindow::kSize - 1);
+    EXPECT_EQ(reads.calls, HandWindow::kSize);  // the target, then 1..599
+    EXPECT_EQ(audit.report().false_evictions, 1u);
+    EXPECT_EQ(audit.report().violations_unrepaired, 1u);
+    EXPECT_EQ(audit.AuditAll(), 1u);
+    EXPECT_EQ(audit.report().false_evictions, 2u);
+  }
+}
+
+// An evicted target whose sum falls into [log q, log q + tolerance) in the
+// first block: a sound eviction within the tolerance, so its scan stops
+// after that block. A scan that settled only below log q would run on to
+// the window end.
+TEST(AuditFalseEvictionTest, TargetInsideTheToleranceSettlesAtItsBlock) {
+  const AuditOptions options_check = Options(AuditMode::kCheck);
+  const double p = -std::expm1(std::log(kQ) + options_check.tolerance / 2);
+  HandWindow h({{100, p}});
+  h.FillTo(HandWindow::kSize);
+  ASSERT_GE(h.ExactPnew(), std::log(kQ));
+  ASSERT_LT(h.ExactPnew(), SettleBound(options_check));
+  ASSERT_TRUE(h.op.tree().Contains(h.target().pos, h.target().seq));
+  h.op.Expire(h.target());
+
+  AuditOptions options = options_check;
+  options.audit_every = 1;
+  options.elements_per_audit = 1;
+  ReadCount reads;
+  AuditManager audit(
+      &h.op, options,
+      Counted(AuditManager::WindowStream::Of(&h.window), &reads));
+  EXPECT_TRUE(audit.Step());
+  EXPECT_EQ(reads.max_index, 256u);  // the end of block [1, 257)
+  EXPECT_EQ(reads.calls, 257u);
+  EXPECT_EQ(audit.report().false_evictions, 0u);
+  EXPECT_EQ(audit.AuditAll(), 0u);
+  EXPECT_EQ(audit.report().false_evictions, 0u);
+}
+
+// A held target whose exact P_new fell below q while the tree kept it (its
+// stored P_new was knocked up before its second dominator arrived) never
+// settles: its scan runs to the window end, and repair writes the full
+// scan's sum.
+TEST(AuditFalseEvictionTest, HeldTargetBelowTheBoundScansToTheWindowEnd) {
+  // Stored: log(1 - 0.55) > log q, so the tree keeps the target; exact:
+  // log(0.5 * 0.45) < log q.
+  HandWindow h({{100, 0.5}, {400, 0.55}});
+  h.FillTo(300);
+  const SkyTree::AuditView view =
+      h.op.tree().LookupForAudit(h.target().pos, h.target().seq);
+  ASSERT_TRUE(view.found);
+  h.op.mutable_tree()->RepairElement(h.target().pos, h.target().seq, 0.0,
+                                     std::min(view.pold_log, 0.0));
+  h.FillTo(HandWindow::kSize);
+  ASSERT_TRUE(h.op.tree().Contains(h.target().pos, h.target().seq));
+  ASSERT_LT(h.ExactPnew(), std::log(kQ));
+
+  AuditOptions options = Options(AuditMode::kRepair);
+  options.audit_every = 1;
+  options.elements_per_audit = 1;
+  ReadCount reads;
+  AuditManager audit(
+      &h.op, options,
+      Counted(AuditManager::WindowStream::Of(&h.window), &reads));
+  EXPECT_TRUE(audit.Step());
+  EXPECT_EQ(reads.max_index, HandWindow::kSize - 1);
+  EXPECT_EQ(audit.report().repairs_applied, 1u);
+  const SkyTree::AuditView healed =
+      h.op.tree().LookupForAudit(h.target().pos, h.target().seq);
+  ASSERT_TRUE(healed.found);
+  EXPECT_EQ(std::bit_cast<uint64_t>(healed.pnew_log),
+            std::bit_cast<uint64_t>(h.ExactPnew()));
+}
+
+// Every 4-wide slice of a clean window, against a test-local model of the
+// pass: a slice whose targets the tree no longer holds reads up to the end
+// of the 256-position block where its last target's sum first drops below
+// the settle bound; a slice with a held target reads to the window end.
+TEST(AuditFalseEvictionTest, EachSliceReadsToItsLastSettlingBlock) {
+  for (const SpatialDistribution dist :
+       {SpatialDistribution::kAntiCorrelated,
+        SpatialDistribution::kIndependent, SpatialDistribution::kCorrelated}) {
+    SCOPED_TRACE(SpatialDistributionName(dist));
+    constexpr uint64_t n = 600;
+    AuditOptions off;
+    off.mode = AuditMode::kOff;
+    Pipeline p(off, dist, n);
+    p.Run(3 * n);
+    const AuditManager::WindowStream ws =
+        AuditManager::WindowStream::Of(&p.window);
+    AuditOptions options = Options(AuditMode::kCheck);
+    options.audit_every = 1;
+    const double bound = SettleBound(options);
+    ReadCount reads;
+    AuditManager audit(&p.op, options, Counted(ws, &reads));
+
+    uint64_t evicted_slices = 0;
+    uint64_t held_slices = 0;
+    for (uint64_t first = 0; first < n; first += 4) {
+      // The model: the pass starts just past the slice's oldest target.
+      const uint64_t start = first + 1;
+      uint64_t last = first + 3;  // the targets themselves
+      bool any_held = false;
+      for (uint64_t t = first; t < first + 4; ++t) {
+        const UncertainElement e = ws.at(t);
+        if (p.op.tree().Contains(e.pos, e.seq)) {
+          any_held = true;
+          continue;
+        }
+        uint64_t settle = n - 1;
+        double sum = 0.0;
+        for (uint64_t j = t + 1; j < n; ++j) {
+          const UncertainElement w = ws.at(j);
+          if (Dominates(w.pos, e.pos)) {
+            sum += LogOneMinusProb(ClampProb(w.prob));
+          }
+          if ((j - start) % 256 == 255 && sum < bound) {
+            settle = j;
+            break;
+          }
+        }
+        last = std::max(last, settle);
+      }
+      if (any_held) last = n - 1;
+      (any_held ? held_slices : evicted_slices) += 1;
+
+      reads = ReadCount{};
+      ASSERT_TRUE(audit.Step());
+      EXPECT_EQ(reads.max_index, last) << "slice at " << first;
+      EXPECT_EQ(reads.calls, 4 + (last >= start ? last - start + 1 : 0))
+          << "slice at " << first;
+    }
+    EXPECT_GT(evicted_slices, 0u);
+    EXPECT_GT(held_slices, 0u);
+  }
+}
+
+// --- recorded audit outcomes -----------------------------------------------
+
+// Every AuditReport field, every SkyTree counter and every candidate's
+// materialized values, recorded for 96 audited runs. Any change to which
+// terms a target's sum receives, in what order, or to which elements an
+// audit repairs and when, fails here; a failure prints the new columns.
+
+uint64_t Mix(uint64_t x) {
+  // splitmix64 finalizer
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+uint64_t ReportHash(const AuditReport& r) {
+  uint64_t h = 0;
+  for (const uint64_t v :
+       {r.steps_seen, r.elements_audited, std::bit_cast<uint64_t>(r.max_drift),
+        r.drift_beyond_tolerance, r.repairs_applied, r.band_flips_prevented,
+        r.false_evictions, r.oracle_replays, r.oracle_mismatches,
+        r.violations_unrepaired}) {
+    h = Mix(h ^ v);
+  }
+  return h;
+}
+
+uint64_t CountersHash(const SkyTree::Counters& c) {
+  uint64_t h = 0;
+  for (const uint64_t v : {c.nodes_visited, c.elements_touched, c.evictions,
+                           c.pushdowns, c.band_flips}) {
+    h = Mix(h ^ v);
+  }
+  return h;
+}
+
+// Order-independent: a sum of per-candidate hashes over seq, band and the
+// bits of the materialized P_new and P_old.
+uint64_t CandidateHash(const SkyTree& tree) {
+  uint64_t sum = 0;
+  tree.ForEach([&sum](const SkylineMember& m, int band) {
+    uint64_t h = Mix(m.element.seq ^ static_cast<uint64_t>(band) << 56);
+    h = Mix(h ^ std::bit_cast<uint64_t>(m.pnew));
+    sum += Mix(h ^ std::bit_cast<uint64_t>(m.pold));
+  });
+  return Mix(sum ^ tree.size());
+}
+
+constexpr size_t kGoldenWindow = 600;  // three 256-position blocks
+
+// Slice schedules: cadences 1, 4 and 64 with 4-element slices, and a
+// slice wider than the window, so one batch holds some elements twice.
+struct GoldenSchedule {
+  uint64_t every;
+  int width;
+};
+constexpr GoldenSchedule kGoldenSchedules[] = {
+    {1, 4}, {4, 4}, {64, 4}, {64, static_cast<int>(kGoldenWindow) + 37}};
+
+// Three windows of stream, hashed after each and after one closing
+// AuditAll. With `plant`, two skyline members are knocked off before the
+// third window: one's P_old (a band flip) and another's P_new, which can
+// evict it early. Check mode keeps finding them (the second, once
+// evicted, as a false eviction); repair mode heals what is still held on
+// its slice or on an oracle escalation.
+template <typename P>
+uint64_t GoldenRun(P* p, bool plant) {
+  uint64_t state = 0;
+  const auto snapshot = [&] {
+    state = Mix(state ^ ReportHash(p->audit.report()));
+    state = Mix(state ^ CountersHash(p->op.tree().counters()));
+    state = Mix(state ^ CandidateHash(p->op.tree()));
+  };
+  for (int w = 0; w < 3; ++w) {
+    if (plant && w == 2) {
+      CorruptSkylineMember(&p->op, 0.0, -5.0);
+      CorruptSkylineMember(&p->op, -2.0, 0.0);
+    }
+    p->Run(kGoldenWindow);
+    snapshot();
+  }
+  p->audit.AuditAll();
+  snapshot();
+  return state;
+}
+
+struct AuditGoldenCase {
+  SpatialDistribution dist;
+  AuditMode mode;
+  bool disk;   // StoredCountWindow instead of CountWindow
+  bool plant;  // planted drift
+  uint64_t hash[std::size(kGoldenSchedules)];
+};
+
+std::string AuditGoldenName(const AuditGoldenCase& c) {
+  return std::string(SpatialDistributionName(c.dist)) +
+         (c.mode == AuditMode::kRepair ? "_repair" : "_check") +
+         (c.disk ? "_StoredCountWindow" : "_CountWindow") +
+         (c.plant ? "_drift" : "_clean");
+}
+
+void PrintTo(const AuditGoldenCase& c, std::ostream* os) {
+  *os << AuditGoldenName(c);
+}
+
+class AuditGolden : public ::testing::TestWithParam<AuditGoldenCase> {};
+
+TEST_P(AuditGolden, MatchesRecordedReports) {
+  const AuditGoldenCase& want = GetParam();
+  std::ostringstream got;
+  got << std::hex;
+  bool all_match = true;
+  for (size_t s = 0; s < std::size(kGoldenSchedules); ++s) {
+    AuditOptions options = Options(want.mode);
+    options.audit_every = kGoldenSchedules[s].every;
+    options.elements_per_audit = kGoldenSchedules[s].width;
+    options.oracle_every = 100;
+    uint64_t hash = 0;
+    if (want.disk) {
+      StreamedPipeline p(options,
+                         "golden_" + AuditGoldenName(want) + std::to_string(s),
+                         want.dist, kGoldenWindow);
+      hash = GoldenRun(&p, want.plant);
+    } else {
+      Pipeline p(options, want.dist, kGoldenWindow);
+      hash = GoldenRun(&p, want.plant);
+    }
+    got << (s == 0 ? "0x" : "ULL, 0x") << hash;
+    all_match = all_match && hash == want.hash[s];
+  }
+  EXPECT_TRUE(all_match) << "audit outcomes differ; got {" << got.str()
+                         << "ULL}";
+}
+
+constexpr SpatialDistribution kGAnti = SpatialDistribution::kAntiCorrelated;
+constexpr SpatialDistribution kGInde = SpatialDistribution::kIndependent;
+constexpr SpatialDistribution kGCorr = SpatialDistribution::kCorrelated;
+constexpr AuditMode kGCheck = AuditMode::kCheck;
+constexpr AuditMode kGRepair = AuditMode::kRepair;
+
+// Hash columns follow kGoldenSchedules.
+// clang-format off
+constexpr AuditGoldenCase kAuditGoldenCases[] = {
+    {kGAnti, kGCheck, false, false,
+     {0xa7cef5e1844adb37ULL, 0xcd8b6301663d97beULL, 0x6d048f85642f3abULL, 0xddb6eb0c344f4841ULL}},
+    {kGAnti, kGCheck, false, true,
+     {0xc2bdf469c012bc6dULL, 0x5447990d362e8be1ULL, 0x56a04705851f208eULL, 0x5f55edc3961cc39dULL}},
+    {kGAnti, kGCheck, true, false,
+     {0xa7cef5e1844adb37ULL, 0xcd8b6301663d97beULL, 0x6d048f85642f3abULL, 0xddb6eb0c344f4841ULL}},
+    {kGAnti, kGCheck, true, true,
+     {0xc2bdf469c012bc6dULL, 0x5447990d362e8be1ULL, 0x56a04705851f208eULL, 0x5f55edc3961cc39dULL}},
+    {kGAnti, kGRepair, false, false,
+     {0xa7cef5e1844adb37ULL, 0xcd8b6301663d97beULL, 0x6d048f85642f3abULL, 0xddb6eb0c344f4841ULL}},
+    {kGAnti, kGRepair, false, true,
+     {0xeb011cd489b5fbcULL, 0x895d252f3214cfULL, 0x56a04705851f208eULL, 0x5f55edc3961cc39dULL}},
+    {kGAnti, kGRepair, true, false,
+     {0xa7cef5e1844adb37ULL, 0xcd8b6301663d97beULL, 0x6d048f85642f3abULL, 0xddb6eb0c344f4841ULL}},
+    {kGAnti, kGRepair, true, true,
+     {0xeb011cd489b5fbcULL, 0x895d252f3214cfULL, 0x56a04705851f208eULL, 0x5f55edc3961cc39dULL}},
+    {kGInde, kGCheck, false, false,
+     {0x784e5a3ffb29c804ULL, 0x7032004e97f90c3ULL, 0x83d6a91432ef7517ULL, 0xac95b15e48b650a2ULL}},
+    {kGInde, kGCheck, false, true,
+     {0xfa7468b46b3e89beULL, 0x310f37d8429582cdULL, 0xac9eee9b282c848ULL, 0x56674e03ff51303bULL}},
+    {kGInde, kGCheck, true, false,
+     {0x784e5a3ffb29c804ULL, 0x7032004e97f90c3ULL, 0x83d6a91432ef7517ULL, 0xac95b15e48b650a2ULL}},
+    {kGInde, kGCheck, true, true,
+     {0xfa7468b46b3e89beULL, 0x310f37d8429582cdULL, 0xac9eee9b282c848ULL, 0x56674e03ff51303bULL}},
+    {kGInde, kGRepair, false, false,
+     {0x784e5a3ffb29c804ULL, 0x7032004e97f90c3ULL, 0x83d6a91432ef7517ULL, 0xac95b15e48b650a2ULL}},
+    {kGInde, kGRepair, false, true,
+     {0xfa7468b46b3e89beULL, 0xc2def34e993b4241ULL, 0xac9eee9b282c848ULL, 0x3ae06337f6292c86ULL}},
+    {kGInde, kGRepair, true, false,
+     {0x784e5a3ffb29c804ULL, 0x7032004e97f90c3ULL, 0x83d6a91432ef7517ULL, 0xac95b15e48b650a2ULL}},
+    {kGInde, kGRepair, true, true,
+     {0xfa7468b46b3e89beULL, 0xc2def34e993b4241ULL, 0xac9eee9b282c848ULL, 0x3ae06337f6292c86ULL}},
+    {kGCorr, kGCheck, false, false,
+     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL}},
+    {kGCorr, kGCheck, false, true,
+     {0x605912e382ff75d4ULL, 0x1ceca30f2521fcfdULL, 0x84dce6b3ca5f3b9eULL, 0x474391918d14f723ULL}},
+    {kGCorr, kGCheck, true, false,
+     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL}},
+    {kGCorr, kGCheck, true, true,
+     {0x605912e382ff75d4ULL, 0x1ceca30f2521fcfdULL, 0x84dce6b3ca5f3b9eULL, 0x474391918d14f723ULL}},
+    {kGCorr, kGRepair, false, false,
+     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL}},
+    {kGCorr, kGRepair, false, true,
+     {0x73f9569c01ee01a2ULL, 0x5be5e3b0078b450bULL, 0xab7673d65b2ad23ULL, 0x49a53fb9bdf72507ULL}},
+    {kGCorr, kGRepair, true, false,
+     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL}},
+    {kGCorr, kGRepair, true, true,
+     {0x73f9569c01ee01a2ULL, 0x5be5e3b0078b450bULL, 0xab7673d65b2ad23ULL, 0x49a53fb9bdf72507ULL}},
+};
+// clang-format on
+
+INSTANTIATE_TEST_SUITE_P(Recorded, AuditGolden,
+                         ::testing::ValuesIn(kAuditGoldenCases),
+                         [](const auto& param_info) {
+                           return AuditGoldenName(param_info.param);
+                         });
 
 }  // namespace
 }  // namespace psky
