@@ -242,7 +242,7 @@ constexpr size_t kShardRowMaxN = 400'000;
 constexpr size_t kShardRowMaxW = 100'000;
 
 // Same Fig. 9 configuration driven through the sharded ingestion engine
-// (count window, grid routing). Timed region covers routing every element
+// (count window). Timed region covers routing every element
 // plus the final drain barrier and cross-shard merge, so
 // elements_per_second is end-to-end; step latency samples measure the
 // router-side enqueue path (the shard workers run concurrently), again

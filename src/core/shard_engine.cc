@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <numbers>
 
 #include "base/check.h"
 #include "base/timer.h"
@@ -11,21 +12,29 @@
 
 namespace psky {
 
-bool ParseShardStrategy(const std::string& text, ShardStrategy* out) {
-  if (text == "grid") {
-    *out = ShardStrategy::kGrid;
-    return true;
-  }
-  if (text == "band") {
-    *out = ShardStrategy::kBand;
-    return true;
-  }
-  return false;
-}
+thread_local int ShardEngine::worker_shard_ = -1;
+thread_local const ShardEngine::Command* ShardEngine::worker_command_ =
+    nullptr;
 
 namespace {
 
 constexpr size_t kWorkerBatch = 256;
+
+// The sector, of n equal ones counted from -pi, of the polar angle of
+// (x0, x1, x2) around the diagonal (see the header's file comment). A
+// point on the diagonal has no angle and goes to shard n / 2; NaN and
+// infinite inputs reach a valid shard without converting a non-finite
+// value to int.
+int SectorOf(const Point& pos, int n) {
+  constexpr double kPi = std::numbers::pi;
+  const double c1 = pos[0] - pos[1];
+  const double c2 = (pos[0] + pos[1] - 2.0 * pos[2]) / std::numbers::sqrt3;
+  if (c1 == 0.0 && c2 == 0.0) return n / 2;
+  const double t = n * (std::atan2(c2, c1) + kPi) / (2.0 * kPi);
+  if (!(t > 0.0)) return 0;  // also NaN
+  if (t >= n) return n - 1;
+  return static_cast<int>(t);
+}
 
 // Oldest-first view of a shard's audit window.
 AuditManager::WindowStream StreamOf(const std::deque<UncertainElement>* w) {
@@ -63,7 +72,7 @@ ShardEngine::ShardEngine(const Options& options)
   for (int i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(options_));
     Shard* shard = shards_.back().get();
-    shard->worker = std::thread([this, shard] { WorkerLoop(shard); });
+    shard->worker = std::thread([this, i, shard] { WorkerLoop(i, shard); });
   }
 }
 
@@ -81,14 +90,32 @@ void ShardEngine::Shutdown() {
 int ShardEngine::ShardOf(const UncertainElement& e) const {
   const int n = shards();
   if (n == 1) return 0;
-  if (options_.strategy == ShardStrategy::kBand) {
-    const double p = ClampProb(e.prob);
-    int band = static_cast<int>(p * n);
-    if (band >= n) band = n - 1;
-    return band;
-  }
+  if (options_.dims >= 3) return SectorOf(e.pos, n);
   return static_cast<int>(CellGrid::HashCell(grid_.IndexOf(e.pos)) %
                           static_cast<uint64_t>(n));
+}
+
+bool ShardEngine::CurrentWorkerCommand(WorkerCommand* out) {
+  const Command* cmd = worker_command_;
+  if (cmd == nullptr) return false;
+  out->shard = worker_shard_;
+  out->has_element = false;
+  out->seq = 0;
+  switch (cmd->kind) {
+    case Command::kInsert:
+    case Command::kExpire:
+      out->kind = cmd->kind == Command::kInsert ? "insert" : "expire";
+      out->seq = cmd->element.seq;
+      out->has_element = true;
+      break;
+    case Command::kMergeProbe:
+      out->kind = "merge-probe";
+      break;
+    case Command::kDegrade:
+      out->kind = "degrade";
+      break;
+  }
+  return true;
 }
 
 void ShardEngine::Send(Shard* shard, Command cmd) {
@@ -181,14 +208,19 @@ void ShardEngine::WaitApplied() {
   }
 }
 
-void ShardEngine::WorkerLoop(Shard* shard) {
+void ShardEngine::WorkerLoop(int index, Shard* shard) {
+  worker_shard_ = index;
   std::vector<Command> batch;
   batch.reserve(kWorkerBatch);
   while (true) {
     batch.clear();
     const size_t n = shard->queue.PopBatch(&batch, kWorkerBatch);
     if (n == 0) break;  // closed and drained
-    for (const Command& cmd : batch) ApplyCommand(shard, cmd);
+    for (const Command& cmd : batch) {
+      worker_command_ = &cmd;
+      ApplyCommand(shard, cmd);
+    }
+    worker_command_ = nullptr;
     shard->candidates.store(shard->op.candidate_count(),
                             std::memory_order_relaxed);
     if (shard->audit != nullptr) {

@@ -41,10 +41,21 @@
 // the audit window, and checks that every expiry pops the element the
 // command names.
 //
-// Routing is a pure function of the element (grid: splitmix-hashed cell
-// id of the position; band: occurrence-probability band), so an expiry
-// reaches the shard its insert did, and a stream routes identically
-// across runs, shard counts permitting.
+// Routing is a pure function of the element, so an expiry reaches the
+// shard its insert did, and a stream routes identically across runs,
+// shard counts permitting. At d >= 3 an element goes to the sector of
+// the polar angle of (x0, x1, x2) around the diagonal (1, 1, 1): with
+// c1 = x0 - x1 and c2 = (x0 + x1 - 2 x2) / sqrt(3), shard
+// floor(n (atan2(c2, c1) + pi) / (2 pi)). The angle is the direction of
+// the point's projection onto the plane orthogonal to the diagonal, so
+// it ignores a common shift or positive scale of all coordinates. An
+// element's dominators lie below it on every axis; on an
+// anti-correlated stream they crowd the same x0 + x1 + x2 plane, close
+// to it, and so mostly in its own sector: a shard's local P_new misses
+// few factors, and the candidate union stays close to S_{N,q}. At
+// d <= 2 that plane is a line or a point and has no angle, so routing
+// hashes the position's grid cell (geom/cell_grid.h) instead. See
+// docs/algorithm.md section 7 for the measurements behind both rules.
 //
 // Exactness of the merge (GlobalSkyline)
 // --------------------------------------
@@ -131,7 +142,6 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -145,14 +155,12 @@
 
 namespace psky {
 
-/// How elements map to shards.
+/// How elements map to shards. One rule is left (see the file comment):
+/// the sector around the diagonal at d >= 3, the hashed grid cell at
+/// d <= 2. The enum stays because perfbench and bench_hotpath set it.
 enum class ShardStrategy {
-  kGrid,  ///< splitmix-hashed grid-cell id of the position (default)
-  kBand,  ///< occurrence-probability band: floor(prob * shards)
+  kGrid,
 };
-
-/// Parses "grid" / "band". Returns false on anything else.
-bool ParseShardStrategy(const std::string& text, ShardStrategy* out);
 
 class ShardEngine {
  public:
@@ -238,6 +246,22 @@ class ShardEngine {
 
   /// Owning shard of an element (pure function; exposed for tests).
   int ShardOf(const UncertainElement& e) const;
+
+  /// A command a shard worker is applying, for post-mortem reports.
+  struct WorkerCommand {
+    int shard = 0;
+    const char* kind = "";  ///< "insert", "expire", "merge-probe", "degrade"
+    uint64_t seq = 0;       ///< the element's; 0 for the element-less kinds
+    bool has_element = false;  ///< insert or expire
+  };
+
+  /// On a shard worker thread that is applying a command, writes that
+  /// command to `*out` and returns true; on any other thread, or between
+  /// a worker's commands, returns false. Meant for a check-failure or
+  /// fatal-signal handler, which runs on the failing thread: each worker
+  /// records the command it applies in a thread-local slot (one store
+  /// per command).
+  static bool CurrentWorkerCommand(WorkerCommand* out);
 
   /// Time-window policy counters of the engine's own time window (0, and
   /// a watermark of -infinity, for any other engine).
@@ -345,7 +369,7 @@ class ShardEngine {
     std::thread worker;
   };
 
-  void WorkerLoop(Shard* shard);
+  void WorkerLoop(int index, Shard* shard);
   void ApplyCommand(Shard* shard, const Command& cmd);
   /// One shard's part of a merge round: dominator sums of every
   /// merge_u_ member against this shard's tree. Runs on the shard's
@@ -376,6 +400,12 @@ class ShardEngine {
   bool suspend_oracle_ = false;
   uint64_t audit_stretch_ = 1;
   bool shutdown_ = false;
+
+  /// The calling thread's shard index if it is a shard worker, else -1,
+  /// and the command it is applying (null between commands); read by
+  /// CurrentWorkerCommand on the same thread.
+  static thread_local int worker_shard_;
+  static thread_local const Command* worker_command_;
 };
 
 }  // namespace psky

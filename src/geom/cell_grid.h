@@ -1,7 +1,7 @@
 // Uniform grid over the dimension space, used by the sharded ingestion
-// engine (core/shard_engine.h) for routing: hashing an element's cell id
-// spreads spatially clustered arrivals across shards (`--shard-by
-// grid`).
+// engine (core/shard_engine.h) for routing at d <= 2 only: hashing an
+// element's cell id spreads spatially clustered arrivals across shards.
+// At d >= 3 the engine routes by the sector around the diagonal instead.
 //
 // Coordinates are expected in [0, 1] (the Börzsönyi generators and the
 // CSV reader produce this range); out-of-range values and NaN clamp to

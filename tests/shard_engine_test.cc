@@ -20,12 +20,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "base/check.h"
 #include "core/checkpoint.h"
 #include "geom/dominance.h"
 #include "core/operator.h"
@@ -78,14 +81,11 @@ void ExpectWindowsIdentical(const std::vector<UncertainElement>& a,
   }
 }
 
-ShardEngine::Options CountOptions(int shards,
-                                  ShardStrategy strategy =
-                                      ShardStrategy::kGrid) {
+ShardEngine::Options CountOptions(int shards) {
   ShardEngine::Options opts;
   opts.dims = kDims;
   opts.q = kQ;
   opts.shards = shards;
-  opts.strategy = strategy;
   opts.window_capacity = kWindow;
   return opts;
 }
@@ -93,12 +93,11 @@ ShardEngine::Options CountOptions(int shards,
 // Runs the stream through a sequential StreamProcessor and a sharded
 // engine side by side, comparing skylines at several mid-stream barriers
 // (window filling, full, steady state) and at the end.
-void RunCountEquivalence(SpatialDistribution spatial, int shards,
-                         ShardStrategy strategy) {
+void RunCountEquivalence(SpatialDistribution spatial, int shards) {
   const std::vector<UncertainElement> stream = MakeStream(spatial);
   SskyOperator seq_op(kDims, kQ);
   StreamProcessor seq(&seq_op, kWindow);
-  ShardEngine engine(CountOptions(shards, strategy));
+  ShardEngine engine(CountOptions(shards));
 
   const size_t checkpoints[] = {kWindow / 2, kWindow, kStream / 2, kStream};
   size_t next = 0;
@@ -116,28 +115,19 @@ void RunCountEquivalence(SpatialDistribution spatial, int shards,
 }
 
 TEST(ShardEquivalence, AntiCorrelatedGrid) {
-  RunCountEquivalence(SpatialDistribution::kAntiCorrelated, 4,
-                      ShardStrategy::kGrid);
+  RunCountEquivalence(SpatialDistribution::kAntiCorrelated, 4);
 }
 
 TEST(ShardEquivalence, IndependentGrid) {
-  RunCountEquivalence(SpatialDistribution::kIndependent, 3,
-                      ShardStrategy::kGrid);
+  RunCountEquivalence(SpatialDistribution::kIndependent, 3);
 }
 
 TEST(ShardEquivalence, CorrelatedGrid) {
-  RunCountEquivalence(SpatialDistribution::kCorrelated, 2,
-                      ShardStrategy::kGrid);
-}
-
-TEST(ShardEquivalence, AntiCorrelatedBandStrategy) {
-  RunCountEquivalence(SpatialDistribution::kAntiCorrelated, 4,
-                      ShardStrategy::kBand);
+  RunCountEquivalence(SpatialDistribution::kCorrelated, 2);
 }
 
 TEST(ShardEquivalence, SingleShardDegeneratesToSequential) {
-  RunCountEquivalence(SpatialDistribution::kIndependent, 1,
-                      ShardStrategy::kGrid);
+  RunCountEquivalence(SpatialDistribution::kIndependent, 1);
 }
 
 // Time-window equivalence: the engine's router replicates
@@ -584,15 +574,17 @@ INSTANTIATE_TEST_SUITE_P(
     MergeParamName);
 
 // A rejected set larger than one kernel block (256 candidates), so the
-// restriction spans several blocks and partial tail blocks.
+// restriction spans several blocks and partial tail blocks. Sector
+// routing keeps U close to S*, so it takes d = 6 and 7 shards to reject
+// that many (317 here; 80 at d = 4 and 4 shards).
 TEST(MergeBitIdentityEdge, RejectedSetSpansSeveralKernelBlocks) {
   StreamConfig cfg;
-  cfg.dims = 4;
+  cfg.dims = 6;
   cfg.spatial = SpatialDistribution::kAntiCorrelated;
   cfg.seed = 91;
   const std::vector<UncertainElement> stream =
       StreamGenerator(cfg).Take(kStream);
-  ShardEngine::Options opts = CountOptions(4);
+  ShardEngine::Options opts = CountOptions(7);
   opts.dims = cfg.dims;
   ShardEngine engine(opts);
   for (const UncertainElement& e : stream) ASSERT_TRUE(engine.Route(e));
@@ -600,21 +592,27 @@ TEST(MergeBitIdentityEdge, RejectedSetSpansSeveralKernelBlocks) {
             static_cast<size_t>(kDominanceKernelMaxBlock));
 }
 
-// Band routing on a stream whose probabilities all sit below 0.5 leaves
-// the upper two of four bands empty: those shards probe nothing and
-// contribute only zero sums.
-TEST(MergeBitIdentityEdge, BandStrategyWithEmptyShards) {
+// A stream confined to one sector leaves the other shards empty: they
+// probe nothing and contribute only zero sums. Each point's coordinates
+// are reordered so that x2 is the largest and x0 > x1, which puts its
+// angle around the diagonal in (-pi/2, 0): sector 1 of 4.
+TEST(MergeBitIdentityEdge, EmptyShardsOnOneSectorStream) {
   std::vector<UncertainElement> stream =
       MakeStream(SpatialDistribution::kAntiCorrelated);
-  for (UncertainElement& e : stream) e.prob *= 0.49;
-  ShardEngine engine(CountOptions(4, ShardStrategy::kBand));
+  for (UncertainElement& e : stream) {
+    double c[kDims] = {e.pos[0], e.pos[1], e.pos[2]};
+    std::sort(c, c + kDims);
+    e.pos = Point({c[1], c[0], c[2]});
+  }
+  ShardEngine engine(CountOptions(4));
   size_t i = 0;
   for (const UncertainElement& e : stream) {
     ASSERT_TRUE(engine.Route(e));
     if (++i % kWindow == 0) ExpectMergeBitIdentical(&engine);
   }
   const ShardEngine::Stats stats = engine.GetStats();
-  EXPECT_GT(stats.shards[0].window_elements, 0u);
+  EXPECT_EQ(stats.shards[1].window_elements, kWindow);
+  EXPECT_EQ(stats.shards[0].inserted, 0u);
   EXPECT_EQ(stats.shards[2].inserted, 0u);
   EXPECT_EQ(stats.shards[3].inserted, 0u);
 }
@@ -739,17 +737,195 @@ TEST(ShardEngineDeathTest, FedOneWayOnly) {
   EXPECT_DEATH((void)fed.WindowSnapshot(), "time_window_ != nullptr");
 }
 
+// Routing is a pure function of the element, and the dimension picks
+// its rule: at d >= 3 the sector around the diagonal, which routes a
+// stream unlike the hashed grid cell that d <= 2 keeps.
 TEST(ShardEngine, RoutingIsDeterministicAndStrategySensitive) {
-  ShardEngine grid(CountOptions(4, ShardStrategy::kGrid));
-  ShardEngine band(CountOptions(4, ShardStrategy::kBand));
+  ShardEngine a(CountOptions(4));
+  ShardEngine b(CountOptions(4));
   StreamConfig cfg;
   cfg.dims = kDims;
   StreamGenerator gen(cfg);
+  int unlike_cell = 0;
   for (int i = 0; i < 100; ++i) {
     const UncertainElement e = gen.Next();
-    EXPECT_EQ(grid.ShardOf(e), grid.ShardOf(e));
-    const int b = band.ShardOf(e);
-    EXPECT_EQ(b, std::min(3, static_cast<int>(e.prob * 4)));
+    EXPECT_EQ(a.ShardOf(e), a.ShardOf(e));
+    EXPECT_EQ(a.ShardOf(e), b.ShardOf(e));
+    const uint64_t cell = CellGrid::HashCell(a.grid().IndexOf(e.pos)) % 4;
+    if (a.ShardOf(e) != static_cast<int>(cell)) ++unlike_cell;
+  }
+  EXPECT_GT(unlike_cell, 50);
+}
+
+// A check-failure handler that reports what the failing shard worker was
+// applying, as psky_stream's quarantine dump does.
+void ReportWorkerCommand(const char* /*condition*/, const char* /*file*/,
+                         int /*line*/) {
+  ShardEngine::WorkerCommand cmd;
+  if (!ShardEngine::CurrentWorkerCommand(&cmd)) return;
+  std::fprintf(stderr, "worker: shard=%d %s seq=%llu.\n", cmd.shard,
+               cmd.kind, static_cast<unsigned long long>(cmd.seq));
+}
+
+// An auditing shard checks that every expiry names its substream's
+// oldest element. Expiring a later element of the same shard fires that
+// check on the shard's worker, whose failure handler can then name the
+// shard, the command kind and the element.
+TEST(ShardEngineDeathTest, WorkerCheckFailureNamesItsCommand) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<UncertainElement> stream =
+      MakeStream(SpatialDistribution::kIndependent);
+  ShardEngine::Options opts = CountOptions(3);
+  opts.window_capacity = 0;
+  opts.audit.mode = AuditMode::kCheck;
+  // The second element routed to the first element's shard.
+  ShardEngine probe(opts);
+  const int shard = probe.ShardOf(stream[0]);
+  size_t second = 1;
+  while (probe.ShardOf(stream[second]) != shard) ++second;
+  const std::string expected = "shard=" + std::to_string(shard) +
+                               " expire seq=" +
+                               std::to_string(stream[second].seq) + "\\.";
+  EXPECT_DEATH(
+      {
+        SetCheckFailureHandler(&ReportWorkerCommand);
+        ShardEngine engine(opts);
+        for (size_t i = 0; i <= second; ++i) engine.Insert(stream[i]);
+        engine.Expire(stream[second]);
+        engine.Barrier();
+      },
+      expected);
+}
+
+// --- Sector routing ---------------------------------------------------
+//
+// At d >= 3 an element routes by the angle of (x0, x1, x2) around the
+// diagonal: c1 = x0 - x1, c2 = (x0 + x1 - 2 x2) / sqrt(3), shard
+// floor(n (atan2(c2, c1) + pi) / (2 pi)).
+
+UncertainElement At(double x0, double x1, double x2) {
+  UncertainElement e;
+  e.pos = Point({x0, x1, x2});
+  e.prob = 0.5;
+  return e;
+}
+
+TEST(ShardRouting, SectorRule) {
+  // Points at least 6 degrees from every sector boundary for n = 2, 3, 4
+  // and 7, with their angle and expected shard per n.
+  struct Case {
+    double x0, x1, x2;
+    int shard[4];  // n = 2, 3, 4, 7
+  };
+  const Case cases[] = {
+      {0.375, 0.0, 0.125, {1, 1, 2, 3}},    //  10.9 degrees
+      {0.625, 0.125, 0.0, {1, 1, 2, 4}},    //  40.9
+      {0.375, 0.25, 0.0, {1, 2, 2, 4}},     //  70.9
+      {0.5, 0.625, 0.0, {1, 2, 3, 5}},      // 100.9
+      {0.125, 0.625, 0.0, {1, 2, 3, 6}},    // 139.1
+      {0.0, 0.5, 0.125, {1, 2, 3, 6}},      // 163.9
+      {0.375, 0.0, 0.25, {0, 1, 1, 3}},     // -10.9
+      {0.5, 0.0, 0.625, {0, 1, 1, 2}},      // -40.9
+      {0.125, 0.0, 0.375, {0, 0, 1, 2}},    // -70.9
+      {0.0, 0.125, 0.625, {0, 0, 0, 1}},    // -100.9
+      {0.0, 0.5, 0.625, {0, 0, 0, 0}},      // -139.1
+      {0.0, 0.5, 0.375, {0, 0, 0, 0}},      // -163.9
+  };
+  const int counts[] = {2, 3, 4, 7};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (int k = 0; k < 4; ++k) {
+    const int n = counts[k];
+    ShardEngine engine(CountOptions(n));
+    for (const Case& c : cases) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " at (" << c.x0
+                                        << ", " << c.x1 << ", " << c.x2
+                                        << ")");
+      EXPECT_EQ(engine.ShardOf(At(c.x0, c.x1, c.x2)), c.shard[k]);
+      // A common power-of-two scale or small dyadic shift is exact in
+      // floating point and leaves the angle alone.
+      for (double scale : {0.125, 4.0, 0x1p40, 0x1p-40}) {
+        EXPECT_EQ(engine.ShardOf(At(c.x0 * scale, c.x1 * scale, c.x2 * scale)),
+                  c.shard[k]);
+      }
+      for (double shift : {0.25, -0.5, 3.0}) {
+        EXPECT_EQ(engine.ShardOf(At(c.x0 + shift, c.x1 + shift, c.x2 + shift)),
+                  c.shard[k]);
+      }
+    }
+    // The diagonal has no angle: all of it goes to one shard.
+    for (double v : {0.0, -0.0, 0.5, 1.0, -3.0, 1e300}) {
+      EXPECT_EQ(engine.ShardOf(At(v, v, v)), n / 2) << "n=" << n << " v=" << v;
+    }
+    // Non-finite and negative coordinates still reach a valid shard.
+    const double odd[] = {kNaN, kInf, -kInf, -1.0, -0.25, 0.0};
+    for (double x0 : odd) {
+      for (double x1 : odd) {
+        for (double x2 : odd) {
+          const int shard = engine.ShardOf(At(x0, x1, x2));
+          EXPECT_GE(shard, 0);
+          EXPECT_LT(shard, n);
+        }
+      }
+    }
+  }
+  // At d <= 2 the plane around the diagonal has no angle to route by, and
+  // routing stays the hashed grid cell.
+  for (int dims : {1, 2}) {
+    for (int n : {2, 3, 4, 7}) {
+      ShardEngine::Options opts = CountOptions(n);
+      opts.dims = dims;
+      ShardEngine engine(opts);
+      StreamConfig cfg;
+      cfg.dims = dims;
+      cfg.spatial = SpatialDistribution::kIndependent;
+      StreamGenerator gen(cfg);
+      for (int i = 0; i < 200; ++i) {
+        UncertainElement e = gen.Next();
+        if (i % 10 == 0) e.pos[0] = i % 20 == 0 ? -0.5 : 2.0;  // off range
+        EXPECT_EQ(engine.ShardOf(e),
+                  static_cast<int>(
+                      CellGrid::HashCell(engine.grid().IndexOf(e.pos)) %
+                      static_cast<uint64_t>(n)))
+            << "dims=" << dims << " n=" << n;
+      }
+    }
+  }
+}
+
+// On the three symmetric generators the sector rule splits the window
+// evenly, and the shard candidate union stays close to S*: a shard
+// evicts on its local P_new, which misses only the dominators routed to
+// other sectors. Correlated streams get a looser bound: their candidates
+// hug the diagonal, where the angle says little about dominance, and at
+// this window their S* is so small (27) that a handful of shard-local
+// extras move the ratio a lot.
+TEST(ShardRouting, BalancedAndTight) {
+  struct Case {
+    SpatialDistribution spatial;
+    double max_inflation;
+  };
+  const Case cases[] = {{SpatialDistribution::kAntiCorrelated, 1.6},
+                        {SpatialDistribution::kIndependent, 1.6},
+                        {SpatialDistribution::kCorrelated, 2.3}};
+  for (const Case& c : cases) {
+    const std::vector<UncertainElement> stream = MakeStream(c.spatial);
+    for (int shards : {3, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << SpatialDistributionName(c.spatial) << " shards="
+                   << shards);
+      ShardEngine engine(CountOptions(shards));
+      for (const UncertainElement& e : stream) ASSERT_TRUE(engine.Route(e));
+      size_t sstar = 0;
+      (void)engine.GlobalSkyline(&sstar);
+      const ShardEngine::Stats stats = engine.GetStats();
+      ASSERT_GT(sstar, 0u);
+      EXPECT_LE(stats.imbalance, 1.1);
+      // One merge: merge_candidates is |U|.
+      EXPECT_LE(static_cast<double>(stats.merge_candidates) /
+                    static_cast<double>(sstar),
+                c.max_inflation);
+    }
   }
 }
 

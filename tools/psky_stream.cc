@@ -60,9 +60,11 @@
 //                            behind a lock-free SPSC queue; queries run
 //                            an exact cross-shard merge (bit-equivalent
 //                            window state, same skyline within rounding).
-//                            1 (default) keeps the sequential operator
-//   --shard-by grid|band     partition function: spatial grid cell hash
-//                            (default) or occurrence-probability band
+//                            1 (default) keeps the sequential operator.
+//                            At --dims 3 and up an element goes to the
+//                            sector of its angle around the diagonal
+//                            (x0, x1, x2 only); at --dims 1 and 2, to
+//                            its hashed grid cell
 //   The shards are fed from the same window a sequential run keeps
 //   (count, time or disk): each window step sends the expiries and the
 //   insert to the owning shards. Sharded runs support --emit
@@ -165,7 +167,6 @@ struct Args {
   /// 1 keeps the sequential operator (the default, bit-identical to
   /// previous releases).
   int shards = 1;
-  psky::ShardStrategy shard_by = psky::ShardStrategy::kGrid;
   std::string checkpoint_dir;       // empty: checkpointing disabled
   uint64_t checkpoint_every = 0;    // 0: only final/signal checkpoints
   bool resume = false;
@@ -228,7 +229,7 @@ struct Args {
                "                   [--emit counts|deltas|final] [--every K] "
                "[--topk K] [--seed S]\n"
                "                   [--batch-size B]\n"
-               "                   [--shards N] [--shard-by grid|band]\n"
+               "                   [--shards N]\n"
                "                   [--checkpoint-dir DIR [--checkpoint-every "
                "K] [--resume]]\n"
                "                   [--wal] [--wal-sync-every K] "
@@ -324,11 +325,6 @@ Args Parse(int argc, char** argv) {
       args.batch_size = static_cast<size_t>(ParseUint64Value(flag, need(i++)));
     } else if (flag == "--shards") {
       args.shards = ParseIntValue(flag, need(i++));
-    } else if (flag == "--shard-by") {
-      const char* v = need(i++);
-      if (!psky::ParseShardStrategy(v, &args.shard_by)) {
-        Usage("--shard-by must be grid or band");
-      }
     } else if (flag == "--checkpoint-dir") {
       args.checkpoint_dir = need(i++);
     } else if (flag == "--checkpoint-every") {
@@ -605,6 +601,11 @@ struct CarriedCounters {
 // neither wait for the pipeline thread nor read a window that thread is
 // changing. Its counters are the pipeline thread's latest,
 // read without synchronization from a process that is about to abort.
+// A shard worker's dump names the command the worker was applying
+// (ShardEngine::CurrentWorkerCommand): the reason gains
+// "shard=K insert|expire seq=S", and the file is named and stamped with
+// S, since the router may run a queue's capacity ahead of the workers and
+// the pipeline's step says little about the failure.
 
 struct PostMortemContext {
   /// The state to embed; the window only when `with_window`.
@@ -630,6 +631,19 @@ void DumpQuarantine(const std::string& reason) {
   const bool with_window =
       std::this_thread::get_id() == g_postmortem.pipeline_thread;
   dump.state = g_postmortem.snapshot(with_window);
+  char where[96] = "";
+  psky::ShardEngine::WorkerCommand cmd;
+  if (!with_window && psky::ShardEngine::CurrentWorkerCommand(&cmd)) {
+    if (cmd.has_element) {
+      std::snprintf(where, sizeof where, "; shard=%d %s seq=%llu", cmd.shard,
+                    cmd.kind, static_cast<unsigned long long>(cmd.seq));
+      dump.state.elements_consumed = cmd.seq;
+    } else {
+      std::snprintf(where, sizeof where, "; shard=%d %s", cmd.shard,
+                    cmd.kind);
+    }
+    dump.reason += where;
+  }
   uint64_t dump_seq = 0;
   if (!g_postmortem.governor.Admit(dump.state.elements_consumed, &dump_seq)) {
     std::fprintf(stderr,
@@ -646,8 +660,12 @@ void DumpQuarantine(const std::string& reason) {
   std::string error;
   if (psky::WriteQuarantineFileRetry(path, dump, g_postmortem.io_policy,
                                      g_postmortem.io_stats, &error)) {
+    const std::string note =
+        with_window ? ""
+                    : std::string(" (off the pipeline thread: no window") +
+                          where + ")";
     std::fprintf(stderr, "quarantine dump written to %s%s\n", path.c_str(),
-                 with_window ? "" : " (off the pipeline thread: no window)");
+                 note.c_str());
   } else {
     std::fprintf(stderr, "error: quarantine dump failed: %s\n", error.c_str());
   }
@@ -828,7 +846,6 @@ int main(int argc, char** argv) {
     eng.dims = args.dims;
     eng.q = args.q;
     eng.shards = args.shards;
-    eng.strategy = args.shard_by;
     // Per-shard auditing runs inside each shard worker, over the shard's
     // own substream.
     eng.audit.mode = args.audit_mode;
