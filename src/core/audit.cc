@@ -47,8 +47,8 @@ void AuditManager::AuditBatch(const std::vector<Target>& targets) {
   // window, not k, and the pass starts just past the oldest target: no
   // earlier position is newer than any of them.
   //
-  // The pass packs positions into dim-major blocks (the shard merge's
-  // phase-2 layout) and tests each target against a whole block with the
+  // The pass packs positions into dim-major blocks (the sky-tree leaves'
+  // layout) and tests each target against a whole block with the
   // dominance kernel. A block position's log(1 - P) factor is computed
   // once, if it dominates any target. Mask bits are walked ascending and
   // blocks are taken oldest first, so each target's sum receives the

@@ -1,14 +1,12 @@
 #include "core/shard_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <numbers>
 
 #include "base/check.h"
 #include "base/timer.h"
-#include "geom/dominance_kernel.h"
 
 namespace psky {
 
@@ -19,6 +17,9 @@ thread_local const ShardEngine::Command* ShardEngine::worker_command_ =
 namespace {
 
 constexpr size_t kWorkerBatch = 256;
+// Commands in flight per shard: how far the router may run ahead of a
+// worker before Push blocks.
+constexpr size_t kQueueCapacity = 4096;
 
 // The sector, of n equal ones counted from -pi, of the polar angle of
 // (x0, x1, x2) around the diagonal (see the header's file comment). A
@@ -50,7 +51,7 @@ AuditManager::WindowStream StreamOf(const std::deque<UncertainElement>* w) {
 }  // namespace
 
 ShardEngine::Shard::Shard(const Options& opts)
-    : queue(opts.queue_capacity), op(opts.dims, opts.q, opts.tree_options) {
+    : queue(kQueueCapacity), op(opts.dims, opts.q) {
   if (opts.audit.mode != AuditMode::kOff) {
     audit_window = std::make_unique<std::deque<UncertainElement>>();
     audit = std::make_unique<AuditManager>(&op, opts.audit,
@@ -64,9 +65,6 @@ ShardEngine::ShardEngine(const Options& options)
   PSKY_CHECK(options_.shards >= 1 && options_.shards <= 255);
   if (options_.window_capacity > 0) {
     count_window_ = std::make_unique<CountWindow>(options_.window_capacity);
-  } else if (options_.time_span > 0.0) {
-    time_window_ =
-        std::make_unique<TimeWindow>(options_.time_span, options_.ooo_policy);
   }
   shards_.reserve(static_cast<size_t>(options_.shards));
   for (int i = 0; i < options_.shards; ++i) {
@@ -134,34 +132,23 @@ void ShardEngine::SendElement(Command::Kind kind, const UncertainElement& e) {
 
 void ShardEngine::Insert(const UncertainElement& e) {
   PSKY_CHECK(!shutdown_);
-  PSKY_CHECK(count_window_ == nullptr && time_window_ == nullptr);
+  PSKY_CHECK(count_window_ == nullptr);
   SendElement(Command::kInsert, e);
 }
 
 void ShardEngine::Expire(const UncertainElement& e) {
   PSKY_CHECK(!shutdown_);
-  PSKY_CHECK(count_window_ == nullptr && time_window_ == nullptr);
+  PSKY_CHECK(count_window_ == nullptr);
   SendElement(Command::kExpire, e);
 }
 
-bool ShardEngine::Route(const UncertainElement& e,
-                        UncertainElement* out_admitted) {
+bool ShardEngine::Route(const UncertainElement& e) {
   PSKY_CHECK(!shutdown_);
-  UncertainElement admitted = e;
-  if (count_window_ != nullptr) {
-    if (const auto old = count_window_->Push(e)) {
-      SendElement(Command::kExpire, *old);
-    }
-  } else {
-    PSKY_CHECK(time_window_ != nullptr);
-    expired_.clear();
-    if (!time_window_->TryPush(&admitted, &expired_)) return false;
-    for (const UncertainElement& old : expired_) {
-      SendElement(Command::kExpire, old);
-    }
+  PSKY_CHECK(count_window_ != nullptr);
+  if (const auto old = count_window_->Push(e)) {
+    SendElement(Command::kExpire, *old);
   }
-  SendElement(Command::kInsert, admitted);
-  if (out_admitted != nullptr) *out_admitted = admitted;
+  SendElement(Command::kInsert, e);
   return true;
 }
 
@@ -286,89 +273,36 @@ std::vector<SkylineMember> ShardEngine::GlobalSkyline(
   const size_t u_size = merge_u_.size();
   merge_candidates_ += u_size;
 
-  // Phase 1: exact dominator sums over U. Every shard's tree is probed
-  // for all of U: shard 0's by the router itself (its worker is parked
-  // after the barrier), the others' by their workers. The router then
-  // folds the per-shard sums in shard-index order, so each candidate's
-  // additions happen in the same order as a serial (candidate, shard)
-  // loop (see file comment).
+  // Exact dominator sums over U. Every shard's tree is probed for all
+  // of U: shard 0's by the router itself (its worker is parked after the
+  // barrier), the others' by their workers.
   Command probe;
   probe.kind = Command::kMergeProbe;
   for (size_t j = 1; j < shards_.size(); ++j) Send(shards_[j].get(), probe);
   ProbeMergeCandidates(shards_[0].get());
   WaitApplied();
-  std::vector<SkyTree::DominatorSums> sums(u_size);
-  for (const auto& shard : shards_) {
-    for (size_t k = 0; k < u_size; ++k) {
-      // order-sensitive: shard-index order per candidate; the
-      // bit-identity contract of the merge rests on it.
-      sums[k].newer_log += shard->merge_sums[k].newer_log;
-      // order-sensitive: same fold order as newer_log above.
-      sums[k].older_log += shard->merge_sums[k].older_log;
-    }
-  }
   merge_probes_ += shards_.size() * u_size;
 
-  // S* membership: full-window P_new >= q (see file comment for why the
-  // U-sum equals the full-window sum exactly for true members). The
-  // rejected U \ S* members are packed, in U order, into dim-major blocks
-  // for the dominance kernel, with their seq and log(1 - P) factor.
-  const int dims = options_.dims;
-  constexpr int kBlock = kDominanceKernelMaxBlock;
-  const size_t block_size = static_cast<size_t>(dims) * kBlock;
-  std::vector<double> block_coords;
-  std::vector<uint64_t> rejected_seq;
-  std::vector<double> rejected_factor;
-  for (size_t k = 0; k < u_size; ++k) {
-    if (sums[k].newer_log >= q_log) continue;
-    const UncertainElement& e = merge_u_[k];
-    const size_t r = rejected_seq.size();
-    if (r % kBlock == 0) block_coords.resize(block_coords.size() + block_size);
-    double* block = block_coords.data() + (r / kBlock) * block_size;
-    for (int d = 0; d < dims; ++d) {
-      block[static_cast<size_t>(d) * kBlock + r % kBlock] = e.pos[d];
-    }
-    rejected_seq.push_back(e.seq);
-    rejected_factor.push_back(LogOneMinusProb(e.prob));
-  }
-  const size_t num_rejected = rejected_seq.size();
-  const size_t num_blocks = block_coords.size() / block_size;
-  if (candidate_count != nullptr) *candidate_count = u_size - num_rejected;
-
-  // Phase 2: restrict the sums to S* by removing the factors of
-  // U \ S* dominators, then decide membership on restricted P_sky.
-  // Blocks are taken in order and mask bits walked ascending, so the
-  // subtractions happen in rejected-list order.
+  // Each candidate's sums fold in shard-index order, as a serial
+  // (candidate, shard) loop adds them. A candidate is in S* when its
+  // full-window P_new >= q, and a q-skyline member when its P_sky over
+  // the U-sums is (see file comment for why both are exact).
   std::vector<SkylineMember> out;
-  uint64_t dominators[kDominanceKernelMaskWords];
-  uint64_t dominated[kDominanceKernelMaskWords];
+  size_t sstar = 0;
   for (size_t k = 0; k < u_size; ++k) {
-    if (!(sums[k].newer_log >= q_log)) continue;
-    const UncertainElement& a = merge_u_[k];
-    double newer_log = sums[k].newer_log;
-    double older_log = sums[k].older_log;
-    for (size_t b = 0; b < num_blocks; ++b) {
-      const size_t left = num_rejected - b * kBlock;
-      const int n = left < kBlock ? static_cast<int>(left) : kBlock;
-      DominanceBlockCompare(a.pos.data(), dims,
-                            block_coords.data() + b * block_size, kBlock, n,
-                            dominators, dominated);
-      for (int w = 0; w < (n + 63) / 64; ++w) {
-        for (uint64_t bits = dominators[w]; bits != 0; bits &= bits - 1) {
-          const size_t r = b * kBlock + static_cast<size_t>(w) * 64 +
-                           static_cast<size_t>(std::countr_zero(bits));
-          if (rejected_seq[r] > a.seq) {
-            // order-sensitive: rejected-list order, as the serial loop.
-            newer_log -= rejected_factor[r];
-          } else {
-            // order-sensitive: rejected-list order, as the serial loop.
-            older_log -= rejected_factor[r];
-          }
-        }
-      }
+    double newer_log = 0.0;
+    double older_log = 0.0;
+    for (const auto& shard : shards_) {
+      // order-sensitive: shard-index order per candidate; the
+      // bit-identity contract of the merge rests on it.
+      newer_log += shard->merge_sums[k].newer_log;
+      // order-sensitive: same fold order as newer_log above.
+      older_log += shard->merge_sums[k].older_log;
     }
-    const double prob_log = std::log(a.prob);
-    const double psky_log = prob_log + newer_log + older_log;
+    if (!(newer_log >= q_log)) continue;
+    ++sstar;
+    const UncertainElement& a = merge_u_[k];
+    const double psky_log = std::log(a.prob) + newer_log + older_log;
     if (psky_log >= q_log) {
       SkylineMember m;
       m.element = a;
@@ -379,6 +313,7 @@ std::vector<SkylineMember> ShardEngine::GlobalSkyline(
       out.push_back(m);
     }
   }
+  if (candidate_count != nullptr) *candidate_count = sstar;
   std::sort(out.begin(), out.end(),
             [](const SkylineMember& a, const SkylineMember& b) {
               return a.element.seq < b.element.seq;
@@ -389,9 +324,8 @@ std::vector<SkylineMember> ShardEngine::GlobalSkyline(
 
 std::vector<UncertainElement> ShardEngine::WindowSnapshot() const {
   PSKY_CHECK(!shutdown_);
-  if (count_window_ != nullptr) return count_window_->Snapshot();
-  PSKY_CHECK(time_window_ != nullptr);
-  return time_window_->Snapshot();
+  PSKY_CHECK(count_window_ != nullptr);
+  return count_window_->Snapshot();
 }
 
 ShardEngine::Stats ShardEngine::GetStats() const {

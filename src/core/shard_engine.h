@@ -9,10 +9,10 @@
 //   Insert(e) / Expire(e):             loop:
 //     one command to ShardOf(e)          PopBatch(commands)
 //   Route(e):                            kExpire(e) -> op.Expire(e)
-//     the engine's own CountWindow /     kInsert(e) -> op.Insert(e),
-//     TimeWindow admits e, then            audit.Step()
-//     Expire(old) per expired element,   kMergeProbe -> dominator sums
-//     then Insert(e)                       of merge_u_ against own tree
+//     the engine's own CountWindow       kInsert(e) -> op.Insert(e),
+//     admits e, then Expire(old) for       audit.Step()
+//     the element it dropped, then       kMergeProbe -> dominator sums
+//     Insert(e)                            of merge_u_ against own tree
 //   GlobalSkyline():                     publish applied counter
 //     kMergeProbe to shards 1..n-1,
 //     probes shard 0 itself
@@ -29,12 +29,12 @@
 // makes sharded runs deterministic and checkpoint/replay-compatible:
 // a checkpoint records the caller's window, whichever engine ran.
 //
-// An engine is fed one way. Built with Options::window_capacity or
-// time_span, it owns a stream/window.h window and is fed by Route (the
-// benchmark and the equivalence tests do this); built with neither, it
-// is fed by Insert/Expire from a window the caller owns (psky_stream
-// does this for its count, time and disk windows). Each form
-// PSKY_CHECKs that the other was not chosen.
+// An engine is fed one way. Built with Options::window_capacity, it
+// owns a stream/window.h CountWindow and is fed by Route (the benchmark
+// and the count-window equivalence tests do this); built without, it is
+// fed by Insert/Expire from a window the caller owns (psky_stream does
+// this for its count, time and disk windows, and the tests for their
+// time windows). Each form PSKY_CHECKs that the other was not chosen.
 //
 // A shard copies window elements only for its auditor: with
 // Options::audit.mode != kOff it keeps its substream, oldest first, as
@@ -71,28 +71,41 @@
 // P_new of a live element only shrinks over its lifetime (newer arrivals
 // add factors; expirations remove *older* elements and touch P_old
 // only), so "was never evicted" equals "current full-window P_new >= q".
-// The merge exploits this in two phases:
+// The merge makes one pass over U:
 //
-//   1. For every a in U, compute pnew_U(a) = sum of log(1-P(b)) over
-//      newer dominators b in U (per-shard SkyTree::ExactDominators,
-//      summed in shard-index order). Define S* = { a : pnew_U(a) >= q }.
+//   1. For every a in U, compute the U-sums newer_U(a) and older_U(a):
+//      sums of log(1-P(b)) over the dominators b in U newer and older
+//      than a (per-shard SkyTree::ExactDominators, summed in
+//      shard-index order). Define S* = { a : newer_U(a) >= log q }.
 //      Then S* = S_{N,q} exactly: for a in S_{N,q} every newer window
-//      dominator is itself in S_{N,q} (subset of U), so pnew_U = the
-//      true full-window P_new >= q; for a not in S_{N,q}, induction over
-//      descending arrival order shows pnew_U(a) < q (any missing
-//      dominator b not in U has pnew_U(b) < q by hypothesis, and a's
-//      U-dominators include all of b's, so pnew_U(a) <= pnew_U(b)).
-//   2. Restrict the phase-1 sums to S* by subtracting the factors of
-//      dominators in U \ S*, giving the same restricted P_new/P_old
-//      decomposition the sequential operator reports (see core/audit.h
-//      for why restricted P_sky = prob * P_new * P_old decides
-//      membership exactly — the paper's Theorems 2-4).
+//      dominator is itself in S_{N,q} (subset of U), so newer_U(a) is
+//      the true full-window log P_new >= log q; for a not in S_{N,q},
+//      induction over descending arrival order shows newer_U(a) <
+//      log q (any missing dominator b not in U has newer_U(b) < log q
+//      by hypothesis, and a's U-dominators include all of b's, so
+//      newer_U(a) <= newer_U(b)).
+//   2. Report a in S* iff prob(a) * P_new * P_old >= q, with P_new and
+//      P_old read from the U-sums. The sequential operator decides on
+//      sums restricted to S* (see core/audit.h for why restricted P_sky
+//      decides membership exactly — the paper's Theorems 2-4), and the
+//      U-sums give the same answer: a U-sum has every factor of the
+//      restricted sum and possibly more, each at most 1, so a
+//      non-member stays below q; and a member has no dominator in
+//      U \ S* at all, so its U-sums are its restricted sums. (Were b
+//      the newest dominator of a in U \ S*, every newer dominator of b
+//      in U would lie in S* and dominate a too; their factors multiply
+//      to b's P_new over U, which is below q, and a's restricted P_sky
+//      carries all of them.)
 //
 // The merged skyline therefore contains exactly the sequential skyline
 // members with exactly the same probability factor multisets; reported
 // doubles can differ from the sequential operator's lazily accumulated
 // values only by summation-order rounding (ulps — the equivalence tests
-// bound it at 1e-9).
+// bound it at 1e-9). The argument above is exact arithmetic: in doubles
+// the one-pass output could differ from a merge that first restricts
+// the sums to S* only where a member's sum lands within rounding of
+// log q, and MergeBitIdentity (tests/shard_engine_test.cc) checks it
+// bitwise against such a two-phase serial reference.
 //
 // Where the merge runs
 // --------------------
@@ -107,10 +120,8 @@
 //   router, meanwhile: does the same for shard 0, whose worker stays
 //     parked (it has no command), instead of idling.
 //   router: waits until every shard has applied its probe command (an
-//     internal round, not counted in Stats::barriers), then folds
-//     merge_sums shard by shard in shard-index order and runs phase 2
-//     alone, testing each S* member against dim-major blocks of the
-//     U \ S* coordinates with DominanceBlockCompare.
+//     internal round, not counted in Stats::barriers), then folds each
+//     candidate's merge_sums in shard-index order and decides it.
 //
 // During the probe round every shard's tree and merge_sums have exactly
 // one user (shard 0's: the router; the others': their workers), and
@@ -119,11 +130,8 @@
 // acquire publishes merge_sums back — no lock or atomic beyond the
 // existing ones. (Shard 0's sums need neither: the router wrote them.)
 // The fold adds the same terms in the same order as a serial loop over
-// (candidate, shard). The blocks hold U \ S* in U order and
-// phase 2 walks them in order, mask bits ascending, so every subtraction
-// keeps the serial restriction loop's order. The merged output is
-// therefore bit-identical to the single-threaded merge for any shard
-// count.
+// (candidate, shard), so the merged output is bit-identical to the
+// single-threaded merge for any shard count.
 //
 // Thread-safety: Route/Insert/Expire/Barrier/GlobalSkyline/
 // WindowSnapshot/GetStats must all be called from one thread (the
@@ -140,7 +148,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -169,16 +176,10 @@ class ShardEngine {
     double q = 0.3;
     int shards = 2;
     ShardStrategy strategy = ShardStrategy::kGrid;
-    /// The engine's own window, which Route feeds: count-based when
-    /// window_capacity > 0, else time-based over time_span seconds with
-    /// `ooo_policy` when time_span > 0. Leave both 0 to feed the engine
-    /// from the caller's window through Insert/Expire.
+    /// The engine's own count window, which Route feeds, when > 0. Leave
+    /// it 0 to feed the engine from the caller's window through
+    /// Insert/Expire.
     size_t window_capacity = 0;
-    double time_span = 0.0;
-    TimestampPolicy ooo_policy = TimestampPolicy::kReject;
-    /// Per-shard SPSC queue capacity (elements in flight per shard).
-    size_t queue_capacity = 4096;
-    SkyTree::Options tree_options;
     /// Per-shard integrity auditing (core/audit.h), run inside the shard
     /// worker against the shard's own substream, which the shard keeps
     /// as its audit window; oracle replays run on the worker too.
@@ -200,13 +201,11 @@ class ShardEngine {
   /// a window.
   void Expire(const UncertainElement& e);
 
-  /// Routes one arrival through the engine's own window (requires one):
-  /// admits it, then expires what the window dropped and inserts it, as
-  /// Insert/Expire would. Returns false iff the element was rejected as
-  /// out-of-order (time windows under TimestampPolicy::kReject). When
-  /// `admitted` is non-null and the element was accepted, it receives
-  /// the element as actually windowed (timestamp clamp applied).
-  bool Route(const UncertainElement& e, UncertainElement* admitted = nullptr);
+  /// Routes one arrival through the engine's own count window (requires
+  /// one): pushes it, then expires the element the window dropped, if
+  /// any, and inserts it, as Insert/Expire would. A count window admits
+  /// every element, so it returns true; the benchmark checks the result.
+  bool Route(const UncertainElement& e);
 
   /// Applies the degradation ladder's audit effects (see
   /// AuditManager::SetDegradation) to every shard auditor: each one gets
@@ -262,20 +261,6 @@ class ShardEngine {
   /// records the command it applies in a thread-local slot (one store
   /// per command).
   static bool CurrentWorkerCommand(WorkerCommand* out);
-
-  /// Time-window policy counters of the engine's own time window (0, and
-  /// a watermark of -infinity, for any other engine).
-  uint64_t rejected() const {
-    return time_window_ != nullptr ? time_window_->rejected() : 0;
-  }
-  uint64_t clamped() const {
-    return time_window_ != nullptr ? time_window_->clamped() : 0;
-  }
-  double watermark() const {
-    return time_window_ != nullptr
-               ? time_window_->watermark()
-               : -std::numeric_limits<double>::infinity();
-  }
 
   struct ShardStats {
     uint64_t routed = 0;       ///< commands sent, of every kind
@@ -383,10 +368,8 @@ class ShardEngine {
 
   Options options_;
   CellGrid grid_;
-  /// The engine's own window (Route), at most one of the two.
+  /// The engine's own window (Route); null when the caller feeds it.
   std::unique_ptr<CountWindow> count_window_;
-  std::unique_ptr<TimeWindow> time_window_;
-  std::vector<UncertainElement> expired_;  ///< Route's scratch
   /// Merge candidate union U, rebuilt by the router per GlobalSkyline;
   /// read-only for the workers during the probe round.
   std::vector<UncertainElement> merge_u_;

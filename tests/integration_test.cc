@@ -187,5 +187,46 @@ TEST(Integration, OperatorStatsAreTracked) {
   EXPECT_GT(stats.evictions, 0u);
 }
 
+// A certain, monotone chain: element i at (i, i, i) with P = 1 (clamped
+// to 1 - 1e-12). Nothing newer dominates anything, so every window
+// element stays in S_{N,q}; each one is dominated by every older one, so
+// only the oldest is a q-skyline member. The newest element's log P_old
+// sums 19,999 factors of log(1e-12): about -552,593, beyond the +-524,288
+// that a 64-bit fixed-point sum at 2^-44 could hold. The CLI test
+// cli_certain_chain_sharded_matches_sequential runs the same stream
+// through psky_stream against --shards 3.
+TEST(Integration, CertainChainKeepsEveryElementAndTheOldest) {
+  constexpr size_t kWindow = 20000;
+  constexpr size_t kCount = 30000;
+  SskyOperator op(3, 0.3);
+  StreamProcessor proc(&op, kWindow);
+  UncertainElement e;
+  for (size_t i = 0; i < kCount; ++i) {
+    const double x = static_cast<double>(i);
+    e.pos = Point({x, x, x});
+    e.prob = ClampProb(1.0);
+    e.seq = i;
+    e.time = x;
+    proc.Step(e);
+  }
+  op.tree().CheckInvariants();
+  EXPECT_EQ(op.candidate_count(), kWindow);
+  const std::vector<SkylineMember> sky = op.Skyline();
+  ASSERT_EQ(sky.size(), 1u);
+  EXPECT_EQ(sky[0].element.seq, kCount - kWindow);
+  // 1.000000 as psky_stream prints it. Its P_old is restored to 1 from a
+  // sum that passed -552,000 on the way, so rounding leaves it about
+  // 9e-9 above 1 (ROADMAP item 2).
+  EXPECT_NEAR(sky[0].psky, 1.0, 5e-7);
+
+  const SkyTree::AuditView newest = op.tree().LookupForAudit(e.pos, e.seq);
+  ASSERT_TRUE(newest.found);
+  EXPECT_EQ(newest.pnew_log, 0.0);
+  const double want = static_cast<double>(kWindow - 1) *
+                      LogOneMinusProb(ClampProb(1.0));
+  EXPECT_NEAR(newest.pold_log, want, 1e-9 * -want);
+  EXPECT_LT(newest.pold_log, -524288.0);
+}
+
 }  // namespace
 }  // namespace psky

@@ -10,8 +10,9 @@
 // while membership and ordering are compared exactly. Window snapshots,
 // by contrast, pass elements through untouched and must be
 // byte-identical (checkpoint interchangeability), and the merge itself
-// must be bitwise equal to a single-threaded reference of the same
-// algorithm (MergeBitIdentity below), whichever threads ran its probes.
+// must be bitwise equal to a single-threaded reference that restricts
+// its sums to S* before deciding (MergeBitIdentity below), whichever
+// threads ran its probes.
 
 #include "core/shard_engine.h"
 
@@ -24,6 +25,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -90,6 +92,28 @@ ShardEngine::Options CountOptions(int shards) {
   return opts;
 }
 
+// An engine without a window of its own, fed through Insert/Expire.
+ShardEngine::Options FedOptions(int shards) {
+  ShardEngine::Options opts = CountOptions(shards);
+  opts.window_capacity = 0;
+  return opts;
+}
+
+// Seconds a time window spans; ~2000 elements at the default rate.
+constexpr double kSpan = 2.0;
+
+// Pushes `e` through the test's own time window and sends the engine the
+// expiries and the insert that admission implies, as psky_stream's window
+// step does. Returns false when the window refuses `e`.
+bool FeedThrough(TimeWindow* window, ShardEngine* engine,
+                 UncertainElement e) {
+  std::vector<UncertainElement> expired;
+  if (!window->TryPush(&e, &expired)) return false;
+  for (const UncertainElement& old : expired) engine->Expire(old);
+  engine->Insert(e);
+  return true;
+}
+
 // Runs the stream through a sequential StreamProcessor and a sharded
 // engine side by side, comparing skylines at several mid-stream barriers
 // (window filling, full, steady state) and at the end.
@@ -130,8 +154,9 @@ TEST(ShardEquivalence, SingleShardDegeneratesToSequential) {
   RunCountEquivalence(SpatialDistribution::kIndependent, 1);
 }
 
-// Time-window equivalence: the engine's router replicates
-// TimeWindow::TryPush decision for decision.
+// Time-window equivalence: one TimeWindow, the test's own, feeds both
+// the sequential operator and the engine (through Insert/Expire), as
+// psky_stream's one window feeds either engine.
 void RunTimeEquivalence(SpatialDistribution spatial, int shards,
                         TimestampPolicy policy, bool scramble) {
   std::vector<UncertainElement> stream = MakeStream(spatial);
@@ -141,17 +166,10 @@ void RunTimeEquivalence(SpatialDistribution spatial, int shards,
       stream[i].time = stream[i - 3].time;
     }
   }
-  const double span = 2.0;  // seconds; ~2000 elements at the default rate
 
   SskyOperator seq_op(kDims, kQ);
-  TimeWindow seq_win(span, policy);
-  ShardEngine::Options opts;
-  opts.dims = kDims;
-  opts.q = kQ;
-  opts.shards = shards;
-  opts.time_span = span;
-  opts.ooo_policy = policy;
-  ShardEngine engine(opts);
+  TimeWindow window(kSpan, policy);
+  ShardEngine engine(FedOptions(shards));
 
   std::vector<UncertainElement> expired;
   const size_t checkpoints[] = {kStream / 4, kStream / 2, kStream};
@@ -159,22 +177,25 @@ void RunTimeEquivalence(SpatialDistribution spatial, int shards,
   for (size_t i = 0; i < stream.size(); ++i) {
     UncertainElement e = stream[i];
     expired.clear();
-    const bool seq_ok = seq_win.TryPush(&e, &expired);
-    const bool shard_ok = engine.Route(stream[i]);
-    ASSERT_EQ(seq_ok, shard_ok);
-    if (seq_ok) {
-      for (const UncertainElement& x : expired) seq_op.Expire(x);
+    if (window.TryPush(&e, &expired)) {
+      for (const UncertainElement& x : expired) {
+        seq_op.Expire(x);
+        engine.Expire(x);
+      }
       seq_op.Insert(e);
+      engine.Insert(e);
     }
     if (next < std::size(checkpoints) && i + 1 == checkpoints[next]) {
       ++next;
       ExpectSkylineEquivalent(seq_op.Skyline(), engine.GlobalSkyline());
-      ExpectWindowsIdentical(seq_win.Snapshot(), engine.WindowSnapshot());
     }
   }
-  EXPECT_EQ(seq_win.rejected(), engine.rejected());
-  EXPECT_EQ(seq_win.clamped(), engine.clamped());
-  EXPECT_EQ(seq_win.watermark(), engine.watermark());
+  ASSERT_EQ(next, std::size(checkpoints));
+  if (scramble) {
+    EXPECT_GT(policy == TimestampPolicy::kReject ? window.rejected()
+                                                 : window.clamped(),
+              0u);
+  }
 }
 
 TEST(ShardEquivalence, TimeWindowInOrder) {
@@ -263,31 +284,36 @@ TEST(ShardEquivalence, ResumeWithDifferentShardCountAndTimeWindow) {
   const size_t cut = kStream / 3;
   const double span = 1.5;
 
-  ShardEngine::Options opts;
-  opts.dims = kDims;
-  opts.q = kQ;
-  opts.shards = 2;
-  opts.time_span = span;
-  ShardEngine first(opts);
-  for (size_t i = 0; i < cut; ++i) ASSERT_TRUE(first.Route(stream[i]));
-  const std::vector<UncertainElement> snapshot = first.WindowSnapshot();
-
-  opts.shards = 4;
-  ShardEngine second(opts);
-  for (const UncertainElement& e : snapshot) ASSERT_TRUE(second.Route(e));
-
+  // A 2-shard run up to the cut, whose window is the checkpoint; it must
+  // agree with the sequential run there.
   SskyOperator seq_op(kDims, kQ);
   TimeWindow seq_win(span);
+  TimeWindow first_window(span);
+  ShardEngine first(FedOptions(2));
   std::vector<UncertainElement> expired;
-  for (size_t i = 0; i < stream.size(); ++i) {
+  auto step_sequential = [&](size_t i) {
     UncertainElement e = stream[i];
     expired.clear();
     ASSERT_TRUE(seq_win.TryPush(&e, &expired));
     for (const UncertainElement& x : expired) seq_op.Expire(x);
     seq_op.Insert(e);
-    if (i >= cut) {
-      ASSERT_TRUE(second.Route(stream[i]));
-    }
+  };
+  for (size_t i = 0; i < cut; ++i) {
+    step_sequential(i);
+    ASSERT_TRUE(FeedThrough(&first_window, &first, stream[i]));
+  }
+  ExpectSkylineEquivalent(seq_op.Skyline(), first.GlobalSkyline());
+  const std::vector<UncertainElement> snapshot = first_window.Snapshot();
+
+  // A 4-shard run rebuilt from that window, then continued.
+  TimeWindow second_window(span);
+  ShardEngine second(FedOptions(4));
+  for (const UncertainElement& e : snapshot) {
+    ASSERT_TRUE(FeedThrough(&second_window, &second, e));
+  }
+  for (size_t i = cut; i < stream.size(); ++i) {
+    step_sequential(i);
+    ASSERT_TRUE(FeedThrough(&second_window, &second, stream[i]));
   }
   ExpectSkylineEquivalent(seq_op.Skyline(), second.GlobalSkyline());
 }
@@ -416,19 +442,20 @@ TEST(ShardEngineDeathTest, RouterCallsAfterShutdownFailLoudly) {
 // --- Merge bit-identity -------------------------------------------------
 //
 // The engine runs the merge's dominator probes on the shard workers (and
-// shard 0's on the router) and its restriction with the block dominance
-// kernel. The reference below is the same algorithm written serially
-// with public accessors: per candidate, ExactDominators against every
-// shard in shard-index order, then a scalar Dominates loop over U \ S*
-// in U order. Call it after a Barrier(), while the workers are parked.
+// shard 0's on the router) and decides every member in one pass over
+// the U-sums. The reference below is the two-phase merge the engine
+// once ran, written serially with public accessors: per candidate,
+// ExactDominators against every shard in shard-index order, then a
+// scalar Dominates loop over U \ S* in U order that restricts the sums
+// to S* before deciding. Call it after a Barrier(), while the workers
+// are parked.
 //
 // A q-skyline member never has a dominator in U \ S*: the newest such
 // dominator is rejected by newer dominators that all lie in S* and also
 // dominate the member, which already pushes its P_sky below q. So,
 // short of rounding at the threshold, the restriction changes no
-// reported value and these comparisons mostly check the phase-1 fold;
-// dominance_kernel_test checks the kernel's masks index by index
-// against the scalar test.
+// reported value, and the one-pass merge must match the reference bit
+// for bit, also where U \ S* is large.
 
 struct ReferenceMerge {
   std::vector<SkylineMember> skyline;
@@ -538,16 +565,16 @@ class MergeBitIdentity : public ::testing::TestWithParam<MergeParam> {};
 TEST_P(MergeBitIdentity, MatchesSerialReference) {
   const auto [spatial, shards, kind] = GetParam();
   const std::vector<UncertainElement> stream = MakeStream(spatial);
-  ShardEngine::Options opts = CountOptions(shards);
-  if (kind == WindowKind::kTime) {
-    opts.window_capacity = 0;
-    opts.time_span = 2.0;  // ~2000 elements at the default rate
-  }
-  ShardEngine engine(opts);
+  // A time window is the test's own, feeding the engine; a count window
+  // is the engine's, fed by Route.
+  const bool timed = kind == WindowKind::kTime;
+  TimeWindow time_window(kSpan);
+  ShardEngine engine(timed ? FedOptions(shards) : CountOptions(shards));
   const size_t merges_at[] = {kWindow / 2, kWindow, kStream};
   size_t next = 0;
   for (size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_TRUE(engine.Route(stream[i]));
+    ASSERT_TRUE(timed ? FeedThrough(&time_window, &engine, stream[i])
+                      : engine.Route(stream[i]));
     if (next < std::size(merges_at) && i + 1 == merges_at[next]) {
       ++next;
       ExpectMergeBitIdentical(&engine);
@@ -573,10 +600,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          WindowKind::kTime)),
     MergeParamName);
 
-// A rejected set larger than one kernel block (256 candidates), so the
-// restriction spans several blocks and partial tail blocks. Sector
-// routing keeps U close to S*, so it takes d = 6 and 7 shards to reject
-// that many (317 here; 80 at d = 4 and 4 shards).
+// A rejected set of more than 256 candidates, so the reference's
+// restriction walks a large U \ S* that the one-pass merge never looks
+// at. Sector routing keeps U close to S*, so it takes d = 6 and 7 shards
+// to reject that many (317 here; 80 at d = 4 and 4 shards).
 TEST(MergeBitIdentityEdge, RejectedSetSpansSeveralKernelBlocks) {
   StreamConfig cfg;
   cfg.dims = 6;
@@ -621,43 +648,59 @@ TEST(MergeBitIdentityEdge, EmptyShardsOnOneSectorStream) {
 //
 // psky_stream keeps one window for both engines and feeds the shards
 // through Insert/Expire. Fed from any window kind, the engine must merge
-// bit for bit what Route gives over its own window.
+// bit for bit what the serial reference merges, agree with the
+// sequential operator fed from the same window, and, over a count
+// window, merge bit for bit what Route gives over the engine's own.
 
 using Expired = std::vector<UncertainElement>;
 
-// Streams `stream` into an engine without a window, fed by `push` (the
-// caller's window: false when it refuses the element, else the expired
-// elements land in `expired`), and through Route into an engine built
-// with `routed_opts`; the two merge identically at three points.
+// Streams `stream` through `push` (the caller's window: false when it
+// refuses the element, else the expired elements land in `expired`) into
+// an engine without a window and into the sequential operator, and, when
+// `opts` has a window capacity, through Route into an engine built with
+// `opts`; all of them agree at three points.
 template <typename Push>
 void RunFedFromWindow(const std::vector<UncertainElement>& stream,
-                      const ShardEngine::Options& routed_opts, Push push) {
-  ShardEngine::Options fed_opts = routed_opts;
+                      const ShardEngine::Options& opts, Push push) {
+  ShardEngine::Options fed_opts = opts;
   fed_opts.window_capacity = 0;
-  fed_opts.time_span = 0.0;
   ShardEngine fed(fed_opts);
-  ShardEngine routed(routed_opts);
+  std::optional<ShardEngine> routed;
+  if (opts.window_capacity > 0) routed.emplace(opts);
+  SskyOperator seq_op(opts.dims, opts.q);
   Expired expired;
   const size_t merges_at[] = {kWindow / 2, kWindow, kStream};
   size_t next = 0;
   for (size_t i = 0; i < stream.size(); ++i) {
     UncertainElement e = stream[i];
     expired.clear();
-    const bool admitted = push(&e, &expired);
-    ASSERT_EQ(admitted, routed.Route(stream[i]));
-    if (admitted) {
-      for (const UncertainElement& old : expired) fed.Expire(old);
+    if (push(&e, &expired)) {
+      for (const UncertainElement& old : expired) {
+        fed.Expire(old);
+        seq_op.Expire(old);
+      }
       fed.Insert(e);
+      seq_op.Insert(e);
+    }
+    if (routed.has_value()) {
+      ASSERT_TRUE(routed->Route(stream[i]));
     }
     if (next < std::size(merges_at) && i + 1 == merges_at[next]) {
       ++next;
-      size_t want_candidates = 0;
+      fed.Barrier();
+      const ReferenceMerge ref = SerialReferenceMerge(fed);
       size_t got_candidates = 0;
-      const std::vector<SkylineMember> want =
-          routed.GlobalSkyline(&want_candidates);
       const std::vector<SkylineMember> got =
           fed.GlobalSkyline(&got_candidates);
-      ExpectSameBits(want_candidates, want, got_candidates, got);
+      ExpectSameBits(ref.candidates, ref.skyline, got_candidates, got);
+      EXPECT_EQ(got_candidates, seq_op.candidate_count());
+      ExpectSkylineEquivalent(seq_op.Skyline(), got);
+      if (routed.has_value()) {
+        size_t want_candidates = 0;
+        const std::vector<SkylineMember> want =
+            routed->GlobalSkyline(&want_candidates);
+        ExpectSameBits(want_candidates, want, got_candidates, got);
+      }
     }
   }
   ASSERT_EQ(next, std::size(merges_at));
@@ -685,14 +728,11 @@ void RunFedFromTimeWindow(TimestampPolicy policy) {
   for (size_t i = 7; i < stream.size(); i += 7) {
     stream[i].time = stream[i - 3].time;
   }
-  ShardEngine::Options opts = CountOptions(4);
-  opts.window_capacity = 0;
-  opts.time_span = 2.0;  // ~2000 elements at the default rate
-  opts.ooo_policy = policy;
-  TimeWindow window(opts.time_span, policy);
-  RunFedFromWindow(stream, opts, [&](UncertainElement* e, Expired* out) {
-    return window.TryPush(e, out);
-  });
+  TimeWindow window(kSpan, policy);
+  RunFedFromWindow(stream, FedOptions(4),
+                   [&](UncertainElement* e, Expired* out) {
+                     return window.TryPush(e, out);
+                   });
   EXPECT_GT(policy == TimestampPolicy::kReject ? window.rejected()
                                                : window.clamped(),
             0u);
@@ -728,13 +768,11 @@ TEST(ShardEngineDeathTest, FedOneWayOnly) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const UncertainElement e = StreamGenerator(StreamConfig{}).Next();
   ShardEngine windowed(CountOptions(2));
-  EXPECT_DEATH(windowed.Insert(e), "time_window_ == nullptr");
-  EXPECT_DEATH(windowed.Expire(e), "time_window_ == nullptr");
-  ShardEngine::Options fed_opts = CountOptions(2);
-  fed_opts.window_capacity = 0;
-  ShardEngine fed(fed_opts);
-  EXPECT_DEATH((void)fed.Route(e), "time_window_ != nullptr");
-  EXPECT_DEATH((void)fed.WindowSnapshot(), "time_window_ != nullptr");
+  EXPECT_DEATH(windowed.Insert(e), "count_window_ == nullptr");
+  EXPECT_DEATH(windowed.Expire(e), "count_window_ == nullptr");
+  ShardEngine fed(FedOptions(2));
+  EXPECT_DEATH((void)fed.Route(e), "count_window_ != nullptr");
+  EXPECT_DEATH((void)fed.WindowSnapshot(), "count_window_ != nullptr");
 }
 
 // Routing is a pure function of the element, and the dimension picks
@@ -775,8 +813,7 @@ TEST(ShardEngineDeathTest, WorkerCheckFailureNamesItsCommand) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const std::vector<UncertainElement> stream =
       MakeStream(SpatialDistribution::kIndependent);
-  ShardEngine::Options opts = CountOptions(3);
-  opts.window_capacity = 0;
+  ShardEngine::Options opts = FedOptions(3);
   opts.audit.mode = AuditMode::kCheck;
   // The second element routed to the first element's shard.
   ShardEngine probe(opts);

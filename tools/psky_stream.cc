@@ -74,7 +74,9 @@
 //
 // Overload management (see docs/operations.md):
 //   --max-queue N            bounded ingest queue in front of the operator;
-//                            ingestion moves to its own thread (0 = direct)
+//                            ingestion moves to its own thread, and the
+//                            operator pops 64 elements at a time (0 =
+//                            direct: one element at a time, one thread)
 //   --overload-policy P      what a full queue does with the next element:
 //                            block | shed-oldest | shed-low-prob
 //   --query-deadline-ms MS   deadline for the final skyline/top-k query
@@ -144,6 +146,11 @@ namespace {
 
 volatile std::sig_atomic_t g_stop_requested = 0;
 
+/// Items the queue consumer pops at once (--max-queue), before the
+/// degradation ladder's batch multiplier. Under the block policy outputs
+/// do not depend on it; a larger pop frees queue space in bigger steps.
+constexpr size_t kConsumerBatch = 64;
+
 void HandleStopSignal(int /*signum*/) { g_stop_requested = 1; }
 
 struct Args {
@@ -158,11 +165,6 @@ struct Args {
   std::string emit = "counts";
   size_t every = 10000;
   size_t topk = 0;
-  /// Elements pulled from the source and fed to the operator per loop
-  /// iteration. Results are bit-identical for any value: the expire/insert
-  /// interleaving per element is preserved (see StreamProcessor::StepBatch);
-  /// batching amortizes source dispatch and the window-full test.
-  size_t batch_size = 1;
   /// Stream partitions, each with its own sky-tree and worker thread;
   /// 1 keeps the sequential operator (the default, bit-identical to
   /// previous releases).
@@ -228,7 +230,6 @@ struct Args {
                "anti|inde|corr|stock --count N]\n"
                "                   [--emit counts|deltas|final] [--every K] "
                "[--topk K] [--seed S]\n"
-               "                   [--batch-size B]\n"
                "                   [--shards N]\n"
                "                   [--checkpoint-dir DIR [--checkpoint-every "
                "K] [--resume]]\n"
@@ -321,8 +322,6 @@ Args Parse(int argc, char** argv) {
       args.every = static_cast<size_t>(ParseUint64Value(flag, need(i++)));
     } else if (flag == "--topk") {
       args.topk = static_cast<size_t>(ParseUint64Value(flag, need(i++)));
-    } else if (flag == "--batch-size") {
-      args.batch_size = static_cast<size_t>(ParseUint64Value(flag, need(i++)));
     } else if (flag == "--shards") {
       args.shards = ParseIntValue(flag, need(i++));
     } else if (flag == "--checkpoint-dir") {
@@ -424,7 +423,6 @@ Args Parse(int argc, char** argv) {
   if (args.window == 0 && args.time_span <= 0.0) {
     Usage("--window must be positive");
   }
-  if (args.batch_size == 0) Usage("--batch-size must be positive");
   if (args.shards < 1 || args.shards > 64) {
     Usage("--shards must be in [1, 64]");
   }
@@ -1518,36 +1516,18 @@ int main(int argc, char** argv) {
 
   int exit_code = -1;
   if (!queue_mode) {
-    // Classic synchronous loop: produce and consume on one thread. This
-    // path is byte-identical to previous releases when the new flags are
-    // off.
-    std::vector<psky::IngestItem> batch;
-    batch.reserve(args.batch_size);
-    bool source_done = false;
-    while (!source_done && exit_code < 0) {
+    // Classic synchronous loop: produce and consume on one thread, one
+    // element at a time.
+    while (exit_code < 0) {
       if (g_stop_requested != 0) {
         stopped_by_signal = true;
         break;
       }
-      // Pull up to batch_size elements, then feed them through the
-      // expire-before-insert cycle one by one — identical semantics to the
-      // unbatched loop (see StreamProcessor::StepBatch), with source
-      // dispatch and the stop-signal test amortized across the batch.
-      batch.clear();
-      while (batch.size() < args.batch_size) {
-        auto item = source.NextItem();
-        if (!item.has_value()) {
-          source_done = true;
-          break;
-        }
-        batch.push_back(std::move(*item));
-      }
+      auto item = source.NextItem();
+      if (!item.has_value()) break;
       if (watchdog != nullptr) watchdog->SetBusy(true);
-      for (const auto& item : batch) {
-        ++processed_items;
-        exit_code = process_item(item);
-        if (exit_code >= 0) break;
-      }
+      ++processed_items;
+      exit_code = process_item(*item);
       if (watchdog != nullptr) {
         watchdog->OnStep(step);
         watchdog->SetBusy(false);
@@ -1582,7 +1562,7 @@ int main(int argc, char** argv) {
         queue->RequestStop();
         producer.thread.join();
       }
-      const size_t pop_max = args.batch_size * effects.batch_multiplier;
+      const size_t pop_max = kConsumerBatch * effects.batch_multiplier;
       const size_t n = queue->PopBatch(&items, pop_max, 50);
       if (n == 0) {
         if (queue->drained()) break;
