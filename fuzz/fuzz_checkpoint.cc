@@ -1,19 +1,19 @@
-// Fuzz target for the durable-state decoders: checkpoint files
-// (core/checkpoint.h) and quarantine dumps (core/audit.h).
+// Fuzz target for the durable-state decoder: checkpoint files
+// (core/checkpoint.h), which quarantine dumps are too.
 //
 // The first input byte selects a mode; the rest is the attacker-controlled
-// byte stream. Raw modes hammer the header validation (magic, version,
-// size, CRC). Fix-up modes treat the input as a *payload* and wrap it in a
-// syntactically valid header with a matching CRC-32 — without this the
-// fuzzer would essentially never get past the checksum, and the payload
-// decoder (the interesting attack surface: length fields, element counts,
-// nested checkpoint in a quarantine) would stay cold.
+// byte stream. The raw mode hammers the header validation (magic, version,
+// size, CRC). The fix-up mode treats the input as a *payload* and wraps it
+// in a syntactically valid header with a matching CRC-32 — without this
+// the fuzzer would essentially never get past the checksum, and the
+// payload decoder (the interesting attack surface: length fields, element
+// counts) would stay cold.
 //
 // Contract under test: decoders return false with a diagnostic on ANY
 // input — never crash, never abort, never allocate absurd amounts. A
 // successful decode must yield a state that re-encodes cleanly.
 //
-// Checkpoint modes are also differential: every resume reads files
+// Both modes are also differential: every resume reads files
 // through ReadCheckpointFile (the streamed reader), so the same bytes go
 // through a scratch file and that reader must accept exactly the inputs
 // DecodeCheckpoint accepts and decode the same state, bit for bit.
@@ -29,7 +29,6 @@
 
 #include "base/crc32.h"
 #include "base/wire.h"
-#include "core/audit.h"
 #include "core/checkpoint.h"
 
 namespace {
@@ -138,15 +137,6 @@ void TryDecodeCheckpoint(std::string_view bytes) {
           "round-trip changed window size");
 }
 
-void TryDecodeQuarantine(std::string_view bytes) {
-  if (!WriteScratch(bytes)) return;
-  psky::QuarantineDump dump;
-  std::string error;
-  if (!psky::ReadQuarantineFile(ScratchPath(), &dump, &error)) {
-    Require(!error.empty(), "quarantine decode failed without diagnostic");
-  }
-}
-
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -154,19 +144,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const uint8_t mode = data[0];
   const std::string_view body(reinterpret_cast<const char*>(data + 1),
                               size - 1);
-  switch (mode % 4) {
-    case 0:  // raw checkpoint bytes: header/CRC validation paths
-      TryDecodeCheckpoint(body);
-      break;
-    case 1:  // input as checkpoint payload behind a valid header
-      TryDecodeCheckpoint(WrapPayload("PSKYCKPT", 2, body));
-      break;
-    case 2:  // raw quarantine bytes
-      TryDecodeQuarantine(body);
-      break;
-    default:  // input as quarantine payload behind a valid header
-      TryDecodeQuarantine(WrapPayload("PSKYQRTN", 1, body));
-      break;
+  if (mode % 2 == 0) {  // raw checkpoint bytes: header/CRC validation paths
+    TryDecodeCheckpoint(body);
+  } else {  // input as checkpoint payload behind a valid header
+    TryDecodeCheckpoint(WrapPayload("PSKYCKPT", 2, body));
   }
   return 0;
 }

@@ -22,7 +22,7 @@
 //                                    open range
 //   <err>  := eio | enospc | eintr   injected errno (default eio)
 //   <site> := ckpt-open | ckpt-write | ckpt-fsync | ckpt-rename |
-//             qrtn-write | step | wal-append | wal-fsync |
+//             step | wal-append | wal-fsync |
 //             segment-map | segment-recycle
 //
 // Example: "seed=7;fail=ckpt-fsync@2..3;delay=step@100..200:5" fails the
@@ -43,20 +43,20 @@
 namespace psky::fault {
 
 /// Injection sites. Each names one class of failure point; occurrences
-/// are counted per site from 1.
+/// are counted per site from 1. The ckpt-* sites cover every file the
+/// checkpoint writer produces, quarantine dumps included.
 enum class Site : int {
   kCheckpointOpen = 0,  ///< opening the checkpoint temp file
   kCheckpointWrite,     ///< writing checkpoint payload bytes
   kCheckpointFsync,     ///< fsync of the checkpoint temp file
   kCheckpointRename,    ///< rename of temp over final checkpoint
-  kQuarantineWrite,     ///< any stage of a quarantine dump write
   kStep,                ///< one pipeline step (delay only)
   kWalAppend,           ///< appending one record to the write-ahead log
   kWalFsync,            ///< group-commit fsync of the write-ahead log
   kSegmentMap,          ///< mapping a new window-store segment file
   kSegmentRecycle,      ///< recycling a drained window-store segment
 };
-inline constexpr int kSiteCount = 10;
+inline constexpr int kSiteCount = 9;
 
 /// Canonical schedule-syntax name of a site ("ckpt-fsync", ...).
 const char* SiteName(Site site);

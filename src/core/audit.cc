@@ -10,10 +10,6 @@
 #include <cstring>
 #include <utility>
 
-#include "base/build_info.h"
-#include "base/crc32.h"
-#include "base/fault_injection.h"
-#include "base/wire.h"
 #include "core/naive_operator.h"
 #include "geom/dominance_kernel.h"
 
@@ -275,184 +271,52 @@ bool AuditManager::Step() {
 // Crash quarantine.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-constexpr char kQuarantineMagic[8] = {'P', 'S', 'K', 'Y', 'Q', 'R', 'T', 'N'};
-constexpr uint32_t kQuarantineVersion = 1;
-constexpr size_t kQuarantineHeaderSize = 24;
-constexpr uint64_t kMaxQuarantineString = 1 << 20;
-
-std::string EncodeQuarantine(const QuarantineDump& dump) {
-  std::string payload;
-  wire::AppendString(&payload, dump.producer.empty() ? BuildInfoString()
-                                                     : dump.producer);
-  wire::AppendString(&payload, dump.reason);
-  const AuditReport& r = dump.report;
-  wire::AppendU64(&payload, r.steps_seen);
-  wire::AppendU64(&payload, r.elements_audited);
-  wire::AppendF64(&payload, r.max_drift);
-  wire::AppendU64(&payload, r.drift_beyond_tolerance);
-  wire::AppendU64(&payload, r.repairs_applied);
-  wire::AppendU64(&payload, r.band_flips_prevented);
-  wire::AppendU64(&payload, r.false_evictions);
-  wire::AppendU64(&payload, r.oracle_replays);
-  wire::AppendU64(&payload, r.oracle_mismatches);
-  wire::AppendU64(&payload, r.violations_unrepaired);
-  // The window state rides along as a complete embedded checkpoint, so
-  // post-mortem tooling can replay it with the ordinary restore path.
-  const std::string checkpoint = EncodeCheckpoint(dump.state);
-  wire::AppendU64(&payload, checkpoint.size());
-  payload += checkpoint;
-
-  std::string out;
-  out.reserve(kQuarantineHeaderSize + payload.size());
-  out.append(kQuarantineMagic, sizeof kQuarantineMagic);
-  wire::AppendU32(&out, kQuarantineVersion);
-  wire::AppendU32(&out, Crc32(payload.data(), payload.size()));
-  wire::AppendU64(&out, payload.size());
-  out += payload;
-  return out;
-}
-
-bool FailQ(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-  return false;
-}
-
-// strerror's static buffer is not thread-safe in general, but quarantine
-// IO runs entirely on the caller's thread and nothing else in this
-// process calls strerror concurrently.
-std::string ErrnoString() {
-  return std::strerror(errno);  // NOLINT(concurrency-mt-unsafe)
-}
-
-bool DecodeQuarantine(std::string_view bytes, QuarantineDump* out,
-                      std::string* error) {
-  if (bytes.size() < kQuarantineHeaderSize) {
-    return FailQ(error, "quarantine file truncated in header");
-  }
-  if (std::memcmp(bytes.data(), kQuarantineMagic, sizeof kQuarantineMagic) !=
-      0) {
-    return FailQ(error, "bad quarantine magic (not a quarantine file?)");
-  }
-  wire::Cursor header(bytes.substr(sizeof kQuarantineMagic));
-  uint32_t version = 0, crc = 0;
-  uint64_t payload_size = 0;
-  header.ReadU32(&version);
-  header.ReadU32(&crc);
-  header.ReadU64(&payload_size);
-  if (version != kQuarantineVersion) {
-    return FailQ(error, "unsupported quarantine version " +
-                            std::to_string(version));
-  }
-  const std::string_view payload = bytes.substr(kQuarantineHeaderSize);
-  if (payload.size() != payload_size) {
-    return FailQ(error, "quarantine payload size mismatch");
-  }
-  if (Crc32(payload.data(), payload.size()) != crc) {
-    return FailQ(error, "quarantine CRC mismatch (corrupted payload)");
-  }
-
-  QuarantineDump dump;
-  wire::Cursor c(payload);
-  uint64_t checkpoint_size = 0;
-  AuditReport& r = dump.report;
-  if (!c.ReadString(&dump.producer, kMaxQuarantineString) ||
-      !c.ReadString(&dump.reason, kMaxQuarantineString) ||
-      !c.ReadU64(&r.steps_seen) || !c.ReadU64(&r.elements_audited) ||
-      !c.ReadF64(&r.max_drift) || !c.ReadU64(&r.drift_beyond_tolerance) ||
-      !c.ReadU64(&r.repairs_applied) || !c.ReadU64(&r.band_flips_prevented) ||
-      !c.ReadU64(&r.false_evictions) || !c.ReadU64(&r.oracle_replays) ||
-      !c.ReadU64(&r.oracle_mismatches) ||
-      !c.ReadU64(&r.violations_unrepaired) || !c.ReadU64(&checkpoint_size)) {
-    return FailQ(error, "quarantine payload truncated in fixed fields");
-  }
-  std::string checkpoint;
-  if (!c.ReadBytes(&checkpoint, checkpoint_size) || c.remaining() != 0) {
-    return FailQ(error, "quarantine embedded checkpoint size mismatch");
-  }
-  std::string ckpt_error;
-  if (!DecodeCheckpoint(checkpoint, &dump.state, &ckpt_error)) {
-    return FailQ(error, "quarantine embedded checkpoint: " + ckpt_error);
-  }
-  *out = std::move(dump);
-  return true;
-}
-
-}  // namespace
-
-std::string QuarantineFileName(uint64_t elements_consumed) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "quarantine-%020llu.pskyq",
-                static_cast<unsigned long long>(elements_consumed));
-  return buf;
-}
-
 std::string QuarantineFileName(uint64_t elements_consumed, uint64_t dump_seq) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "quarantine-%020llu-%03llu.pskyq",
+  std::snprintf(buf, sizeof buf, "quarantine-%020llu-%03llu.psky",
                 static_cast<unsigned long long>(elements_consumed),
                 static_cast<unsigned long long>(dump_seq));
   return buf;
 }
 
-bool WriteQuarantineFile(const std::string& path, const QuarantineDump& dump,
-                         std::string* error) {
-  return WriteQuarantineFile(path, dump, error, nullptr);
-}
-
-bool WriteQuarantineFile(const std::string& path, const QuarantineDump& dump,
-                         std::string* error, int* out_errno) {
-  if (out_errno != nullptr) *out_errno = 0;
-  auto fail_io = [error, out_errno](int err, const std::string& msg) {
-    if (out_errno != nullptr) *out_errno = err;
-    return FailQ(error, msg);
+bool WriteQuarantineNote(const std::string& path, const std::string& reason,
+                         const AuditReport& report, std::string* error) {
+  // Quarantine I/O runs on the one dying thread; nothing else calls
+  // strerror concurrently.
+  auto fail = [error](const std::string& what, int err) {
+    // NOLINTNEXTLINE(concurrency-mt-unsafe)
+    *error = what + ": " + std::strerror(err != 0 ? err : EIO);
+    return false;
   };
-  const std::string bytes = EncodeQuarantine(dump);
   const std::string tmp = path + ".tmp";
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kQuarantineWrite)) {
-      return fail_io(inj, "cannot write " + tmp + ": " +
-                              std::string(std::strerror(inj)) +  // NOLINT(concurrency-mt-unsafe)
-                              " (injected)");
-    }
-  }
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return fail_io(errno, "cannot open " + tmp + ": " + ErrnoString());
-  }
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) return fail("cannot open " + tmp, errno);
+  const AuditReport& r = report;
+  auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
+  std::fprintf(f,
+               "reason=%s\nsteps_seen=%llu\nelements_audited=%llu\n"
+               "max_drift=%.17g\ndrift_beyond_tolerance=%llu\n"
+               "repairs_applied=%llu\nband_flips_prevented=%llu\n"
+               "false_evictions=%llu\noracle_replays=%llu\n"
+               "oracle_mismatches=%llu\nviolations_unrepaired=%llu\n",
+               reason.c_str(), u(r.steps_seen), u(r.elements_audited),
+               r.max_drift, u(r.drift_beyond_tolerance),
+               u(r.repairs_applied), u(r.band_flips_prevented),
+               u(r.false_evictions), u(r.oracle_replays),
+               u(r.oracle_mismatches), u(r.violations_unrepaired));
   errno = 0;
-  if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    const int err = errno != 0 ? errno : EIO;
-    std::fclose(f);
-    return fail_io(err, "short write to " + tmp);
+  bool written =
+      std::fflush(f) == 0 && std::ferror(f) == 0 && fsync(fileno(f)) == 0;
+  int err = errno;
+  if (std::fclose(f) != 0 && written) {
+    written = false;
+    err = errno;
   }
-  if (std::fflush(f) != 0 || fsync(fileno(f)) != 0) {
-    const int err = errno;
-    std::fclose(f);
-    return fail_io(err, "cannot flush " + tmp + ": " + ErrnoString());
-  }
-  std::fclose(f);
+  if (!written) return fail("cannot write " + tmp, err);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return fail_io(errno, "cannot rename " + tmp + " to " + path + ": " +
-                              ErrnoString());
+    return fail("cannot rename " + tmp + " to " + path, errno);
   }
   return true;
-}
-
-bool WriteQuarantineFileRetry(const std::string& path,
-                              const QuarantineDump& dump,
-                              const RetryPolicy& policy, RetryStats* stats,
-                              std::string* error) {
-  std::string last_error;
-  const bool ok = RetryWithBackoff(
-      policy,
-      [&](int* err) {
-        return WriteQuarantineFile(path, dump, &last_error, err);
-      },
-      stats);
-  if (!ok && error != nullptr) *error = last_error;
-  return ok;
 }
 
 bool QuarantineGovernor::Admit(uint64_t step, uint64_t* seq_out) {
@@ -467,26 +331,6 @@ bool QuarantineGovernor::Admit(uint64_t step, uint64_t* seq_out) {
   last_dump_step_ = step;
   ++dumps_admitted_;
   if (seq_out != nullptr) *seq_out = dumps_admitted_;
-  return true;
-}
-
-bool ReadQuarantineFile(const std::string& path, QuarantineDump* out,
-                        std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return FailQ(error, "cannot open " + path + ": " + ErrnoString());
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return FailQ(error, "cannot read " + path);
-  std::string decode_error;
-  if (!DecodeQuarantine(bytes, out, &decode_error)) {
-    return FailQ(error, path + ": " + decode_error);
-  }
   return true;
 }
 

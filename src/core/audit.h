@@ -32,9 +32,9 @@
 //     reported q-skylines are diffed. A mismatch escalates to a full
 //     audit-and-repair sweep (kRepair) or an unrepaired violation.
 //  4. *Crash quarantine*: on PSKY_CHECK failure or fatal signal, callers
-//     dump window state + audit counters to a post-mortem file that
-//     reuses the checkpoint serializer (WriteQuarantineFile), stamped
-//     with the producing binary's build info.
+//     dump the window as a plain checkpoint, streamed like any other,
+//     and write the reason and audit counters to a note beside it
+//     (QuarantineFileName, WriteQuarantineNote).
 //
 // The auditor reads the window one way, through a WindowStream: one
 // oldest→newest pass over the positions newer than the slice's oldest
@@ -68,7 +68,6 @@
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/ssky_operator.h"
 #include "stream/element.h"
 
@@ -99,7 +98,7 @@ struct AuditOptions {
 };
 
 /// Per-run integrity counters. All monotone; suitable for logging and for
-/// embedding in quarantine dumps.
+/// a quarantine dump's note.
 struct AuditReport {
   uint64_t steps_seen = 0;
   uint64_t elements_audited = 0;
@@ -230,49 +229,27 @@ class AuditManager {
 };
 
 // --- crash quarantine ----------------------------------------------------
+//
+// A quarantine dump is a plain checkpoint (core/checkpoint.h), written by
+// the streamed checkpoint writer, so it reads back with
+// ReadCheckpointFileStreamed and --resume starts from it. Beside it a
+// short text note records why the dump was taken and the audit counters.
 
-/// Post-mortem dump: everything needed to reproduce and diagnose the state
-/// a crashed or integrity-violating run died with.
-struct QuarantineDump {
-  /// Build info of the producing binary (filled by WriteQuarantineFile
-  /// when left empty).
-  std::string producer;
-  /// Why the dump was taken ("PSKY_CHECK failed: ...", "signal 11",
-  /// "unrepaired integrity violation", ...).
-  std::string reason;
-  AuditReport report;
-  /// Full window state, reusing the checkpoint serializer — a quarantine
-  /// file can be replayed exactly like a checkpoint.
-  CheckpointState state;
-};
-
-/// Canonical quarantine file name for a dump taken after
-/// `elements_consumed` steps: "quarantine-<20-digit count>.pskyq".
-std::string QuarantineFileName(uint64_t elements_consumed);
-
-/// As above but carrying a per-run monotonic dump sequence number (from
-/// QuarantineGovernor), so repeated failures at the same stream position
-/// cannot overwrite each other's evidence:
-/// "quarantine-<20-digit count>-<3-digit seq>.pskyq".
+/// Name of the dump taken for the failure admitted as `dump_seq` (from
+/// QuarantineGovernor) at stream step `elements_consumed`:
+/// "quarantine-<20-digit count>-<3-digit seq>.psky". The sequence number
+/// keeps repeated failures at one stream position from overwriting each
+/// other's evidence; the zero padding keeps lexicographic order stream
+/// order. The note is the same name with ".txt".
 std::string QuarantineFileName(uint64_t elements_consumed, uint64_t dump_seq);
 
-/// Writes `dump` to `path` atomically (same temp-and-rename discipline as
-/// checkpoints). Returns false and sets `*error` on I/O failure.
-bool WriteQuarantineFile(const std::string& path, const QuarantineDump& dump,
-                         std::string* error);
-
-/// Errno-reporting variant (same errno contract as
-/// WriteCheckpointFileStreamed); honors the qrtn-write fault-injection site.
-bool WriteQuarantineFile(const std::string& path, const QuarantineDump& dump,
-                         std::string* error, int* out_errno);
-
-/// Retrying wrapper mirroring WriteCheckpointFileStreamedRetry: transient
-/// I/O errnos are retried with jittered backoff under `policy`; only after
-/// budget exhaustion (or a permanent error) does the dump fail.
-bool WriteQuarantineFileRetry(const std::string& path,
-                              const QuarantineDump& dump,
-                              const RetryPolicy& policy, RetryStats* stats,
-                              std::string* error);
+/// Writes the note beside a dump to `path` (temp file, fsync, rename):
+/// "reason=<reason>" and then the ten AuditReport counters as
+/// "<field>=<value>" lines in declaration order, max_drift with 17
+/// significant digits so it reads back exactly. `reason` is one line.
+/// Returns false and sets `*error` on I/O failure.
+bool WriteQuarantineNote(const std::string& path, const std::string& reason,
+                         const AuditReport& report, std::string* error);
 
 /// Rate-limits quarantine dumps so a failure *burst* — a PSKY_CHECK storm
 /// or an integrity violation detected on every subsequent step — produces
@@ -310,11 +287,6 @@ class QuarantineGovernor {
   uint64_t dumps_suppressed_ = 0;
   uint64_t last_dump_step_ = 0;
 };
-
-/// Reads and validates a quarantine file (magic, version, CRC, embedded
-/// checkpoint). Returns false with `*error` on failure.
-bool ReadQuarantineFile(const std::string& path, QuarantineDump* out,
-                        std::string* error);
 
 }  // namespace psky
 

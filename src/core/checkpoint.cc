@@ -287,6 +287,22 @@ bool ReadOpenCheckpoint(std::FILE* f, CheckpointState* out,
   return true;
 }
 
+// The temp files this program's atomic writers leave when interrupted: a
+// checkpoint's ("ckpt-*.psky.tmp"), a WAL creation's or rotation's
+// ("wal-*.pskywal.tmp") and a quarantine dump's ("quarantine-*.tmp",
+// its checkpoint or its note). Any other "*.tmp" in the directory
+// belongs to someone else.
+bool IsOwnTemp(const std::string& name) {
+  auto framed = [&name](std::string_view prefix, std::string_view suffix) {
+    return name.size() > prefix.size() + suffix.size() &&
+           name.compare(0, prefix.size(), prefix) == 0 &&
+           name.compare(name.size() - suffix.size(), suffix.size(),
+                        suffix) == 0;
+  };
+  return framed("ckpt-", ".psky.tmp") || framed("wal-", ".pskywal.tmp") ||
+         framed("quarantine-", ".tmp");
+}
+
 }  // namespace
 
 void SetCheckpointCrashHook(CheckpointCrashHook hook) { g_crash_hook = hook; }
@@ -349,7 +365,8 @@ bool WriteCheckpointFileStreamed(const std::string& path,
                                  std::string* error, int* out_errno) {
   if (out_errno != nullptr) *out_errno = 0;
   // A crash mid-write leaves a ".tmp" behind; clear that wreckage before
-  // producing more so interrupted runs cannot accumulate temp files.
+  // producing more so interrupted runs cannot accumulate temp files. Only
+  // this program's temp names are swept (IsOwnTemp).
   const std::string parent =
       std::filesystem::path(path).parent_path().string();
   RemoveStaleCheckpointTemps(parent.empty() ? "." : parent);
@@ -546,7 +563,7 @@ size_t RemoveStaleCheckpointTemps(const std::string& dir) {
   size_t removed = 0;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.path().extension() == ".tmp") {
+    if (IsOwnTemp(entry.path().filename().string())) {
       std::error_code rm_ec;
       if (std::filesystem::remove(entry.path(), rm_ec)) ++removed;
     }

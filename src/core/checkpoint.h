@@ -31,7 +31,8 @@
 // crash mid-write never clobbers an existing good checkpoint.
 // ReadCheckpointFileStreamed is the only file reader; it shares the
 // header, fixed-field and element decoding with the in-memory
-// DecodeCheckpoint (quarantine dumps embed EncodeCheckpoint bytes).
+// DecodeCheckpoint. A quarantine dump (core/audit.h) is a checkpoint
+// file written by the same writer.
 // Readers reject bad magic, unknown versions, truncated files and CRC
 // mismatches with a diagnostic — never a crash.
 
@@ -173,13 +174,16 @@ std::string CheckpointFileName(uint64_t elements_consumed);
 std::vector<std::string> ListCheckpointFiles(const std::string& dir);
 
 /// Deletes all but the `keep` newest checkpoint files in `dir`, plus any
-/// stale ".tmp" leftovers from interrupted writes.
+/// stale temp leftovers from interrupted writes (RemoveStaleCheckpointTemps).
 void PruneCheckpoints(const std::string& dir, size_t keep);
 
-/// Removes ".tmp" leftovers from crashed mid-write attempts without
-/// touching any completed checkpoint. Called on startup and before each
-/// write so interrupted runs cannot accumulate temp wreckage. Returns the
-/// number of files removed; a missing directory is a no-op.
+/// Removes the temp files this program's interrupted writes leave behind
+/// ("ckpt-*.psky.tmp", "wal-*.pskywal.tmp" and a quarantine dump's
+/// "quarantine-*.tmp") without touching any completed file; another
+/// program's "*.tmp" in the same directory survives. Called on startup
+/// and before each write so interrupted runs cannot accumulate temp
+/// wreckage. Returns the number of files removed; a missing directory is
+/// a no-op.
 size_t RemoveStaleCheckpointTemps(const std::string& dir);
 
 /// Creates `dir` (and missing parents) if it does not exist, so a fresh

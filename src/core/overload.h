@@ -52,7 +52,6 @@ const char* OverloadPolicyName(OverloadPolicy policy);
 /// still-queued elements are re-read on restart rather than lost.
 struct IngestItem {
   UncertainElement element;
-  uint64_t produced_after = 0;   ///< elements produced by the source so far
   uint64_t next_seq_after = 0;   ///< next sequence the source will assign
   uint64_t lines_after = 0;      ///< CSV lines consumed (0 for generators)
   uint64_t skipped_after = 0;    ///< cumulative bad lines skipped

@@ -151,15 +151,6 @@ void SkyTree::RebandElem(Elem* el) {
 // Trivial event-queue drain; no tree state is touched, so there is no
 // invariant to check.
 // psky-lint: allow(mutation-guard)
-std::vector<SkyTree::BandChange> SkyTree::TakeBandChanges() {
-  std::vector<BandChange> out;
-  out.swap(events_);
-  return out;
-}
-
-// Trivial event-queue drain; no tree state is touched, so there is no
-// invariant to check.
-// psky-lint: allow(mutation-guard)
 void SkyTree::DrainBandChanges(std::vector<BandChange>* out) {
   out->clear();
   out->swap(events_);
@@ -793,9 +784,15 @@ SkylineMember SkyTree::MakeMember(const Elem& e, double pnew_log,
   m.element.prob = e.prob;
   m.element.seq = e.seq;
   m.element.time = e.time;
+  // P_old is a product of (1 - P) factors, so a positive log P_old can
+  // only be rounding: a lazy sum restored to 0 from far below it (the
+  // certain chain's passes -552,000) can land a few ulps of its
+  // magnitude above. Report it as 1; bands and membership keep the
+  // unclamped sums.
+  const double reported_pold_log = std::min(pold_log, 0.0);
   m.pnew = std::exp(pnew_log);
-  m.pold = std::exp(pold_log);
-  m.psky = std::exp(e.log_prob + pnew_log + pold_log);
+  m.pold = std::exp(reported_pold_log);
+  m.psky = std::exp(e.log_prob + pnew_log + reported_pold_log);
   m.in_skyline = e.band == 1;
   return m;
 }

@@ -61,7 +61,7 @@ class SkyTree {
     /// and traversals descend to the leaves.
     bool use_minmax_pruning = true;
     /// When true, every band transition (including candidate entry and
-    /// departure) is recorded and retrievable via TakeBandChanges() —
+    /// departure) is recorded and retrievable via DrainBandChanges() —
     /// the push-style delta feed of the continuous query.
     bool record_events = false;
   };
@@ -158,16 +158,13 @@ class SkyTree {
     int new_band = 0;
   };
 
-  /// Drains the band-change events recorded since the last call.
-  /// Requires Options::record_events; otherwise always empty. Events are
-  /// in occurrence order; an element may appear more than once per step
+  /// Drains the band-change events recorded since the last call into
+  /// `*out` (clearing it first, by swapping, so a caller-owned buffer and
+  /// its capacity are recycled across calls). Requires
+  /// Options::record_events; otherwise always empty. Events are in
+  /// occurrence order; an element may appear more than once per step
   /// (e.g., evicted after a band flip) — the net effect is the
   /// composition.
-  std::vector<BandChange> TakeBandChanges();
-
-  /// Allocation-free variant of TakeBandChanges: swaps the recorded
-  /// events into `*out` (clearing it first), so a caller-owned buffer —
-  /// and its capacity — is recycled across calls.
   void DrainBandChanges(std::vector<BandChange>* out);
 
   const Counters& counters() const { return counters_; }

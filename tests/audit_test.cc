@@ -1,12 +1,14 @@
 // Integrity-audit subsystem tests: clean streams audit clean, injected
 // corruption is detected (check mode) and healed (repair mode), the shadow
-// oracle escalates correctly, and quarantine dumps round-trip. Long-stream
-// metamorphic soaks live in audit_soak_test.cc (ctest label "soak").
+// oracle escalates correctly, and quarantine dumps (a checkpoint and a
+// note) round-trip. Long-stream metamorphic soaks live in
+// audit_soak_test.cc (ctest label "soak").
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -21,8 +23,10 @@
 #include "base/build_info.h"
 #include "base/check.h"
 #include "core/audit.h"
+#include "core/checkpoint.h"
 #include "core/ssky_operator.h"
 #include "geom/dominance.h"
+#include "store/recovery.h"
 #include "store/segment_store.h"
 #include "stream/generator.h"
 #include "stream/window.h"
@@ -252,10 +256,20 @@ TEST(AuditTest, OracleEscalatesToFullRepair) {
   EXPECT_EQ(r.violations_unrepaired, 0u);
 }
 
-// --- quarantine files ----------------------------------------------------
+// --- quarantine dumps ----------------------------------------------------
+//
+// A dump is what psky_stream's DumpQuarantine writes: a plain checkpoint
+// of the window, named by QuarantineFileName, and a note beside it with
+// the reason and the audit counters (WriteQuarantineNote).
 
-QuarantineDump MakeDump() {
-  QuarantineDump dump;
+struct Dump {
+  std::string reason;
+  AuditReport report;
+  CheckpointState state;
+};
+
+Dump MakeDump() {
+  Dump dump;
   dump.reason = "PSKY_CHECK failed: 1 == 2 at somewhere.cc:42";
   dump.report.steps_seen = 123456;
   dump.report.elements_audited = 7890;
@@ -282,82 +296,157 @@ std::string TempPath(const std::string& name) {
   return (fs::path(::testing::TempDir()) / name).string();
 }
 
-TEST(QuarantineTest, RoundTripsDumpExactly) {
-  const QuarantineDump dump = MakeDump();
-  const std::string path = TempPath("roundtrip.pskyq");
-  std::string error;
-  ASSERT_TRUE(WriteQuarantineFile(path, dump, &error)) << error;
+// A fresh directory per test, so parallel test runs cannot collide.
+std::string DumpDir() {
+  const std::string dir = TempPath(
+      std::string("psky_quarantine_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
 
-  QuarantineDump got;
-  ASSERT_TRUE(ReadQuarantineFile(path, &got, &error)) << error;
+std::string NotePath(const std::string& dump_path) {
+  return fs::path(dump_path).replace_extension(".txt").string();
+}
+
+// Writes `dump` into `dir` as psky_stream does; returns the dump's path.
+std::string WriteDump(const std::string& dir, const Dump& dump) {
+  const std::string path =
+      dir + "/" + QuarantineFileName(dump.state.elements_consumed, 1);
+  std::string error;
+  EXPECT_TRUE(WriteCheckpointFile(path, dump.state, &error)) << error;
+  EXPECT_TRUE(
+      WriteQuarantineNote(NotePath(path), dump.reason, dump.report, &error))
+      << error;
+  return path;
+}
+
+TEST(QuarantineTest, RoundTripsDumpExactly) {
+  const Dump dump = MakeDump();
+  const std::string dir = DumpDir();
+  const std::string path = WriteDump(dir, dump);
+
+  // The dump reads back through the ordinary checkpoint reader.
+  CheckpointState got;
+  std::string error;
+  ASSERT_TRUE(ReadCheckpointFile(path, &got, &error)) << error;
   EXPECT_EQ(got.producer, BuildInfoString());  // stamped on write
-  EXPECT_EQ(got.reason, dump.reason);
-  EXPECT_EQ(got.report.steps_seen, dump.report.steps_seen);
-  EXPECT_EQ(got.report.elements_audited, dump.report.elements_audited);
-  EXPECT_EQ(got.report.max_drift, dump.report.max_drift);
-  EXPECT_EQ(got.report.drift_beyond_tolerance,
-            dump.report.drift_beyond_tolerance);
-  EXPECT_EQ(got.report.repairs_applied, dump.report.repairs_applied);
-  EXPECT_EQ(got.report.band_flips_prevented,
-            dump.report.band_flips_prevented);
-  EXPECT_EQ(got.report.oracle_replays, dump.report.oracle_replays);
-  EXPECT_EQ(got.report.oracle_mismatches, dump.report.oracle_mismatches);
-  EXPECT_EQ(got.report.violations_unrepaired,
-            dump.report.violations_unrepaired);
-  ASSERT_EQ(got.state.window.size(), dump.state.window.size());
-  EXPECT_EQ(got.state.window[1].seq, dump.state.window[1].seq);
-  EXPECT_EQ(got.state.window[1].prob, dump.state.window[1].prob);
-  fs::remove(path);
+  EXPECT_EQ(got.elements_consumed, dump.state.elements_consumed);
+  EXPECT_EQ(got.next_seq, dump.state.next_seq);
+  EXPECT_EQ(got.window_capacity, dump.state.window_capacity);
+  ASSERT_EQ(got.window.size(), dump.state.window.size());
+  for (size_t i = 0; i < got.window.size(); ++i) {
+    EXPECT_EQ(got.window[i].seq, dump.state.window[i].seq);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.window[i].prob),
+              std::bit_cast<uint64_t>(dump.state.window[i].prob));
+    EXPECT_EQ(got.window[i].pos, dump.state.window[i].pos);
+  }
+
+  // The note holds the reason and the ten counters, in declaration order,
+  // max_drift to the last bit.
+  std::vector<std::pair<std::string, std::string>> note;
+  {
+    std::ifstream in(NotePath(path));
+    std::string line;
+    while (std::getline(in, line)) {
+      const size_t eq = line.find('=');
+      ASSERT_NE(eq, std::string::npos) << line;
+      note.emplace_back(line.substr(0, eq), line.substr(eq + 1));
+    }
+  }
+  const AuditReport& r = dump.report;
+  const std::vector<std::pair<std::string, uint64_t>> counters = {
+      {"steps_seen", r.steps_seen},
+      {"elements_audited", r.elements_audited},
+      {"max_drift", 0},
+      {"drift_beyond_tolerance", r.drift_beyond_tolerance},
+      {"repairs_applied", r.repairs_applied},
+      {"band_flips_prevented", r.band_flips_prevented},
+      {"false_evictions", r.false_evictions},
+      {"oracle_replays", r.oracle_replays},
+      {"oracle_mismatches", r.oracle_mismatches},
+      {"violations_unrepaired", r.violations_unrepaired}};
+  ASSERT_EQ(note.size(), 1 + counters.size());
+  EXPECT_EQ(note[0], std::make_pair(std::string("reason"), dump.reason));
+  for (size_t i = 0; i < counters.size(); ++i) {
+    const auto& [key, value] = note[i + 1];
+    EXPECT_EQ(key, counters[i].first);
+    if (key == "max_drift") {
+      EXPECT_EQ(std::bit_cast<uint64_t>(std::strtod(value.c_str(), nullptr)),
+                std::bit_cast<uint64_t>(r.max_drift))
+          << value;
+    } else {
+      EXPECT_EQ(value, std::to_string(counters[i].second)) << key;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST(QuarantineTest, EmbeddedStateReplaysLikeACheckpoint) {
-  // The point of embedding a full checkpoint: post-mortem tooling rebuilds
-  // the crashed operator with the ordinary restore path.
-  const QuarantineDump dump = MakeDump();
-  const std::string path = TempPath("replayable.pskyq");
-  std::string error;
-  ASSERT_TRUE(WriteQuarantineFile(path, dump, &error)) << error;
-  QuarantineDump got;
-  ASSERT_TRUE(ReadQuarantineFile(path, &got, &error)) << error;
+  // The dump is a checkpoint, so post-mortem tooling rebuilds the crashed
+  // operator with the ordinary restore path, and a dump copied into a
+  // checkpoint directory under a checkpoint's name is what recovery
+  // (--resume) starts from. Left under its own name it is no checkpoint
+  // of the run: recovery never picks a dump by itself.
+  const Dump dump = MakeDump();
+  const std::string dir = DumpDir();
+  const std::string path = WriteDump(dir, dump);
+  EXPECT_TRUE(ListCheckpointFiles(dir).empty());
 
-  SskyOperator op(got.state.dims, got.state.q);
-  ReplayWindow(got.state, &op);
+  fs::create_directories(dir + "/resume");
+  fs::copy_file(path, dir + "/resume/" +
+                          CheckpointFileName(dump.state.elements_consumed));
+  RecoveredState recovered;
+  std::string error;
+  ASSERT_TRUE(RecoverState(dir + "/resume", &recovered, &error)) << error;
+  ASSERT_TRUE(recovered.has_checkpoint);
+  EXPECT_EQ(recovered.checkpoint.elements_consumed,
+            dump.state.elements_consumed);
+
+  SskyOperator op(recovered.checkpoint.dims, recovered.checkpoint.q);
+  ReplayWindow(recovered.checkpoint, &op);
   EXPECT_EQ(op.candidate_count(), 2u);
   op.tree().CheckInvariants(/*deep=*/true);
-  fs::remove(path);
+  fs::remove_all(dir);
 }
 
 TEST(QuarantineTest, RejectsFlippedByteAndTruncation) {
-  const std::string path = TempPath("corrupt.pskyq");
-  std::string error;
-  ASSERT_TRUE(WriteQuarantineFile(path, MakeDump(), &error)) << error;
+  const std::string dir = DumpDir();
+  const std::string path = WriteDump(dir, MakeDump());
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(in), {});
   }
 
+  // A corrupt dump delivers no element: the CRC is checked first.
+  size_t delivered = 0;
+  const auto count = [&delivered](const UncertainElement&) { ++delivered; };
   std::string flipped = bytes;
   flipped[flipped.size() / 2] ^= 0x40;
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
   }
-  QuarantineDump got;
-  EXPECT_FALSE(ReadQuarantineFile(path, &got, &error));
+  CheckpointState got;
+  std::string error;
+  EXPECT_FALSE(ReadCheckpointFileStreamed(path, &got, count, &error));
   EXPECT_NE(error.find("CRC"), std::string::npos) << error;
 
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 3));
   }
-  EXPECT_FALSE(ReadQuarantineFile(path, &got, &error));
-  fs::remove(path);
+  EXPECT_FALSE(ReadCheckpointFileStreamed(path, &got, count, &error));
+  EXPECT_EQ(delivered, 0u);
+  fs::remove_all(dir);
 }
 
 TEST(QuarantineTest, FileNameIsZeroPaddedAndSortable) {
-  EXPECT_EQ(QuarantineFileName(5000), "quarantine-00000000000000005000.pskyq");
-  EXPECT_LT(QuarantineFileName(999), QuarantineFileName(1000));
+  EXPECT_EQ(QuarantineFileName(5000, 7),
+            "quarantine-00000000000000005000-007.psky");
+  EXPECT_LT(QuarantineFileName(999, 1), QuarantineFileName(1000, 1));
 }
 
 // --- streamed-window auditing (out-of-core windows) ----------------------
@@ -1037,37 +1126,37 @@ constexpr AuditMode kGRepair = AuditMode::kRepair;
 // clang-format off
 constexpr AuditGoldenCase kAuditGoldenCases[] = {
     {kGAnti, kGCheck, false, false,
-     {0xa7cef5e1844adb37ULL, 0xcd8b6301663d97beULL, 0x6d048f85642f3abULL, 0xddb6eb0c344f4841ULL}},
+     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL}},
     {kGAnti, kGCheck, false, true,
-     {0xc2bdf469c012bc6dULL, 0x5447990d362e8be1ULL, 0x56a04705851f208eULL, 0x5f55edc3961cc39dULL}},
+     {0x69c80a633f0d0aceULL, 0x15860f71835bf95ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL}},
     {kGAnti, kGCheck, true, false,
-     {0xa7cef5e1844adb37ULL, 0xcd8b6301663d97beULL, 0x6d048f85642f3abULL, 0xddb6eb0c344f4841ULL}},
+     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL}},
     {kGAnti, kGCheck, true, true,
-     {0xc2bdf469c012bc6dULL, 0x5447990d362e8be1ULL, 0x56a04705851f208eULL, 0x5f55edc3961cc39dULL}},
+     {0x69c80a633f0d0aceULL, 0x15860f71835bf95ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL}},
     {kGAnti, kGRepair, false, false,
-     {0xa7cef5e1844adb37ULL, 0xcd8b6301663d97beULL, 0x6d048f85642f3abULL, 0xddb6eb0c344f4841ULL}},
+     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL}},
     {kGAnti, kGRepair, false, true,
-     {0xeb011cd489b5fbcULL, 0x895d252f3214cfULL, 0x56a04705851f208eULL, 0x5f55edc3961cc39dULL}},
+     {0x60837778aa322fb6ULL, 0xe189a9edc3e52dc7ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL}},
     {kGAnti, kGRepair, true, false,
-     {0xa7cef5e1844adb37ULL, 0xcd8b6301663d97beULL, 0x6d048f85642f3abULL, 0xddb6eb0c344f4841ULL}},
+     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL}},
     {kGAnti, kGRepair, true, true,
-     {0xeb011cd489b5fbcULL, 0x895d252f3214cfULL, 0x56a04705851f208eULL, 0x5f55edc3961cc39dULL}},
+     {0x60837778aa322fb6ULL, 0xe189a9edc3e52dc7ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL}},
     {kGInde, kGCheck, false, false,
-     {0x784e5a3ffb29c804ULL, 0x7032004e97f90c3ULL, 0x83d6a91432ef7517ULL, 0xac95b15e48b650a2ULL}},
+     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL}},
     {kGInde, kGCheck, false, true,
-     {0xfa7468b46b3e89beULL, 0x310f37d8429582cdULL, 0xac9eee9b282c848ULL, 0x56674e03ff51303bULL}},
+     {0xadb3554af29a50b8ULL, 0x6e4b504a3a37b39ULL, 0xc7472463200074e1ULL, 0xd635807b57352ea2ULL}},
     {kGInde, kGCheck, true, false,
-     {0x784e5a3ffb29c804ULL, 0x7032004e97f90c3ULL, 0x83d6a91432ef7517ULL, 0xac95b15e48b650a2ULL}},
+     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL}},
     {kGInde, kGCheck, true, true,
-     {0xfa7468b46b3e89beULL, 0x310f37d8429582cdULL, 0xac9eee9b282c848ULL, 0x56674e03ff51303bULL}},
+     {0xadb3554af29a50b8ULL, 0x6e4b504a3a37b39ULL, 0xc7472463200074e1ULL, 0xd635807b57352ea2ULL}},
     {kGInde, kGRepair, false, false,
-     {0x784e5a3ffb29c804ULL, 0x7032004e97f90c3ULL, 0x83d6a91432ef7517ULL, 0xac95b15e48b650a2ULL}},
+     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL}},
     {kGInde, kGRepair, false, true,
-     {0xfa7468b46b3e89beULL, 0xc2def34e993b4241ULL, 0xac9eee9b282c848ULL, 0x3ae06337f6292c86ULL}},
+     {0xadb3554af29a50b8ULL, 0x6d0062afecbc5642ULL, 0xc7472463200074e1ULL, 0xda4f7ef9d07aab6aULL}},
     {kGInde, kGRepair, true, false,
-     {0x784e5a3ffb29c804ULL, 0x7032004e97f90c3ULL, 0x83d6a91432ef7517ULL, 0xac95b15e48b650a2ULL}},
+     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL}},
     {kGInde, kGRepair, true, true,
-     {0xfa7468b46b3e89beULL, 0xc2def34e993b4241ULL, 0xac9eee9b282c848ULL, 0x3ae06337f6292c86ULL}},
+     {0xadb3554af29a50b8ULL, 0x6d0062afecbc5642ULL, 0xc7472463200074e1ULL, 0xda4f7ef9d07aab6aULL}},
     {kGCorr, kGCheck, false, false,
      {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL}},
     {kGCorr, kGCheck, false, true,

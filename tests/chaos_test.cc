@@ -1,8 +1,9 @@
 // Chaos harness: the seeded fault-injection schedule language, retry with
 // jittered backoff over injected transient I/O errors, the retrying
-// checkpoint/quarantine writers (including the fsync/rename regression the
-// retry path exists for), quarantine burst governance, and an end-to-end
-// pipeline run under a fault schedule with exact accounting.
+// checkpoint writer, which also writes quarantine dumps (including the
+// fsync/rename regression the retry path exists for), quarantine burst
+// governance, and an end-to-end pipeline run under a fault schedule with
+// exact accounting.
 
 #include <cerrno>
 #include <filesystem>
@@ -76,11 +77,11 @@ TEST_F(ChaosTest, FailClauseHitsExactOccurrences) {
 }
 
 TEST_F(ChaosTest, OpenRangeFailsForever) {
-  Arm("fail=qrtn-write@3+");
-  EXPECT_EQ(fault::FailErrno(fault::Site::kQuarantineWrite), 0);
-  EXPECT_EQ(fault::FailErrno(fault::Site::kQuarantineWrite), 0);
+  Arm("fail=ckpt-write@3+");
+  EXPECT_EQ(fault::FailErrno(fault::Site::kCheckpointWrite), 0);
+  EXPECT_EQ(fault::FailErrno(fault::Site::kCheckpointWrite), 0);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(fault::FailErrno(fault::Site::kQuarantineWrite), EIO);
+    EXPECT_EQ(fault::FailErrno(fault::Site::kCheckpointWrite), EIO);
   }
 }
 
@@ -233,7 +234,7 @@ TEST(RetryTest, BudgetExhaustionIsCounted) {
   EXPECT_EQ(stats.exhausted, 1u);
 }
 
-// --- retrying checkpoint / quarantine writers ----------------------------
+// --- retrying checkpoint writer (quarantine dumps included) --------------
 
 CheckpointState SmallState() {
   CheckpointState state;
@@ -336,22 +337,6 @@ TEST_F(ChaosIoTest, CheckpointErrnoIsReportedAndBudgetExhaustionFails) {
   EXPECT_FALSE(fs::exists(Path("ck.psky")));
 }
 
-TEST_F(ChaosIoTest, QuarantineWriteRetriesInjectedFault) {
-  Arm("fail=qrtn-write@1:eintr");
-  QuarantineDump dump;
-  dump.reason = "chaos test";
-  dump.state = SmallState();
-  RetryStats stats;
-  std::string error;
-  ASSERT_TRUE(WriteQuarantineFileRetry(Path("q.pskyq"), dump, FastRetry(2),
-                                       &stats, &error))
-      << error;
-  EXPECT_EQ(stats.retries, 1u);
-  QuarantineDump loaded;
-  ASSERT_TRUE(ReadQuarantineFile(Path("q.pskyq"), &loaded, &error)) << error;
-  EXPECT_EQ(loaded.reason, "chaos test");
-}
-
 // --- quarantine burst governance -----------------------------------------
 
 TEST(QuarantineGovernorTest, OneDumpPerBurstWithMonotonicSequence) {
@@ -378,9 +363,8 @@ TEST(QuarantineGovernorTest, SequencedFileNamesStaySortable) {
   const std::string c = QuarantineFileName(1500, 1);
   EXPECT_LT(a, b);
   EXPECT_LT(b, c);
-  // Both naming forms keep the .pskyq suffix the tooling globs for.
-  EXPECT_NE(a.find(".pskyq"), std::string::npos);
-  EXPECT_NE(QuarantineFileName(500).find(".pskyq"), std::string::npos);
+  // A dump is a checkpoint file: it keeps the checkpoint suffix.
+  EXPECT_TRUE(a.ends_with(".psky"));
 }
 
 // --- end-to-end pipeline under chaos -------------------------------------

@@ -354,8 +354,12 @@ TEST(CheckpointDir, StaleTempsAreSweptOnWriteAndOnDemand) {
   EXPECT_EQ(others, 1u);
   EXPECT_TRUE(fs::exists(dir + "/" + CheckpointFileName(30)));
 
-  // Direct sweep: counts what it removes, leaves everything else alone.
-  { std::ofstream f(dir + "/orphan.tmp"); f << "z"; }
+  // Direct sweep: counts what it removes (here an interrupted quarantine
+  // dump), leaves everything else alone.
+  {
+    std::ofstream f(dir + "/quarantine-00000000000000000030-001.psky.tmp");
+    f << "z";
+  }
   EXPECT_EQ(RemoveStaleCheckpointTemps(dir), 1u);
   EXPECT_EQ(RemoveStaleCheckpointTemps(dir), 0u);
   EXPECT_TRUE(fs::exists(dir + "/README.txt"));
@@ -365,9 +369,48 @@ TEST(CheckpointDir, StaleTempsAreSweptOnWriteAndOnDemand) {
   fs::remove_all(dir);
 }
 
+// Only this program's temp names are swept: --checkpoint-dir may name a
+// directory other programs use too (/tmp, say), and their "*.tmp" files
+// are not ours. A foreign notes.tmp survives the startup sweep, a
+// checkpoint write and pruning, while interrupted checkpoint and WAL
+// temps still go.
+TEST(CheckpointDir, SweepKeepsForeignTempFiles) {
+  const std::string dir = TempDir("foreign_tmp");
+  const std::string foreign = dir + "/notes.tmp";
+  const std::string ckpt_tmp = dir + "/" + CheckpointFileName(10) + ".tmp";
+  const std::string wal_tmp = dir + "/wal-00000000000000000010.pskywal.tmp";
+  const auto plant = [](const std::string& path) {
+    std::ofstream(path) << "bytes";
+  };
+  plant(foreign);
+  plant(ckpt_tmp);
+  plant(wal_tmp);
+  EXPECT_EQ(RemoveStaleCheckpointTemps(dir), 2u);  // the startup sweep
+  EXPECT_TRUE(fs::exists(foreign));
+  EXPECT_FALSE(fs::exists(ckpt_tmp));
+  EXPECT_FALSE(fs::exists(wal_tmp));
+
+  plant(ckpt_tmp);
+  std::string error;
+  for (uint64_t n : {100u, 200u, 300u}) {
+    CheckpointState s = MakeState(2, 5, n);
+    s.elements_consumed = n;
+    ASSERT_TRUE(
+        WriteCheckpointFile(dir + "/" + CheckpointFileName(n), s, &error))
+        << error;
+  }
+  EXPECT_FALSE(fs::exists(ckpt_tmp));  // swept before the first write
+  plant(wal_tmp);
+  PruneCheckpoints(dir, 1);
+  EXPECT_FALSE(fs::exists(wal_tmp));
+  EXPECT_EQ(ListCheckpointFiles(dir).size(), 1u);
+  EXPECT_TRUE(fs::exists(foreign));
+  fs::remove_all(dir);
+}
+
 // A checkpoint file must hold exactly EncodeCheckpoint's bytes for its
-// state — the bytes a quarantine dump embeds — whichever entry point
-// wrote it: resumability cannot depend on the code path or window kind.
+// state, whichever entry point wrote it: resumability cannot depend on
+// the code path or window kind.
 TEST(CheckpointStreamed, WriteIsByteIdenticalToMaterializedWrite) {
   const std::string dir = TempDir("stream_ident");
   CheckpointState time_state = MakeState(2, 120, 63);

@@ -1,5 +1,5 @@
 // Delta-event feed: reconstructing the skyline purely from
-// TakeSkylineDelta() / TakeBandChanges() must reproduce the full result
+// TakeSkylineDelta() / DrainBandChanges() must reproduce the full result
 // at every stream step.
 
 #include <set>
@@ -98,11 +98,13 @@ TEST(Events, BandChangesReconstructAllBandsForMsky) {
   StreamGenerator gen(cfg);
   CountWindow window(50);
   std::unordered_map<uint64_t, int> bands;
+  std::vector<SkyTree::BandChange> events;
   for (UncertainElement e : gen.Take(400)) {
     e.prob = ClampProb(e.prob);
     if (auto expired = window.Push(e)) tree.Expire(*expired);
     tree.Arrive(e);
-    for (const auto& ev : tree.TakeBandChanges()) {
+    tree.DrainBandChanges(&events);
+    for (const auto& ev : events) {
       if (ev.new_band == 0) {
         bands.erase(ev.seq);
       } else {

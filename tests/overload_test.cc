@@ -23,7 +23,6 @@ namespace {
 IngestItem Item(uint64_t seq, double prob = 0.5) {
   IngestItem item;
   item.element = MakeElement({1.0, 2.0}, prob, seq);
-  item.produced_after = seq + 1;
   item.next_seq_after = seq + 1;
   return item;
 }

@@ -25,6 +25,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -642,6 +643,56 @@ TEST(MergeBitIdentityEdge, EmptyShardsOnOneSectorStream) {
   EXPECT_EQ(stats.shards[0].inserted, 0u);
   EXPECT_EQ(stats.shards[2].inserted, 0u);
   EXPECT_EQ(stats.shards[3].inserted, 0u);
+}
+
+// The merge folds each candidate's per-shard sums in shard-index order,
+// as the serial reference does. A q-skyline member at d = 2 (hashed grid
+// cells) has one newer dominator in each of three shards, with P = 0.1,
+// 0.2 and 0.3 in shard-index order. Their log(1 - P) terms sum to other
+// bits in reverse order, so a merge that folded the shards in another
+// order would report another P_new and fail the bitwise comparison.
+TEST(MergeBitIdentityEdge, ThreeShardFoldOrderShowsInTheBits) {
+  ShardEngine::Options opts = CountOptions(4);
+  opts.dims = 2;
+  ShardEngine engine(opts);
+  auto element = [](double x0, double x1, double prob, uint64_t seq) {
+    UncertainElement e;
+    e.pos = Point({x0, x1});
+    e.prob = prob;
+    e.seq = seq;
+    e.time = static_cast<double>(seq);
+    return e;
+  };
+  const UncertainElement member = element(0.5, 0.5, 0.9, 0);
+  // Dominators from a scan of the lower-left quadrant, the first one
+  // routed to each shard, in shard-index order.
+  std::map<int, UncertainElement> by_shard;
+  for (int i = 0; i < 40 && by_shard.size() < 3; ++i) {
+    for (int j = 0; j < 40 && by_shard.size() < 3; ++j) {
+      const UncertainElement d =
+          element(0.05 + 0.01 * i, 0.05 + 0.01 * j, 0.5, 0);
+      by_shard.emplace(engine.ShardOf(d), d);
+    }
+  }
+  ASSERT_EQ(by_shard.size(), 3u);
+  const double probs[] = {0.1, 0.2, 0.3};
+  double terms[3];
+  size_t k = 0;
+  for (auto& [shard, d] : by_shard) {
+    d = element(d.pos[0], d.pos[1], probs[k], k + 1);
+    terms[k++] = LogOneMinusProb(d.prob);
+  }
+  const double forward = (terms[0] + terms[1]) + terms[2];
+  ASSERT_FALSE(SameBits(forward, (terms[2] + terms[1]) + terms[0]));
+
+  ASSERT_TRUE(engine.Route(member));
+  for (const auto& [shard, d] : by_shard) ASSERT_TRUE(engine.Route(d));
+  EXPECT_EQ(ExpectMergeBitIdentical(&engine), 0u);
+  size_t candidates = 0;
+  const std::vector<SkylineMember> sky = engine.GlobalSkyline(&candidates);
+  ASSERT_FALSE(sky.empty());
+  ASSERT_EQ(sky.front().element.seq, member.seq);
+  EXPECT_TRUE(SameBits(sky.front().pnew, std::exp(forward)));
 }
 
 // --- Fed from the caller's window ---------------------------------------

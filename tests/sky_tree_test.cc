@@ -436,30 +436,30 @@ TEST_P(SkyTreeGolden, MatchesRecordedState) {
 
 // clang-format off
 constexpr GoldenCase kGoldenCases[] = {
-    {kAnti, 2, Engine::kSsky, 128, 0xacae866561a9bcdbULL, 0x5c06737883927b61ULL, 204792, 3970849, 19658, 1, 203},
-    {kAnti, 2, Engine::kMsky, 128, 0xf1d705a4dd92b5b1ULL, 0xbd96b75f9b91091cULL, 204792, 3970849, 19658, 1, 266},
-    {kAnti, 3, Engine::kSsky, 128, 0xe9dfea0d65b1c062ULL, 0x769311bacbc996d0ULL, 357123, 7153108, 18990, 0, 479},
-    {kAnti, 3, Engine::kMsky, 128, 0xc7a72dd27eea1717ULL, 0x1f37f2fac9ad6299ULL, 357123, 7153108, 18990, 0, 676},
-    {kAnti, 4, Engine::kSsky, 128, 0x7d63dc951c964a28ULL, 0x86443d36e8cfee37ULL, 550528, 9219325, 17614, 0, 1084},
-    {kAnti, 4, Engine::kMsky, 128, 0x249b7bde58fd6896ULL, 0x030bf3deb756a77bULL, 550528, 9219325, 17614, 0, 1573},
-    {kInde, 2, Engine::kSsky, 128, 0x6d448a4cdaa84dabULL, 0x330bbe16bc068d6cULL, 108637, 3238951, 19813, 1, 86},
-    {kInde, 2, Engine::kMsky, 128, 0xdd217486e6f3bcc8ULL, 0xe61fbedf10b5ba1aULL, 108637, 3238951, 19813, 1, 129},
-    {kInde, 3, Engine::kSsky, 128, 0xc5a8b86fd8a065d8ULL, 0x953b6d7c4b8ea4f4ULL, 322413, 5154118, 19297, 1, 377},
-    {kInde, 3, Engine::kMsky, 128, 0x96328205218d8deaULL, 0x7fe4bab2e301a018ULL, 322413, 5154122, 19297, 1, 523},
-    {kInde, 4, Engine::kSsky, 128, 0x954ad2cbc54a6c1aULL, 0x242ba380755e3994ULL, 462480, 9211419, 18042, 0, 800},
-    {kInde, 4, Engine::kMsky, 128, 0x4003d0eebb75de02ULL, 0x046de47164bc82e3ULL, 462480, 9211419, 18042, 0, 1119},
-    {kCorr, 2, Engine::kSsky, 128, 0x11542f195422c2f2ULL, 0x53cb82791bfc4c78ULL, 110344, 1124376, 19879, 4, 54},
-    {kCorr, 2, Engine::kMsky, 128, 0x8e5ae791f6433310ULL, 0x76910b8e0fe14a9fULL, 110344, 1124382, 19879, 4, 89},
-    {kCorr, 3, Engine::kSsky, 128, 0xf480f380b98628b5ULL, 0x14a1e16f6637d76dULL, 110044, 1608227, 19793, 5, 81},
-    {kCorr, 3, Engine::kMsky, 128, 0xbc0c3a1de605347aULL, 0x8830acea04ef1498ULL, 110044, 1608230, 19793, 5, 127},
+    {kAnti, 2, Engine::kSsky, 128, 0xd20814823850660fULL, 0x5c06737883927b61ULL, 204792, 3970849, 19658, 1, 203},
+    {kAnti, 2, Engine::kMsky, 128, 0xec527c4ca06dc8d4ULL, 0xbd96b75f9b91091cULL, 204792, 3970849, 19658, 1, 266},
+    {kAnti, 3, Engine::kSsky, 128, 0x12f7946b9bc49081ULL, 0x769311bacbc996d0ULL, 357123, 7153108, 18990, 0, 479},
+    {kAnti, 3, Engine::kMsky, 128, 0x722d4f617e435b51ULL, 0x1f37f2fac9ad6299ULL, 357123, 7153108, 18990, 0, 676},
+    {kAnti, 4, Engine::kSsky, 128, 0x0e450423c67493bfULL, 0x86443d36e8cfee37ULL, 550528, 9219325, 17614, 0, 1084},
+    {kAnti, 4, Engine::kMsky, 128, 0x1d3ad474b7f3bc63ULL, 0x030bf3deb756a77bULL, 550528, 9219325, 17614, 0, 1573},
+    {kInde, 2, Engine::kSsky, 128, 0x3d5ea7227b4818c0ULL, 0x330bbe16bc068d6cULL, 108637, 3238951, 19813, 1, 86},
+    {kInde, 2, Engine::kMsky, 128, 0xa5bdf441fef31388ULL, 0xe61fbedf10b5ba1aULL, 108637, 3238951, 19813, 1, 129},
+    {kInde, 3, Engine::kSsky, 128, 0x93a3854676a78600ULL, 0x953b6d7c4b8ea4f4ULL, 322413, 5154118, 19297, 1, 377},
+    {kInde, 3, Engine::kMsky, 128, 0x156237e4bdce3cf1ULL, 0x7fe4bab2e301a018ULL, 322413, 5154122, 19297, 1, 523},
+    {kInde, 4, Engine::kSsky, 128, 0x2a949a20484a352dULL, 0x242ba380755e3994ULL, 462480, 9211419, 18042, 0, 800},
+    {kInde, 4, Engine::kMsky, 128, 0x44c747f4dd310b03ULL, 0x046de47164bc82e3ULL, 462480, 9211419, 18042, 0, 1119},
+    {kCorr, 2, Engine::kSsky, 128, 0x70808366eacec4c2ULL, 0x53cb82791bfc4c78ULL, 110344, 1124376, 19879, 4, 54},
+    {kCorr, 2, Engine::kMsky, 128, 0x3f2dc6db45d3f478ULL, 0x76910b8e0fe14a9fULL, 110344, 1124382, 19879, 4, 89},
+    {kCorr, 3, Engine::kSsky, 128, 0x50ef6d3049d3bcacULL, 0x14a1e16f6637d76dULL, 110044, 1608227, 19793, 5, 81},
+    {kCorr, 3, Engine::kMsky, 128, 0xb43506b81b32be97ULL, 0x8830acea04ef1498ULL, 110044, 1608230, 19793, 5, 127},
     {kCorr, 4, Engine::kSsky, 128, 0xfeb5a4fdf4a047f0ULL, 0xb48abae4a4d0d14fULL, 109733, 1912379, 19713, 1, 81},
     {kCorr, 4, Engine::kMsky, 128, 0xb7ed5fbb52b170e4ULL, 0xc2f4de9f3ebce437ULL, 109733, 1912388, 19713, 1, 119},
-    {kAnti, 3, Engine::kSsky, 8, 0x815216007f1f6e5fULL, 0xc353c35d5b702c1dULL, 1519070, 1836866, 18990, 1407, 479},
-    {kAnti, 3, Engine::kMsky, 8, 0x6b1c6d930c00b764ULL, 0x593224a8d395467eULL, 1519070, 1836913, 18990, 1407, 676},
-    {kInde, 3, Engine::kSsky, 8, 0xdf6e988ae34fa875ULL, 0x55247d9638d17911ULL, 1261643, 1809476, 19297, 1320, 377},
-    {kInde, 3, Engine::kMsky, 8, 0xa30a32e87aa2c9b8ULL, 0x2155fa6661f66d3aULL, 1261643, 1809534, 19297, 1320, 523},
-    {kCorr, 3, Engine::kSsky, 8, 0x99e1491d8566e91cULL, 0xdae683c7e1aa7842ULL, 426011, 250685, 19793, 3362, 81},
-    {kCorr, 3, Engine::kMsky, 8, 0x0d37708e8d0dacf5ULL, 0x3da2fef0473230dcULL, 426011, 250704, 19793, 3362, 127},
+    {kAnti, 3, Engine::kSsky, 8, 0xc6e42eda51912907ULL, 0xc353c35d5b702c1dULL, 1519070, 1836866, 18990, 1407, 479},
+    {kAnti, 3, Engine::kMsky, 8, 0x516f596fd21c38c6ULL, 0x593224a8d395467eULL, 1519070, 1836913, 18990, 1407, 676},
+    {kInde, 3, Engine::kSsky, 8, 0xccee2baf66fd2d18ULL, 0x55247d9638d17911ULL, 1261643, 1809476, 19297, 1320, 377},
+    {kInde, 3, Engine::kMsky, 8, 0x4f71dc96d58d8152ULL, 0x2155fa6661f66d3aULL, 1261643, 1809534, 19297, 1320, 523},
+    {kCorr, 3, Engine::kSsky, 8, 0x0da71946ee166939ULL, 0xdae683c7e1aa7842ULL, 426011, 250685, 19793, 3362, 81},
+    {kCorr, 3, Engine::kMsky, 8, 0xba5c1fd6a7bcf5b9ULL, 0x3da2fef0473230dcULL, 426011, 250704, 19793, 3362, 127},
 };
 // clang-format on
 

@@ -326,9 +326,10 @@ TEST(WalWriterTest, PruneKeepsFilesACheckpointCanNeed) {
   EXPECT_EQ(start, 20u);
 }
 
-// The psky_stream startup sweep (RemoveStaleCheckpointTemps) reaps any
-// "*.tmp" in the durable directory — which now includes WAL rotation
-// temps a crash mid-rotation leaves behind. Finished logs stay put.
+// The psky_stream startup sweep (RemoveStaleCheckpointTemps) reaps the
+// temps this program's writers leave in the durable directory, WAL
+// rotation temps a crash mid-rotation leaves behind included. Finished
+// logs stay put.
 TEST(WalWriterTest, StartupSweepReapsOrphanedRotationTemps) {
   const std::string dir = TempDir("tmpsweep");
   WriteLog(dir, 2, 0, 2);

@@ -91,10 +91,11 @@
 //                            every K steps, inline on the step path
 //   --strict                 exit 4 on any violation the auditor could not
 //                            repair (a quarantine dump is written first)
-// On PSKY_CHECK failure or a fatal signal the window state and audit
-// counters are dumped to a quarantine file in the checkpoint dir (or the
-// working directory) for post-mortem replay. Dumps are rate-limited to one
-// per failure burst and carry monotonic sequence numbers.
+// On PSKY_CHECK failure or a fatal signal the window is dumped as a plain
+// checkpoint, quarantine-<step>-<seq>.psky (--resume can start from it),
+// with the reason and audit counters in quarantine-<step>-<seq>.txt, in
+// the checkpoint dir (or the working directory). Dumps are rate-limited
+// to one per failure burst and carry monotonic sequence numbers.
 //
 // Output (stdout), one line per report:
 //   counts:  step=<n> candidates=<c> skyline=<s>
@@ -551,7 +552,6 @@ class Source {
     if (!e.has_value()) return std::nullopt;
     psky::IngestItem item;
     item.element = *e;
-    item.produced_after = ++total_produced_;
     if (csv_ != nullptr) {
       item.lines_after = base_lines_ + csv_->lines_read();
       item.next_seq_after = csv_->next_seq();
@@ -572,7 +572,6 @@ class Source {
   std::unique_ptr<psky::StreamGenerator> synthetic_;
   std::unique_ptr<psky::StockStreamGenerator> stock_;
   size_t produced_ = 0;        // generator elements produced
-  uint64_t total_produced_ = 0;  // all items handed out (any source)
   uint64_t base_lines_ = 0;
 };
 
@@ -585,29 +584,35 @@ struct CarriedCounters {
 
 // --- crash quarantine ----------------------------------------------------
 // On PSKY_CHECK failure, a fatal signal, or an unrepaired integrity
-// violation, dump the window state and audit counters for post-mortem
-// replay. Best-effort by design: the process is already dying, so the dump
+// violation, dump the state for post-mortem replay: a plain checkpoint,
+// streamed from the window by the same writer and source as every other
+// checkpoint (so the dump holds one write chunk in memory, not the
+// window), and a note beside it with the reason and the audit counters.
+// Best-effort by design: the process is already dying, so the dump
 // allocates and does file I/O; the recursion guard plus re-raising with
 // SIG_DFL bound the damage if the dump itself faults. Dumps are governed:
 // one per failure burst, each with a monotonic sequence number, so a CHECK
 // storm cannot bury the evidence under thousands of files.
 //
 // The window belongs to the pipeline thread, so only a dump requested
-// there embeds it. A failure on any other thread (a shard worker, the
-// ingest producer, the WAL sync thread) dumps the reason, the audit
-// counters and the checkpoint header with an empty window: it must
-// neither wait for the pipeline thread nor read a window that thread is
-// changing. Its counters are the pipeline thread's latest,
-// read without synchronization from a process that is about to abort.
-// A shard worker's dump names the command the worker was applying
-// (ShardEngine::CurrentWorkerCommand): the reason gains
+// there holds it. A failure on any other thread (a shard worker, the
+// ingest producer, the WAL sync thread) dumps the checkpoint header with
+// an empty window: it must neither wait for the pipeline thread nor read
+// a window that thread is changing. Its counters are the pipeline
+// thread's latest, read without synchronization from a process that is
+// about to abort. A shard worker's dump names the command the worker was
+// applying (ShardEngine::CurrentWorkerCommand): the reason gains
 // "shard=K insert|expire seq=S", and the file is named and stamped with
 // S, since the router may run a queue's capacity ahead of the workers and
 // the pipeline's step says little about the failure.
 
 struct PostMortemContext {
-  /// The state to embed; the window only when `with_window`.
-  std::function<psky::CheckpointState(bool with_window)> snapshot;
+  /// The checkpoint header of the pipeline's current step.
+  std::function<psky::CheckpointState()> header;
+  /// The window's size and a fresh oldest-first pass over it, as
+  /// checkpoints read it; used only on the pipeline thread.
+  std::function<uint64_t()> window_size;
+  std::function<psky::CheckpointElementSource()> window_source;
   std::thread::id pipeline_thread;
   const psky::AuditManager* audit = nullptr;
   std::string dir = ".";
@@ -619,31 +624,29 @@ struct PostMortemContext {
 PostMortemContext g_postmortem;
 
 void DumpQuarantine(const std::string& reason) {
-  if (!g_postmortem.snapshot ||
+  if (!g_postmortem.header ||
       g_postmortem.dumping.exchange(true, std::memory_order_acquire)) {
     return;
   }
-  psky::QuarantineDump dump;
-  dump.reason = reason;
-  if (g_postmortem.audit != nullptr) dump.report = g_postmortem.audit->report();
   const bool with_window =
       std::this_thread::get_id() == g_postmortem.pipeline_thread;
-  dump.state = g_postmortem.snapshot(with_window);
+  psky::CheckpointState state = g_postmortem.header();
+  std::string full_reason = reason;
   char where[96] = "";
   psky::ShardEngine::WorkerCommand cmd;
   if (!with_window && psky::ShardEngine::CurrentWorkerCommand(&cmd)) {
     if (cmd.has_element) {
       std::snprintf(where, sizeof where, "; shard=%d %s seq=%llu", cmd.shard,
                     cmd.kind, static_cast<unsigned long long>(cmd.seq));
-      dump.state.elements_consumed = cmd.seq;
+      state.elements_consumed = cmd.seq;
     } else {
       std::snprintf(where, sizeof where, "; shard=%d %s", cmd.shard,
                     cmd.kind);
     }
-    dump.reason += where;
+    full_reason += where;
   }
   uint64_t dump_seq = 0;
-  if (!g_postmortem.governor.Admit(dump.state.elements_consumed, &dump_seq)) {
+  if (!g_postmortem.governor.Admit(state.elements_consumed, &dump_seq)) {
     std::fprintf(stderr,
                  "quarantine dump suppressed (same failure burst; %llu "
                  "suppressed so far)\n",
@@ -654,16 +657,28 @@ void DumpQuarantine(const std::string& reason) {
   }
   const std::string path =
       g_postmortem.dir + "/" +
-      psky::QuarantineFileName(dump.state.elements_consumed, dump_seq);
+      psky::QuarantineFileName(state.elements_consumed, dump_seq);
+  const std::string note =
+      std::filesystem::path(path).replace_extension(".txt").string();
+  const psky::AuditReport report = g_postmortem.audit != nullptr
+                                       ? g_postmortem.audit->report()
+                                       : psky::AuditReport{};
+  const uint64_t window_count = with_window ? g_postmortem.window_size() : 0;
   std::string error;
-  if (psky::WriteQuarantineFileRetry(path, dump, g_postmortem.io_policy,
-                                     g_postmortem.io_stats, &error)) {
-    const std::string note =
-        with_window ? ""
-                    : std::string(" (off the pipeline thread: no window") +
-                          where + ")";
-    std::fprintf(stderr, "quarantine dump written to %s%s\n", path.c_str(),
-                 note.c_str());
+  if (psky::WriteCheckpointFileStreamedRetry(
+          path, state, window_count, g_postmortem.window_source,
+          g_postmortem.io_policy, g_postmortem.io_stats, &error) &&
+      psky::WriteQuarantineNote(note, full_reason, report, &error)) {
+    char what[160];
+    if (with_window) {
+      std::snprintf(what, sizeof what, "%llu window elements",
+                    static_cast<unsigned long long>(window_count));
+    } else {
+      std::snprintf(what, sizeof what,
+                    "off the pipeline thread: no window%s", where);
+    }
+    std::fprintf(stderr, "quarantine dump written to %s and %s (%s)\n",
+                 path.c_str(), note.c_str(), what);
   } else {
     std::fprintf(stderr, "error: quarantine dump failed: %s\n", error.c_str());
   }
@@ -1058,7 +1073,7 @@ int main(int argc, char** argv) {
   }
 
   // Everything a checkpoint records except the window contents, which
-  // stream into the file; a quarantine dump adds the materialized window.
+  // stream into the file (window_source below).
   auto build_header = [&]() -> psky::CheckpointState {
     psky::CheckpointState state;
     state.dims = args.dims;
@@ -1199,6 +1214,18 @@ int main(int argc, char** argv) {
     return true;
   };
 
+  // The window flows into a checkpoint or quarantine dump one element at
+  // a time, so a giant disk window is written in O(1) elements of
+  // memory, and a sharded run never waits on its workers. Each call
+  // starts a fresh pass at the oldest element, so a retried write
+  // restarts the read.
+  auto window_source = [&]() -> psky::CheckpointElementSource {
+    return [&, i = uint64_t{0}](psky::UncertainElement* e) mutable {
+      *e = window_stream.at(i++);
+      return true;
+    };
+  };
+
   uint64_t checkpoints_written = 0;
   auto write_checkpoint = [&]() -> bool {
     // WAL-before-checkpoint: everything the snapshot covers must already
@@ -1222,19 +1249,9 @@ int main(int argc, char** argv) {
     }
     const std::string path =
         args.checkpoint_dir + "/" + psky::CheckpointFileName(step);
-    // The window flows into the file one element at a time, so a
-    // giant disk window checkpoints in O(1) elements of memory, and a
-    // sharded run never waits on its workers. Each retry attempt
-    // restarts the read at the oldest element.
-    auto source_factory = [&]() -> psky::CheckpointElementSource {
-      return [&, i = uint64_t{0}](psky::UncertainElement* e) mutable {
-        *e = window_stream.at(i++);
-        return true;
-      };
-    };
     std::string error;
     if (!psky::WriteCheckpointFileStreamedRetry(
-            path, build_header(), window_stream.size(), source_factory,
+            path, build_header(), window_stream.size(), window_source,
             io_policy, &io_stats, &error)) {
       std::fprintf(stderr, "error: checkpoint failed: %s\n", error.c_str());
       // The retry budget is exhausted (or the error was permanent): this
@@ -1284,15 +1301,9 @@ int main(int argc, char** argv) {
   audit_options.oracle_every = args.audit_oracle_every;
   psky::AuditManager audit(&op, audit_options, window_stream);
 
-  g_postmortem.snapshot = [&](bool with_window) {
-    psky::CheckpointState state = build_header();
-    if (with_window) {
-      window_stream.scan([&](const psky::UncertainElement& e) {
-        state.window.push_back(e);
-      });
-    }
-    return state;
-  };
+  g_postmortem.header = build_header;
+  g_postmortem.window_size = window_stream.size;
+  g_postmortem.window_source = window_source;
   g_postmortem.pipeline_thread = std::this_thread::get_id();
   g_postmortem.audit = &audit;
   g_postmortem.dir = args.checkpoint_dir.empty() ? "." : args.checkpoint_dir;
