@@ -6,7 +6,7 @@
 // sustained elements/second plus p50/p99 per-element step latency per
 // workload, stamped with the dominance-kernel variant the CPU dispatched
 // to. The inde_wal / inde_disk rows repeat the independent stream with
-// the write-ahead log and the mmap'd segment-store window respectively,
+// the write-ahead log and the segment-store disk window respectively,
 // feeding the wal_overhead / disk_overhead keys. Shard rows
 // (anti_s{1,2,4,8}, inde_s{1,2,4,8}) repeat the anti/inde streams
 // through the sharded ingestion engine and feed the
@@ -153,10 +153,10 @@ WorkloadResult RunWorkload(const char* name, SpatialDistribution spatial,
   return result;
 }
 
-// Same independent workload with the raw window living in the mmap'd
-// segment store (psky_stream --window-store disk): steady-state rotation
-// is a fused PushRotate against the head/tail segments with the default
-// resident budget, so the row measures the out-of-core paging tax the
+// Same independent workload with the raw window living in the segment
+// store (psky_stream --window-store disk): steady-state rotation is a
+// PushRotate against the head and tail segment buffers, one pwrite and
+// one pread per segment, so the row measures the out-of-core I/O tax the
 // production disk mode pays. The inde vs inde_disk throughput gap is
 // reported as disk_overhead and gated by tools/bench_report.py.
 WorkloadResult RunDiskWorkload(const char* name, SpatialDistribution spatial,

@@ -41,8 +41,8 @@ Mutex g_mu{"fault-schedule", lockrank::kFaultSchedule};
 Schedule g_schedule PSKY_GUARDED_BY(g_mu);
 
 constexpr const char* kSiteNames[kSiteCount] = {
-    "ckpt-open",  "ckpt-write", "ckpt-fsync",  "ckpt-rename",     "step",
-    "wal-append", "wal-fsync",  "segment-map", "segment-recycle",
+    "ckpt-open",  "ckpt-write", "ckpt-fsync", "ckpt-rename",
+    "step",       "wal-append", "wal-fsync",  "segment-io",
 };
 
 bool ParseU64(std::string_view s, uint64_t* out) {

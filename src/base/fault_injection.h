@@ -22,8 +22,7 @@
 //                                    open range
 //   <err>  := eio | enospc | eintr   injected errno (default eio)
 //   <site> := ckpt-open | ckpt-write | ckpt-fsync | ckpt-rename |
-//             step | wal-append | wal-fsync |
-//             segment-map | segment-recycle
+//             step | wal-append | wal-fsync | segment-io
 //
 // Example: "seed=7;fail=ckpt-fsync@2..3;delay=step@100..200:5" fails the
 // 2nd and 3rd checkpoint fsyncs with EIO and slows pipeline steps 100-200
@@ -53,10 +52,9 @@ enum class Site : int {
   kStep,                ///< one pipeline step (delay only)
   kWalAppend,           ///< appending one record to the write-ahead log
   kWalFsync,            ///< group-commit fsync of the write-ahead log
-  kSegmentMap,          ///< mapping a new window-store segment file
-  kSegmentRecycle,      ///< recycling a drained window-store segment
+  kSegmentIo,           ///< opening, reading or writing a segment file
 };
-inline constexpr int kSiteCount = 9;
+inline constexpr int kSiteCount = 8;
 
 /// Canonical schedule-syntax name of a site ("ckpt-fsync", ...).
 const char* SiteName(Site site);

@@ -200,10 +200,7 @@ int DegradationLadder::Observe(double pressure) {
 DegradationLadder::Effects DegradationLadder::effects() const {
   Effects e;
   if (stats_.rung >= 1) e.batch_multiplier = options_.batch_multiplier;
-  if (stats_.rung >= 2) {
-    e.suspend_oracle = true;
-    e.segment_budget_divisor = options_.segment_budget_divisor;
-  }
+  if (stats_.rung >= 2) e.suspend_oracle = true;
   if (stats_.rung >= 3) e.audit_stretch = options_.audit_stretch;
   if (stats_.rung >= 4) e.checkpoint_stretch = options_.checkpoint_stretch;
   return e;

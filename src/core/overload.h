@@ -131,9 +131,7 @@ class BoundedIngestQueue {
 ///
 /// Rungs trade auxiliary work for ingest headroom, mildest first:
 ///   1  widen the consumer batch (amortize per-batch overheads)
-///   2  suspend the audit's shadow-oracle replays and shrink the disk
-///      window store's resident-segment budget (cheap, reversible RSS
-///      relief for out-of-core windows)
+///   2  suspend the audit's shadow-oracle replays
 ///   3  stretch the slice-audit cadence (sampled audit)
 ///   4  stretch the checkpoint interval
 /// Effects are cumulative: rung 3 implies rungs 1 and 2.
@@ -146,7 +144,6 @@ class DegradationLadder {
     int release_hold = 16;
     int max_rung = 4;
     size_t batch_multiplier = 4;       ///< rung >= 1
-    size_t segment_budget_divisor = 2; ///< rung >= 2
     uint64_t audit_stretch = 8;        ///< rung >= 3
     uint64_t checkpoint_stretch = 4;   ///< rung >= 4
   };
@@ -155,10 +152,6 @@ class DegradationLadder {
   struct Effects {
     size_t batch_multiplier = 1;
     bool suspend_oracle = false;
-    /// Divide the disk window store's resident-segment budget by this
-    /// (SegmentStore::SetResidentBudget clamps at its minimum); 1
-    /// restores the configured budget.
-    size_t segment_budget_divisor = 1;
     uint64_t audit_stretch = 1;
     uint64_t checkpoint_stretch = 1;
   };

@@ -1,13 +1,13 @@
 #include "store/segment_store.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "base/check.h"
 #include "base/fault_injection.h"
@@ -25,6 +25,17 @@ bool Fail(std::string* error, const std::string& msg) {
 // See checkpoint.cc: strerror is fine on the single pipeline thread.
 std::string ErrnoString(int err) {
   return std::strerror(err);  // NOLINT(concurrency-mt-unsafe)
+}
+
+// The segment-io fault site, consulted before every segment file open,
+// read and write: fails with "cannot <what> <path>: <errno> (injected)".
+bool Injected(const char* what, const std::string& path, std::string* error) {
+  if (!fault::Enabled()) return false;
+  const int inj = fault::FailErrno(fault::Site::kSegmentIo);
+  if (inj == 0) return false;
+  Fail(error, std::string("cannot ") + what + " " + path + ": " +
+                  ErrnoString(inj) + " (injected)");
+  return true;
 }
 
 std::string SegmentFileName(uint64_t id) {
@@ -52,17 +63,10 @@ SegmentStore::SegmentStore(const Options& opts)
       zero_pos_(opts.dims >= 1 && opts.dims <= kMaxDims ? opts.dims : 0) {}
 
 SegmentStore::~SegmentStore() {
-  UnmapAll();
-  // Per-run scratch: leave nothing behind on clean destruction.
+  // Per-run scratch: leave nothing behind on clean destruction. The tail
+  // segment may have no file yet.
   std::error_code ec;
-  for (const Segment& seg : segments_) std::filesystem::remove(seg.path, ec);
-  for (const std::string& path : free_files_) {
-    std::filesystem::remove(path, ec);
-  }
-}
-
-size_t SegmentStore::SegmentBytes() const {
-  return SlotBytes() * opts_.elements_per_segment;
+  for (uint64_t id : segments_) std::filesystem::remove(SegmentPath(id), ec);
 }
 
 bool SegmentStore::Init(std::string* error) {
@@ -81,250 +85,154 @@ bool SegmentStore::Init(std::string* error) {
   return true;
 }
 
-void SegmentStore::UnmapSegment(Segment* seg) const {
-  if (seg->map == nullptr) return;
-  ::munmap(seg->map, SegmentBytes());
-  ++map_epoch_;
-  seg->map = nullptr;
-  seg->lru = 0;
-  --stats_.segments_resident;
+std::string SegmentStore::SegmentPath(uint64_t id) const {
+  return (std::filesystem::path(opts_.dir) / SegmentFileName(id)).string();
 }
 
-void SegmentStore::EnforceResidentBudget(size_t protect_index) const {
-  if (opts_.resident_budget == 0) return;
-  const uint64_t budget = static_cast<uint64_t>(
-      opts_.resident_budget < kMinResidentBudget ? kMinResidentBudget
-                                                 : opts_.resident_budget);
-  while (stats_.segments_resident > budget) {
-    // Evict the least-recently-used mapped segment. The head, the
-    // readahead frontier, the write tail, and the caller's segment are
-    // pinned: evicting any of them would immediately thrash.
-    size_t victim = segments_.size();
-    uint64_t victim_lru = 0;
-    const size_t last = segments_.size() - 1;
-    for (size_t i = 2; i < segments_.size(); ++i) {
-      const Segment& seg = segments_[i];
-      if (i == last || i == protect_index || seg.map == nullptr) continue;
-      if (victim == segments_.size() || seg.lru < victim_lru) {
-        victim = i;
-        victim_lru = seg.lru;
-      }
-    }
-    if (victim == segments_.size()) return;  // only pinned segments mapped
-    UnmapSegment(&segments_[victim]);
-    ++stats_.recycle_pressure;
-  }
-}
-
-bool SegmentStore::EnsureMapped(size_t seg_index, std::string* error) const {
-  Segment& seg = segments_[seg_index];
-  if (seg.map != nullptr) {
-    seg.lru = ++lru_tick_;
-    return true;
-  }
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kSegmentMap)) {
-      return Fail(error, "cannot map segment in " + opts_.dir + ": " +
-                             ErrnoString(inj) + " (injected)");
-    }
-  }
-  // The file was created and sized by MapTailSegment; MAP_SHARED means
-  // the pages we dropped on eviction are still in the page cache / file.
-  const int fd = ::open(seg.path.c_str(), O_RDWR);
-  if (fd < 0) {
-    return Fail(error, "cannot open " + seg.path + ": " + ErrnoString(errno));
-  }
-  void* map = ::mmap(nullptr, SegmentBytes(), PROT_READ | PROT_WRITE,
-                     MAP_SHARED, fd, 0);
-  ::close(fd);  // the mapping keeps the file alive
-  if (map == MAP_FAILED) {
-    return Fail(error, "cannot map " + seg.path + ": " + ErrnoString(errno));
-  }
-  ::madvise(map, SegmentBytes(), MADV_SEQUENTIAL);
-  seg.map = static_cast<char*>(map);
-  seg.lru = ++lru_tick_;
+void SegmentStore::Allocate(Buffer* b) const {
+  if (!b->bytes.empty()) return;
+  b->bytes.resize(SlotBytes() * opts_.elements_per_segment);
   ++stats_.segments_resident;
-  EnforceResidentBudget(seg_index);
-  return true;
 }
 
-bool SegmentStore::MapTailSegment(std::string* error) {
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kSegmentMap)) {
-      return Fail(error, "cannot map segment in " + opts_.dir + ": " +
-                             ErrnoString(inj) + " (injected)");
-    }
-  }
-  Segment seg;
-  seg.id = next_id_++;
-  seg.path =
-      (std::filesystem::path(opts_.dir) / SegmentFileName(seg.id)).string();
-  bool recycled = false;
-  if (!free_files_.empty()) {
-    const std::string from = free_files_.back();
-    if (std::rename(from.c_str(), seg.path.c_str()) != 0) {
-      return Fail(error, "cannot recycle " + from + " to " + seg.path + ": " +
-                             ErrnoString(errno));
-    }
-    free_files_.pop_back();
-    recycled = true;
-  }
-  const int fd = ::open(seg.path.c_str(), O_CREAT | O_RDWR, 0644);
+bool SegmentStore::TransferSegment(uint64_t id, char* bytes, bool write,
+                                   std::string* error) const {
+  const std::string path = SegmentPath(id);
+  if (Injected("open", path, error)) return false;
+  const int fd = write ? ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                                0644)
+                       : ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
-    return Fail(error,
-                "cannot open " + seg.path + ": " + ErrnoString(errno));
+    return Fail(error, "cannot open " + path + ": " + ErrnoString(errno));
   }
-  if (::ftruncate(fd, static_cast<off_t>(SegmentBytes())) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Fail(error,
-                "cannot size " + seg.path + ": " + ErrnoString(err));
+  const char* verb = write ? "write" : "read";
+  bool ok = !Injected(verb, path, error);
+  const size_t total = SlotBytes() * opts_.elements_per_segment;
+  for (size_t done = 0; ok && done < total;) {
+    const off_t at = static_cast<off_t>(done);
+    const ssize_t n = write ? ::pwrite(fd, bytes + done, total - done, at)
+                            : ::pread(fd, bytes + done, total - done, at);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      const int err = n < 0 ? errno : EIO;  // 0: the file is short
+      ok = Fail(error, std::string("cannot ") + verb + " " + path + ": " +
+                           ErrnoString(err));
+    }
+    done += n > 0 ? static_cast<size_t>(n) : 0;
   }
-  void* map = ::mmap(nullptr, SegmentBytes(), PROT_READ | PROT_WRITE,
-                     MAP_SHARED, fd, 0);
-  ::close(fd);  // the mapping keeps the file alive
-  if (map == MAP_FAILED) {
-    return Fail(error, "cannot map " + seg.path + ": " + ErrnoString(errno));
+  if (::close(fd) != 0 && ok) {
+    ok = Fail(error, "cannot close " + path + ": " + ErrnoString(errno));
   }
-  ::madvise(map, SegmentBytes(), MADV_SEQUENTIAL);
-  seg.map = static_cast<char*>(map);
-  seg.lru = ++lru_tick_;
-  segments_.push_back(seg);
-  tail_count_ = 0;
-  ++stats_.segments_resident;
-  if (recycled) {
-    ++stats_.segments_recycled;
-  } else {
-    ++stats_.segments_created;
-  }
-  stats_.segments_live = segments_.size();
-  // Write-behind: the previous tail is now fully written and will not be
-  // touched again until it reaches the expiry frontier — drop it from
-  // RSS unless it *is* the frontier (head or readahead successor).
-  if (segments_.size() >= 4) {
-    UnmapSegment(&segments_[segments_.size() - 2]);
-  }
-  EnforceResidentBudget(segments_.size() - 1);
-  return true;
+  return ok;
 }
 
-bool SegmentStore::RecycleFrontSegment(std::string* error) {
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kSegmentRecycle)) {
-      return Fail(error, "cannot recycle segment in " + opts_.dir + ": " +
-                             ErrnoString(inj) + " (injected)");
-    }
+bool SegmentStore::ReadSegment(size_t seg_index, Buffer* into,
+                               std::string* error) const {
+  into->lo = into->hi = 0;
+  Allocate(into);
+  if (!TransferSegment(segments_[seg_index], into->bytes.data(),
+                       /*write=*/false, error)) {
+    return false;
   }
-  Segment seg = segments_.front();
-  segments_.pop_front();
-  ++map_epoch_;  // unmapped below; the file comes back as a tail
-  if (seg.map != nullptr) {
-    ::munmap(seg.map, SegmentBytes());
-    --stats_.segments_resident;
-  }
-  free_files_.push_back(seg.path);
-  head_offset_ = 0;
-  stats_.segments_live = segments_.size();
-  if (!segments_.empty()) {
-    // Readahead accounting: the new expiry frontier should already be
-    // mapped by the prefetch below from the previous recycle.
-    if (segments_.front().map != nullptr) {
-      ++stats_.readahead_hits;
-      segments_.front().lru = ++lru_tick_;
-    } else {
-      ++stats_.readahead_misses;
-      std::string ignored;  // best effort; PopFront surfaces real failures
-      EnsureMapped(0, &ignored);
-    }
-    // Prefetch the next frontier so the following recycle is a hit and
-    // the kernel starts paging it in now (MADV_WILLNEED).
-    if (segments_.size() >= 2) {
-      std::string ignored;
-      if (EnsureMapped(1, &ignored)) {
-        ::madvise(segments_[1].map, SegmentBytes(), MADV_WILLNEED);
-      }
-    }
-  }
+  into->lo = FrontLo() + seg_index * opts_.elements_per_segment;
+  into->hi = into->lo + opts_.elements_per_segment;
   return true;
-}
-
-void SegmentStore::UnmapAll() {
-  for (Segment& seg : segments_) {
-    if (seg.map != nullptr) ::munmap(seg.map, SegmentBytes());
-    seg.map = nullptr;
-  }
-  ++map_epoch_;
-  stats_.segments_resident = 0;
 }
 
 bool SegmentStore::PushBack(const UncertainElement& e, std::string* error) {
   PSKY_CHECK(e.pos.dims() == opts_.dims);
-  if (segments_.empty() || tail_count_ == opts_.elements_per_segment) {
-    if (!MapTailSegment(error)) return false;
-  } else if (segments_.back().map == nullptr) {
-    // The tail can only go cold through SetResidentBudget edge cases;
-    // fault in before writing.
-    if (!EnsureMapped(segments_.size() - 1, error)) return false;
+  const uint64_t pushed = total_popped_ + size_;
+  if (segments_.empty()) {
+    segments_.push_back(next_id_++);
+    Allocate(&tail_);
+    tail_.lo = pushed;
+  } else if (pushed - tail_.lo == opts_.elements_per_segment) {
+    if (!TransferSegment(segments_.back(), tail_.bytes.data(),
+                         /*write=*/true, error)) {
+      return false;
+    }
+    ++stats_.segments_created;
+    if (segments_.size() == 1) {
+      // The full tail is also the front: it becomes the head buffer as
+      // it stands, without a read.
+      std::swap(head_, tail_);
+      head_.hi = head_.lo + opts_.elements_per_segment;
+      Allocate(&tail_);
+    }
+    segments_.push_back(next_id_++);
+    tail_.lo = pushed;
   }
-  char* slot = segments_.back().map + tail_count_ * SlotBytes();
+  char* slot = tail_.bytes.data() + (pushed - tail_.lo) * SlotBytes();
   std::memcpy(slot, &e.seq, 8);
   std::memcpy(slot + 8, &e.prob, 8);
   std::memcpy(slot + 16, &e.time, 8);
   std::memcpy(slot + 24, e.pos.data(), 8 * static_cast<size_t>(opts_.dims));
-  ++tail_count_;
   ++size_;
+  stats_.segments_live = segments_.size();
   return true;
 }
 
-bool SegmentStore::PopFront(UncertainElement* out, std::string* error) {
-  PSKY_CHECK(size_ > 0);
-  if (!EnsureMapped(0, error)) return false;
-  // Direct head read: the expiry frontier advances one slot per pop, so
-  // steady-state rotation walks each mapped page exactly once.
-  const char* slot = segments_.front().map + head_offset_ * SlotBytes();
-  ReadSlot(slot, out);
-  ++head_offset_;
-  --size_;
-  ++total_popped_;
-  const bool front_is_tail = segments_.size() == 1;
-  const size_t front_used = front_is_tail ? tail_count_
-                                          : opts_.elements_per_segment;
-  if (head_offset_ == front_used && !front_is_tail) {
-    if (!RecycleFrontSegment(error)) {
-      // The element is already out; undo nothing, but surface the I/O
-      // problem. The drained segment stays mapped and retries next pop.
-      ++size_;
-      --head_offset_;
-      --total_popped_;
-      *out = UncertainElement{};
-      return false;
+bool SegmentStore::LoadFront(std::string* error) {
+  if (segments_.size() == 1 || head_.Holds(total_popped_)) return true;
+  if (!ReadSegment(0, &head_, error)) return false;
+  if (segments_.size() > 2) {
+    // Prefetch the next expiry frontier (the tail has no file). Advisory:
+    // not a segment-io occurrence, and a failure costs only the hint.
+    const int fd = ::open(SegmentPath(segments_[1]).c_str(), O_RDONLY);
+    if (fd >= 0) {
+      ::posix_fadvise(fd, 0, 0, POSIX_FADV_WILLNEED);
+      ::close(fd);
     }
-  } else if (head_offset_ == front_used && front_is_tail) {
-    // Fully drained store: rewind the single segment in place. Its slots
-    // now hold new absolute indices, so resolved readers must re-resolve.
-    head_offset_ = 0;
-    tail_count_ = 0;
-    ++map_epoch_;
   }
   return true;
 }
 
-void SegmentStore::Resolve(uint64_t abs, Resolved* r) const {
+void SegmentStore::TakeFront(UncertainElement* out) {
+  const Buffer& front = segments_.size() == 1 ? tail_ : head_;
+  ReadSlot(front.bytes.data() + (total_popped_ - front.lo) * SlotBytes(),
+           out);
+  ++head_offset_;
+  --size_;
+  ++total_popped_;
+  if (segments_.size() == 1) {
+    if (size_ == 0) {
+      // Fully drained: the lone segment starts over in place.
+      head_offset_ = 0;
+      tail_.lo = total_popped_;
+    }
+  } else if (head_offset_ == opts_.elements_per_segment) {
+    std::error_code ec;  // a leftover file is reaped by the next sweep
+    std::filesystem::remove(SegmentPath(segments_.front()), ec);
+    segments_.pop_front();
+    head_offset_ = 0;
+  }
+  stats_.segments_live = segments_.size();
+}
+
+bool SegmentStore::PopFront(UncertainElement* out, std::string* error) {
+  PSKY_CHECK(size_ > 0);
+  if (!LoadFront(error)) return false;
+  TakeFront(out);
+  return true;
+}
+
+bool SegmentStore::Rotate(const UncertainElement& e, UncertainElement* out,
+                          std::string* error) {
+  PSKY_CHECK(size_ > 0);
+  // The push keeps a loaded front loaded, so the pop needs no I/O.
+  if (!LoadFront(error) || !PushBack(e, error)) return false;
+  TakeFront(out);
+  return true;
+}
+
+void SegmentStore::LoadRead(uint64_t abs) const {
   // Callers only ask for live indices: At checks i < size(), and a
   // cursor clamps to [total_popped_, its end).
   PSKY_DCHECK(abs >= total_popped_ && abs - total_popped_ < size_);
-  // Slot 0 of the front segment holds absolute index
-  // total_popped_ - head_offset_; segments are elements_per_segment apart.
-  const uint64_t flat = abs - (total_popped_ - head_offset_);
   const size_t seg_index =
-      static_cast<size_t>(flat / opts_.elements_per_segment);
+      static_cast<size_t>((abs - FrontLo()) / opts_.elements_per_segment);
   std::string error;
-  PSKY_CHECK_MSG(EnsureMapped(seg_index, &error), error.c_str());
-  r->base = segments_[seg_index].map;
-  r->lo = abs - flat % opts_.elements_per_segment;
-  r->hi = r->lo + opts_.elements_per_segment;
-  // Read after EnsureMapped: its budget sweep may have unmapped others.
-  r->epoch = map_epoch_;
+  PSKY_CHECK_MSG(ReadSegment(seg_index, &read_, &error), error.c_str());
 }
 
 std::vector<UncertainElement> SegmentStore::Snapshot() const {
@@ -336,11 +244,6 @@ std::vector<UncertainElement> SegmentStore::Snapshot() const {
 
 SegmentStore::Cursor SegmentStore::NewCursor() const {
   return Cursor(this, total_popped_, total_popped_ + size_);
-}
-
-void SegmentStore::SetResidentBudget(size_t budget) {
-  opts_.resident_budget = budget;
-  if (!segments_.empty()) EnforceResidentBudget(segments_.size());
 }
 
 uint64_t SegmentStore::Cursor::remaining() const {
@@ -360,23 +263,17 @@ bool StoredCountWindow::Init(std::string* error) {
 
 std::optional<UncertainElement> StoredCountWindow::Push(
     const UncertainElement& e) {
+  if (full()) return PushRotate(e);
   std::string error;
-  std::optional<UncertainElement> expired;
-  if (store_.size() == capacity_) {
-    UncertainElement oldest;
-    PSKY_CHECK_MSG(store_.PopFront(&oldest, &error), error.c_str());
-    expired = oldest;
-  }
   PSKY_CHECK_MSG(store_.PushBack(e, &error), error.c_str());
-  return expired;
+  return std::nullopt;
 }
 
 UncertainElement StoredCountWindow::PushRotate(const UncertainElement& e) {
   PSKY_CHECK(full());
   std::string error;
   UncertainElement oldest;
-  PSKY_CHECK_MSG(store_.PopFront(&oldest, &error), error.c_str());
-  PSKY_CHECK_MSG(store_.PushBack(e, &error), error.c_str());
+  PSKY_CHECK_MSG(store_.Rotate(e, &oldest, &error), error.c_str());
   return oldest;
 }
 

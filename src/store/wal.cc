@@ -273,9 +273,11 @@ bool ReadWalFile(const std::string& path, WalContents* out,
   return true;
 }
 
-bool RepairWalFile(const std::string& path, std::string* error) {
-  WalContents contents;
-  if (!ReadWalFile(path, &contents, error)) return false;
+namespace {
+
+// Cuts a torn tail that ReadWalFile reported in `contents` off `path`.
+bool TruncateToValidPrefix(const std::string& path,
+                           const WalContents& contents, std::string* error) {
   if (!contents.tail_truncated) return true;
   if (::truncate(path.c_str(), static_cast<off_t>(contents.valid_bytes)) !=
       0) {
@@ -284,6 +286,14 @@ bool RepairWalFile(const std::string& path, std::string* error) {
                            ErrnoString(errno));
   }
   return true;
+}
+
+}  // namespace
+
+bool RepairWalFile(const std::string& path, std::string* error) {
+  WalContents contents;
+  return ReadWalFile(path, &contents, error) &&
+         TruncateToValidPrefix(path, contents, error);
 }
 
 std::string WalFileName(uint64_t start_step) {
@@ -415,12 +425,10 @@ bool WalWriter::Create(const std::string& path, uint32_t dims,
 bool WalWriter::OpenForAppend(const std::string& path, std::string* error,
                               int* out_errno, uint64_t* out_next_step) {
   Close();
-  if (!RepairWalFile(path, error)) {
-    if (out_errno != nullptr) *out_errno = 0;
-    return false;
-  }
+  // One decode repairs the tail and yields the next step.
   WalContents contents;
-  if (!ReadWalFile(path, &contents, error)) {
+  if (!ReadWalFile(path, &contents, error) ||
+      !TruncateToValidPrefix(path, contents, error)) {
     if (out_errno != nullptr) *out_errno = 0;
     return false;
   }

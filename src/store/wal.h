@@ -141,9 +141,9 @@ class WalWriter {
   bool Create(const std::string& path, uint32_t dims, uint64_t start_step,
               std::string* error, int* out_errno);
 
-  /// Opens an existing log for appending, repairing a torn tail first
-  /// (RepairWalFile). `*out_next_step` receives the step_after the next
-  /// appended record should carry.
+  /// Opens an existing log for appending, cutting a torn tail first (as
+  /// RepairWalFile does, from the same single decode). `*out_next_step`
+  /// receives the step_after the next appended record should carry.
   bool OpenForAppend(const std::string& path, std::string* error,
                      int* out_errno, uint64_t* out_next_step);
 

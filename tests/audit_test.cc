@@ -452,7 +452,7 @@ TEST(QuarantineTest, FileNameIsZeroPaddedAndSortable) {
 // --- streamed-window auditing (out-of-core windows) ----------------------
 
 // An operator over a StoredCountWindow, mirroring Pipeline but visiting
-// the window one mapped segment at a time.
+// the window one segment read at a time.
 struct StreamedPipeline {
   explicit StreamedPipeline(
       AuditOptions options, const std::string& tag,
@@ -472,7 +472,6 @@ struct StreamedPipeline {
     fs::remove_all(o.dir);
     o.dims = kDims;
     o.elements_per_segment = 32;  // kWindow=300 spans ~10 segments
-    o.resident_budget = 3;        // force remaps during audit scans
     return o;
   }
 

@@ -513,51 +513,44 @@ TEST_F(ChaosTest, WalFsyncSiteRecoversUnderRetry) {
   EXPECT_EQ(contents.records.size(), 1u);
 }
 
-TEST_F(ChaosTest, SegmentMapSiteInjectsScheduledFailures) {
+// segment-io fires at every segment file open, read and write. With
+// two-element segments, occurrences 1-2 are the open and write of the
+// first segment, 3-4 their retry, 5-6 the second segment's, and 7 the
+// open that reads the second segment when it becomes the expiry
+// frontier.
+TEST_F(ChaosTest, SegmentIoSiteInjectsScheduledFailures) {
   SegmentStore::Options opts;
-  opts.dir = TempTestDir("chaos_seg_map");
+  opts.dir = TempTestDir("chaos_seg_io");
   opts.dims = 2;
   opts.elements_per_segment = 2;
   SegmentStore store(opts);
   std::string error;
   ASSERT_TRUE(store.Init(&error)) << error;
-  Arm("fail=segment-map@2:enospc");
+  Arm("fail=segment-io@2:enospc;fail=segment-io@7");
   UncertainElement e;
   e.pos = Point(2);
   e.prob = 0.5;
   for (int i = 0; i < 2; ++i) {
     e.seq = static_cast<uint64_t>(i);
-    ASSERT_TRUE(store.PushBack(e, &error)) << error;  // first map is clean
+    ASSERT_TRUE(store.PushBack(e, &error)) << error;  // no I/O yet
   }
-  e.seq = 2;  // needs a second segment: the injected map failure fires
+  e.seq = 2;  // writes the first segment: the injected write failure fires
   EXPECT_FALSE(store.PushBack(e, &error));
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.PushBack(e, &error)) << error;
-  EXPECT_EQ(store.size(), 3u);
-}
-
-TEST_F(ChaosTest, SegmentRecycleSiteInjectsScheduledFailures) {
-  SegmentStore::Options opts;
-  opts.dir = TempTestDir("chaos_seg_recycle");
-  opts.dims = 2;
-  opts.elements_per_segment = 2;
-  SegmentStore store(opts);
-  std::string error;
-  ASSERT_TRUE(store.Init(&error)) << error;
-  UncertainElement e;
-  e.pos = Point(2);
-  e.prob = 0.5;
-  for (int i = 0; i < 4; ++i) {
-    e.seq = static_cast<uint64_t>(i);
+  ASSERT_TRUE(store.PushBack(e, &error)) << error;
+  for (uint64_t seq = 3; seq < 5; ++seq) {
+    e.seq = seq;
     ASSERT_TRUE(store.PushBack(e, &error)) << error;
   }
-  Arm("fail=segment-recycle@1");
   UncertainElement out;
-  ASSERT_TRUE(store.PopFront(&out, &error)) << error;
-  EXPECT_FALSE(store.PopFront(&out, &error));  // drain hits the injection
+  for (uint64_t seq = 0; seq < 2; ++seq) {  // the first segment is in memory
+    ASSERT_TRUE(store.PopFront(&out, &error)) << error;
+    EXPECT_EQ(out.seq, seq);
+  }
+  EXPECT_FALSE(store.PopFront(&out, &error));  // the frontier open fails
   EXPECT_EQ(store.size(), 3u);
   ASSERT_TRUE(store.PopFront(&out, &error)) << error;  // retry succeeds
-  EXPECT_EQ(out.seq, 1u);
+  EXPECT_EQ(out.seq, 2u);
 }
 
 // --- documentation lockstep ----------------------------------------------

@@ -1,7 +1,8 @@
 // Segment store: FIFO equivalence against an in-memory deque across
-// segment boundaries, file recycling, fault-injection sites, the startup
-// sweep, and bit-equality of a StoredCountWindow-backed operator against
-// the in-memory CountWindow pipeline.
+// segment boundaries, the three-buffer memory bound, deletion of drained
+// files, the segment-io fault site, the startup sweep, and bit-equality
+// of a StoredCountWindow-backed operator against the in-memory
+// CountWindow pipeline.
 
 #include <deque>
 #include <filesystem>
@@ -41,6 +42,15 @@ SegmentStore::Options MakeOptions(const std::string& dir, int dims,
   opts.dims = dims;
   opts.elements_per_segment = per_segment;
   return opts;
+}
+
+size_t FileCount(const std::string& dir) {
+  size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    (void)entry;
+    ++files;
+  }
+  return files;
 }
 
 void ExpectElementsEqual(const UncertainElement& a,
@@ -104,38 +114,6 @@ TEST(SegmentStoreTest, MatchesDequeAcrossSegmentBoundaries) {
   }
 }
 
-// Steady-state rotation drains front segments while filling tails: the
-// store must reuse drained files instead of growing the directory.
-TEST(SegmentStoreTest, RecyclesDrainedSegments) {
-  const std::string dir = TempDir("recycle");
-  SegmentStore store(MakeOptions(dir, 2, 8));
-  std::string error;
-  ASSERT_TRUE(store.Init(&error)) << error;
-
-  StreamConfig cfg;
-  cfg.dims = 2;
-  cfg.seed = 5;
-  StreamGenerator gen(cfg);
-  for (int i = 0; i < 24; ++i) {
-    ASSERT_TRUE(store.PushBack(gen.Take(1).front(), &error)) << error;
-  }
-  for (int i = 0; i < 1000; ++i) {
-    UncertainElement out;
-    ASSERT_TRUE(store.PopFront(&out, &error)) << error;
-    ASSERT_TRUE(store.PushBack(gen.Take(1).front(), &error)) << error;
-  }
-  const SegmentStore::Stats stats = store.stats();
-  EXPECT_GT(stats.segments_recycled, 0u);
-  // Live mappings stay bounded by the FIFO's footprint, not its history.
-  EXPECT_LE(stats.segments_live, 5u);
-  size_t files = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    (void)entry;
-    ++files;
-  }
-  EXPECT_LE(files, 6u);  // live segments plus the free list
-}
-
 TEST(SegmentStoreTest, DestructorRemovesScratchFiles) {
   const std::string dir = TempDir("cleanup");
   {
@@ -171,53 +149,106 @@ TEST(SegmentStoreTest, SweepReapsLeftoverSegmentFiles) {
   EXPECT_EQ(SweepSegmentFiles(dir + "/missing"), 0u);
 }
 
-TEST(SegmentStoreTest, MapFaultSiteFailsPushBack) {
-  const std::string dir = TempDir("mapfault");
+// segment-io fires at the open and the write of a full tail: each failed
+// push leaves the store as it was, and the retry succeeds.
+TEST(SegmentStoreTest, IoFaultSiteFailsPushBack) {
+  const std::string dir = TempDir("iofault_push");
   SegmentStore store(MakeOptions(dir, 2, 4));
   std::string error;
   ASSERT_TRUE(store.Init(&error)) << error;
-  ASSERT_TRUE(fault::LoadSchedule("fail=segment-map@1:enospc", &error))
-      << error;
   StreamConfig cfg;
   cfg.dims = 2;
   StreamGenerator gen(cfg);
-  const UncertainElement e = gen.Take(1).front();
-  EXPECT_FALSE(store.PushBack(e, &error));
-  EXPECT_EQ(store.size(), 0u);
-  // The next occurrence is clean: the push succeeds and the store works.
-  EXPECT_TRUE(store.PushBack(e, &error)) << error;
-  EXPECT_EQ(store.size(), 1u);
+  const std::vector<UncertainElement> pushed = gen.Take(5);
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(store.PushBack(pushed[i], &error)) << error;  // no I/O yet
+  }
+  ASSERT_TRUE(fault::LoadSchedule("fail=segment-io@1..2:enospc", &error))
+      << error;
+  EXPECT_FALSE(store.PushBack(pushed[4], &error));  // the open fails
+  EXPECT_NE(error.find("(injected)"), std::string::npos) << error;
+  EXPECT_FALSE(store.PushBack(pushed[4], &error));  // the write fails
+  EXPECT_EQ(store.size(), 4u);
+  EXPECT_TRUE(store.PushBack(pushed[4], &error)) << error;
   fault::Clear();
+  const std::vector<UncertainElement> snap = store.Snapshot();
+  ASSERT_EQ(snap.size(), pushed.size());
+  for (size_t i = 0; i < snap.size(); ++i) {
+    ExpectElementsEqual(pushed[i], snap[i]);
+  }
 }
 
-TEST(SegmentStoreTest, RecycleFaultSiteFailsPopAndRetries) {
-  const std::string dir = TempDir("recfault");
+// segment-io fires at the open and the read of a new expiry frontier: the
+// pop fails, the element stays queued, and the next attempt succeeds.
+TEST(SegmentStoreTest, IoFaultSiteFailsPopAndRetries) {
+  const std::string dir = TempDir("iofault_pop");
   SegmentStore store(MakeOptions(dir, 2, 2));
   std::string error;
   ASSERT_TRUE(store.Init(&error)) << error;
   StreamConfig cfg;
   cfg.dims = 2;
   StreamGenerator gen(cfg);
-  std::vector<UncertainElement> pushed = gen.Take(4);
+  const std::vector<UncertainElement> pushed = gen.Take(6);  // 3 segments
   for (const auto& e : pushed) {
     ASSERT_TRUE(store.PushBack(e, &error)) << error;
   }
-  ASSERT_TRUE(fault::LoadSchedule("fail=segment-recycle@1", &error))
-      << error;
+  ASSERT_TRUE(fault::LoadSchedule("fail=segment-io@1..2", &error)) << error;
   UncertainElement out;
+  // The first segment became the head buffer when it was written.
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(store.PopFront(&out, &error)) << error;
+    ExpectElementsEqual(pushed[i], out);
+  }
+  EXPECT_FALSE(store.PopFront(&out, &error));  // the open fails
+  EXPECT_FALSE(store.PopFront(&out, &error));  // the read fails
+  EXPECT_EQ(store.size(), 4u);
   ASSERT_TRUE(store.PopFront(&out, &error)) << error;
-  ExpectElementsEqual(pushed[0], out);
-  // Draining the front segment hits the injected recycle failure; the
-  // element stays queued and the next attempt succeeds.
-  EXPECT_FALSE(store.PopFront(&out, &error));
-  EXPECT_EQ(store.size(), 3u);
-  ASSERT_TRUE(store.PopFront(&out, &error)) << error;
-  ExpectElementsEqual(pushed[1], out);
+  ExpectElementsEqual(pushed[2], out);
   fault::Clear();
 }
 
-// One element per segment: every push maps a fresh tail and every pop
-// lands exactly on a segment boundary — the degenerate geometry where
+// Rotate pushes before it pops: a rotation whose write or frontier read
+// fails neither pushes nor pops, so the store keeps the whole window.
+TEST(SegmentStoreTest, RotateFailsWithoutChangingTheStore) {
+  const std::string dir = TempDir("iofault_rotate");
+  SegmentStore store(MakeOptions(dir, 2, 2));
+  std::string error;
+  ASSERT_TRUE(store.Init(&error)) << error;
+  StreamConfig cfg;
+  cfg.dims = 2;
+  StreamGenerator gen(cfg);
+  std::deque<UncertainElement> reference;
+  for (const auto& e : gen.Take(4)) {
+    reference.push_back(e);
+    ASSERT_TRUE(store.PushBack(e, &error)) << error;
+  }
+  // Occurrence 2 is the write of the full tail, 5 the open of the second
+  // segment when it becomes the expiry frontier.
+  ASSERT_TRUE(
+      fault::LoadSchedule("fail=segment-io@2;fail=segment-io@5", &error))
+      << error;
+  int failures = 0;
+  for (int i = 0; i < 4; ++i) {
+    const UncertainElement e = gen.Next();
+    UncertainElement out;
+    while (!store.Rotate(e, &out, &error)) {
+      ++failures;
+      const std::vector<UncertainElement> snap = store.Snapshot();
+      ASSERT_EQ(snap.size(), reference.size());
+      for (size_t k = 0; k < snap.size(); ++k) {
+        ExpectElementsEqual(reference[k], snap[k]);
+      }
+    }
+    ExpectElementsEqual(reference.front(), out);
+    reference.pop_front();
+    reference.push_back(e);
+  }
+  EXPECT_EQ(failures, 2);
+  fault::Clear();
+}
+
+// One element per segment: every push writes the full tail and starts a
+// fresh one, and every pop lands exactly on a segment boundary — the degenerate geometry where
 // off-by-one bugs in boundary handling live.
 TEST(SegmentStoreTest, SingleElementSegments) {
   const std::string dir = TempDir("one");
@@ -250,12 +281,15 @@ TEST(SegmentStoreTest, SingleElementSegments) {
     reference.pop_front();
   }
   EXPECT_TRUE(store.empty());
-  EXPECT_GT(store.stats().segments_recycled, 0u);
+  // Every written segment was deleted when drained; the lone tail left
+  // has no file.
+  EXPECT_GT(store.stats().segments_created, 0u);
+  EXPECT_TRUE(fs::is_empty(dir));
 }
 
-// A pop that drains the front segment must recycle it on that exact pop
-// (not one early, not one late), and draining the store completely must
-// rewind the lone tail segment in place.
+// A pop that drains the front segment must delete its file on that exact
+// pop (not one early, not one late), and draining the store completely
+// must rewind the lone tail segment in place.
 TEST(SegmentStoreTest, PopDrainsExactlyAtSegmentBoundary) {
   const std::string dir = TempDir("boundary");
   SegmentStore store(MakeOptions(dir, 2, 4));
@@ -270,17 +304,19 @@ TEST(SegmentStoreTest, PopDrainsExactlyAtSegmentBoundary) {
     ASSERT_TRUE(store.PushBack(e, &error)) << error;
   }
   ASSERT_EQ(store.stats().segments_live, 2u);
+  EXPECT_EQ(FileCount(dir), 1u);  // the tail is not written yet
   UncertainElement out;
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(store.PopFront(&out, &error)) << error;
     ExpectElementsEqual(pushed[static_cast<size_t>(i)], out);
     EXPECT_EQ(store.stats().segments_live, 2u) << "pop " << i;
+    EXPECT_EQ(FileCount(dir), 1u) << "pop " << i;
   }
-  // The 4th pop empties the front segment: it must recycle right here.
+  // The 4th pop empties the front segment: its file goes right here.
   ASSERT_TRUE(store.PopFront(&out, &error)) << error;
   ExpectElementsEqual(pushed[3], out);
   EXPECT_EQ(store.stats().segments_live, 1u);
-  EXPECT_EQ(store.stats().segments_recycled, 0u);  // queued, reused later
+  EXPECT_EQ(FileCount(dir), 0u);
   for (int i = 4; i < 8; ++i) {
     ASSERT_TRUE(store.PopFront(&out, &error)) << error;
     ExpectElementsEqual(pushed[static_cast<size_t>(i)], out);
@@ -292,59 +328,12 @@ TEST(SegmentStoreTest, PopDrainsExactlyAtSegmentBoundary) {
   ExpectElementsEqual(e, store.At(0));
 }
 
-// Steady-state rotation long enough for every segment file to be
-// recycled several times over: contents must stay exact and the
-// directory footprint bounded across >= 3 wrap-arounds of the free list.
-TEST(SegmentStoreTest, RecyclesAcrossMultipleWrapArounds) {
-  const std::string dir = TempDir("wrap");
-  SegmentStore store(MakeOptions(dir, 2, 4));
-  std::string error;
-  ASSERT_TRUE(store.Init(&error)) << error;
-  StreamConfig cfg;
-  cfg.dims = 2;
-  cfg.seed = 43;
-  StreamGenerator gen(cfg);
-  std::deque<UncertainElement> reference;
-  for (int i = 0; i < 12; ++i) {  // 3 full segments
-    const UncertainElement e = gen.Take(1).front();
-    reference.push_back(e);
-    ASSERT_TRUE(store.PushBack(e, &error)) << error;
-  }
-  // 160 rotations = 40 segment drains = each of the ~4 files recycled
-  // ~10 times.
-  for (int i = 0; i < 160; ++i) {
-    UncertainElement out;
-    ASSERT_TRUE(store.PopFront(&out, &error)) << error;
-    ExpectElementsEqual(reference.front(), out);
-    reference.pop_front();
-    const UncertainElement e = gen.Take(1).front();
-    reference.push_back(e);
-    ASSERT_TRUE(store.PushBack(e, &error)) << error;
-  }
-  const SegmentStore::Stats stats = store.stats();
-  EXPECT_GE(stats.segments_recycled, 30u);
-  EXPECT_LE(stats.segments_live, 5u);
-  size_t files = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    (void)entry;
-    ++files;
-  }
-  EXPECT_LE(files, 6u);
-  const std::vector<UncertainElement> snap = store.Snapshot();
-  ASSERT_EQ(snap.size(), reference.size());
-  for (size_t i = 0; i < snap.size(); ++i) {
-    ExpectElementsEqual(reference[i], snap[i]);
-  }
-}
-
 // A cursor opened before the head segment is drained keeps yielding the
 // surviving elements in order: popped elements are skipped, elements
 // pushed after creation are not yielded.
 TEST(SegmentStoreTest, CursorSurvivesHeadRecycleMidIteration) {
   const std::string dir = TempDir("cursor");
-  SegmentStore::Options opts = MakeOptions(dir, 3, 4);
-  opts.resident_budget = 3;  // floor: cursor remaps evicted segments
-  SegmentStore store(opts);
+  SegmentStore store(MakeOptions(dir, 3, 4));
   std::string error;
   ASSERT_TRUE(store.Init(&error)) << error;
   StreamConfig cfg;
@@ -379,51 +368,9 @@ TEST(SegmentStoreTest, CursorSurvivesHeadRecycleMidIteration) {
   EXPECT_EQ(cur.remaining(), 0u);
 }
 
-// Random access under a resident budget: the mapped-segment count stays
-// within budget + 1 (the segment being read is protected while hot), and
-// evicted segments fault back in with exact contents.
-TEST(SegmentStoreTest, ResidentBudgetBoundsMappedSegments) {
-  const std::string dir = TempDir("budget");
-  SegmentStore::Options opts = MakeOptions(dir, 2, 4);
-  opts.resident_budget = 4;
-  SegmentStore store(opts);
-  std::string error;
-  ASSERT_TRUE(store.Init(&error)) << error;
-  StreamConfig cfg;
-  cfg.dims = 2;
-  cfg.seed = 53;
-  StreamGenerator gen(cfg);
-  const std::vector<UncertainElement> pushed = gen.Take(64);  // 16 segments
-  for (const auto& e : pushed) {
-    ASSERT_TRUE(store.PushBack(e, &error)) << error;
-  }
-  EXPECT_LE(store.stats().segments_resident, 4u);
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    const size_t idx = static_cast<size_t>(rng.NextBounded(pushed.size()));
-    ExpectElementsEqual(pushed[idx], store.At(idx));
-    EXPECT_LE(store.stats().segments_resident, 5u) << "access " << i;
-  }
-  EXPECT_GT(store.stats().recycle_pressure, 0u);
-  // Shrinking the budget evicts immediately, down to the pinned set.
-  store.SetResidentBudget(3);
-  EXPECT_LE(store.stats().segments_resident, 3u);
-  // Unlimited budget: a full sweep maps everything and nothing evicts.
-  store.SetResidentBudget(0);
-  const uint64_t pressure_before = store.stats().recycle_pressure;
-  const std::vector<UncertainElement> snap = store.Snapshot();
-  ASSERT_EQ(snap.size(), pushed.size());
-  for (size_t i = 0; i < snap.size(); ++i) {
-    ExpectElementsEqual(pushed[i], snap[i]);
-  }
-  EXPECT_EQ(store.stats().segments_resident, store.stats().segments_live);
-  EXPECT_EQ(store.stats().recycle_pressure, pressure_before);
-}
-
-// Steady-state FIFO rotation: the readahead cursor keeps the next expiry
-// frontier mapped before PopFront reaches it, so front recycles are hits
-// and residency stays at the steady-state minimum, independent of how
-// many segments the window spans.
+// Pure FIFO traffic reads only the expiry frontier, into the head
+// buffer: rotation never needs the read buffer, so the store holds two
+// segments whatever the window spans.
 TEST(SegmentStoreTest, ReadaheadKeepsExpiryFrontierHot) {
   const std::string dir = TempDir("readahead");
   SegmentStore store(MakeOptions(dir, 2, 8));
@@ -433,37 +380,34 @@ TEST(SegmentStoreTest, ReadaheadKeepsExpiryFrontierHot) {
   cfg.dims = 2;
   cfg.seed = 59;
   StreamGenerator gen(cfg);
-  for (int i = 0; i < 80; ++i) {  // 10 segments
-    ASSERT_TRUE(store.PushBack(gen.Take(1).front(), &error)) << error;
+  std::deque<UncertainElement> reference;
+  for (const auto& e : gen.Take(80)) {  // 10 segments
+    reference.push_back(e);
+    ASSERT_TRUE(store.PushBack(e, &error)) << error;
   }
-  // Pure FIFO traffic never needs more than head + readahead + tail.
   for (int i = 0; i < 800; ++i) {
+    const UncertainElement e = gen.Next();
     UncertainElement out;
-    ASSERT_TRUE(store.PopFront(&out, &error)) << error;
-    ASSERT_TRUE(store.PushBack(gen.Take(1).front(), &error)) << error;
-    ASSERT_LE(store.stats().segments_resident, 4u) << "rotation " << i;
+    ASSERT_TRUE(store.Rotate(e, &out, &error)) << error;
+    ExpectElementsEqual(reference.front(), out);
+    reference.pop_front();
+    reference.push_back(e);
   }
-  const SegmentStore::Stats stats = store.stats();
-  EXPECT_GT(stats.readahead_hits, 0u);
-  // The frontier was prefetched by the preceding recycle every time.
-  EXPECT_EQ(stats.readahead_misses, 0u);
-  EXPECT_EQ(stats.recycle_pressure, 0u);
+  EXPECT_EQ(store.stats().segments_resident, 2u);  // head and tail
+  // 880 pushes fill 110 segments; all but the tail were written.
+  EXPECT_EQ(store.stats().segments_created, 109u);
+  EXPECT_EQ(store.stats().segments_live, 10u);
 }
 
 // A store mirrored by a std::deque: every push and pop goes to both, and
 // every read is checked against the mirror.
 struct MirroredStore {
-  MirroredStore(const char* tag, size_t per_segment, size_t budget)
-      : store(StoreOptions(tag, per_segment, budget)), gen(Config()) {
+  MirroredStore(const std::string& tag, size_t per_segment)
+      : dir(TempDir(tag.c_str())),
+        store(MakeOptions(dir, 3, per_segment)),
+        gen(Config()) {
     std::string error;
     PSKY_CHECK_MSG(store.Init(&error), error.c_str());
-  }
-  static SegmentStore::Options StoreOptions(const char* tag,
-                                            size_t per_segment,
-                                            size_t budget) {
-    SegmentStore::Options opts = MakeOptions(TempDir(tag), 3, per_segment);
-    opts.resident_budget = budget;
-    return opts;
   }
   static StreamConfig Config() {
     StreamConfig cfg;
@@ -496,56 +440,97 @@ struct MirroredStore {
     }
   }
   void ExpectAt(size_t i) { ExpectElementsEqual(ref[i], store.At(i)); }
+  void ExpectSnapshot() {
+    const std::vector<UncertainElement> snap = store.Snapshot();
+    ASSERT_EQ(snap.size(), ref.size());
+    for (size_t i = 0; i < snap.size(); ++i) {
+      ExpectElementsEqual(ref[i], snap[i]);
+    }
+  }
 
+  std::string dir;
   SegmentStore store;
   StreamGenerator gen;
   std::deque<UncertainElement> ref;
 };
 
-// Reads remember the segment they last resolved (mapped base, slot range,
-// mapping epoch). A cursor paused mid-segment must re-resolve, never read
-// through the old mapping, when its segment is evicted by interleaved At()
-// calls under the floor budget of 3 or by a budget shrink.
-TEST(SegmentStoreTest, PausedCursorRemapsAfterEviction) {
-  MirroredStore m("stale_evict", 4, 3);
-  m.Push(40);  // 10 segments; head, readahead frontier, and tail pinned
-  SegmentStore::Cursor cur = m.store.NewCursor();
-  m.ExpectCursor(&cur, 0, 18);  // paused in the middle of segment 4
-  const uint64_t pressure = m.store.stats().recycle_pressure;
-  for (size_t i = 24; i < 36; ++i) m.ExpectAt(i);  // segments 6..8
-  EXPECT_GT(m.store.stats().recycle_pressure, pressure);
-  m.ExpectCursor(&cur, 18, 10);  // back in segment 4, then on to 6
-
-  MirroredStore wide("stale_shrink", 4, 0);
-  wide.Push(40);
-  SegmentStore::Cursor paused = wide.store.NewCursor();
-  wide.ExpectCursor(&paused, 0, 22);  // mid segment 5
-  for (size_t i = 0; i < 40; ++i) wide.ExpectAt(i);  // everything mapped
-  wide.store.SetResidentBudget(3);
-  EXPECT_LE(wide.store.stats().segments_resident, 3u);
-  wide.ExpectCursor(&paused, 22, 18);
-  UncertainElement out;
-  EXPECT_FALSE(paused.Next(&out));
+// The store holds three segment buffers whatever the window length: after
+// a full At() sweep, a cursor pass and a drain, windows of 10 and 1,000
+// segments both hold at most three segments in memory, every read is
+// exact, and no segment file is left behind.
+TEST(SegmentStoreTest, HoldsAtMostThreeSegmentsInMemory) {
+  for (const int segments : {10, 1000}) {
+    SCOPED_TRACE(segments);
+    MirroredStore m("three_" + std::to_string(segments), 4);
+    m.Push(4 * segments);
+    for (size_t i = 0; i < m.ref.size(); ++i) m.ExpectAt(i);
+    EXPECT_LE(m.store.stats().segments_resident, 3u);
+    SegmentStore::Cursor cur = m.store.NewCursor();
+    m.ExpectCursor(&cur, 0, 4 * segments);
+    EXPECT_LE(m.store.stats().segments_resident, 3u);
+    m.Pop(4 * segments);
+    EXPECT_TRUE(m.store.empty());
+    EXPECT_LE(m.store.stats().segments_resident, 3u);
+    EXPECT_EQ(m.store.stats().segments_live, 1u);  // the rewound tail
+    EXPECT_TRUE(fs::is_empty(m.dir));
+  }
 }
 
-// A cursor paused mid-segment while PopFront drains and recycles that
-// segment (its file then reused as a new tail) resumes at the oldest
-// survivor; a full drain rewinds the lone segment in place, after which
-// At() and fresh cursors must see the new slot layout, not the old one.
+// Steady-state rotation drains front segments while filling tails: each
+// drained segment's file is deleted by the pop that drains it, so over
+// 40 segment drains the directory holds exactly the live segments that
+// were written (all but the tail), and the contents stay exact.
+TEST(SegmentStoreTest, DeletesDrainedSegments) {
+  MirroredStore m("drain", 4);
+  m.Push(12);  // 3 full segments
+  for (int i = 0; i < 160; ++i) {
+    m.Pop(1);
+    m.Push(1);
+    ASSERT_EQ(FileCount(m.dir), m.store.stats().segments_live - 1)
+        << "rotation " << i;
+  }
+  EXPECT_EQ(m.store.stats().segments_created, 42u);
+  EXPECT_LE(m.store.stats().segments_live, 4u);
+  m.ExpectSnapshot();
+}
+
+// Reads find their element by absolute index in whichever buffer holds
+// it. A cursor paused mid-segment must read its segment again, never
+// through a buffer since refilled, when interleaved At() calls or a
+// second cursor move the read buffer elsewhere.
+TEST(SegmentStoreTest, PausedCursorRemapsAfterEviction) {
+  MirroredStore m("stale_evict", 4);
+  m.Push(40);  // 10 segments: head, 8 read through the read buffer, tail
+  SegmentStore::Cursor cur = m.store.NewCursor();
+  m.ExpectCursor(&cur, 0, 18);  // paused in the middle of segment 4
+  for (size_t i = 24; i < 36; ++i) m.ExpectAt(i);  // segments 6..8
+  m.ExpectCursor(&cur, 18, 4);  // back in segment 4, then on to 5
+  SegmentStore::Cursor sweep = m.store.NewCursor();
+  m.ExpectCursor(&sweep, 0, 40);
+  m.ExpectCursor(&cur, 22, 18);
+  UncertainElement out;
+  EXPECT_FALSE(cur.Next(&out));
+}
+
+// A cursor paused mid-segment while PopFront drains that segment (its
+// file deleted, the next segment read into the head buffer) resumes at
+// the oldest survivor; a full drain rewinds the lone segment in place,
+// after which At() and fresh cursors must see the new slot layout, not
+// the old one.
 TEST(SegmentStoreTest, PausedCursorSurvivesRecycleAndDrainRewind) {
-  MirroredStore m("stale_recycle", 4, 3);
+  MirroredStore m("stale_recycle", 4);
   m.Push(16);
   SegmentStore::Cursor cur = m.store.NewCursor();
   m.ExpectCursor(&cur, 0, 2);  // paused mid head segment
   m.ExpectAt(1);
-  m.Pop(5);   // recycles the head segment under the cursor
-  m.Push(6);  // reuses the recycled file as the new tail
+  m.Pop(5);   // drains the head segment under the cursor
+  m.Push(6);  // writes the full tail and starts a new one
   m.ExpectCursor(&cur, 0, 11);  // survivors: original elements 5..15
   UncertainElement out;
   EXPECT_FALSE(cur.Next(&out));
   for (size_t i = 0; i < m.ref.size(); ++i) m.ExpectAt(i);
 
-  MirroredStore one("stale_rewind", 8, 3);
+  MirroredStore one("stale_rewind", 8);
   one.Push(3);
   SegmentStore::Cursor before = one.store.NewCursor();
   one.ExpectCursor(&before, 0, 1);
@@ -559,11 +544,12 @@ TEST(SegmentStoreTest, PausedCursorSurvivesRecycleAndDrainRewind) {
   EXPECT_FALSE(after.Next(&out));
 }
 
-// Sequential At(i) sweeps interleaved with PushBack calls that map a new
-// tail: each sweep ends resolved on the tail, the push unmaps that old
-// tail behind the new one, and the next reads must remap it.
+// Sequential At(i) sweeps interleaved with PushBack calls that write a
+// full tail: each sweep ends in the tail buffer, the push writes that
+// tail to its file and starts a new one, and the next reads must read the
+// old tail back from the file.
 TEST(SegmentStoreTest, AtSweepSurvivesTailRemaps) {
-  MirroredStore m("stale_tail", 4, 3);
+  MirroredStore m("stale_tail", 4);
   m.Push(14);  // segments 0..3, the tail half full
   ASSERT_EQ(m.store.stats().segments_live, 4u);
   for (int round = 0; round < 8; ++round) {
@@ -621,7 +607,8 @@ TEST(StoredCountWindowTest, OperatorStateMatchesInMemoryWindow) {
     EXPECT_EQ(disk_sky[i].element.seq, mem_sky[i].element.seq);
     EXPECT_EQ(disk_sky[i].psky, mem_sky[i].psky);  // bitwise
   }
-  EXPECT_GT(stored.store_stats().segments_recycled, 0u);
+  EXPECT_GT(stored.store_stats().segments_created, 0u);
+  EXPECT_LE(stored.store_stats().segments_resident, 3u);
 }
 
 }  // namespace

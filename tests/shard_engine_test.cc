@@ -805,7 +805,6 @@ TEST(ShardEngineFedFromWindow, StoredCountWindow) {
   store.dir = dir.string();
   store.dims = kDims;
   store.elements_per_segment = 128;
-  store.resident_budget = 4;
   StoredCountWindow window(kWindow, store);
   std::string error;
   ASSERT_TRUE(window.Init(&error)) << error;

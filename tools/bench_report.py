@@ -18,9 +18,9 @@ Usage:
         it is only enforced at full scale). Improvements never fail the
         gate. Additionally fails when the current run's recorded
         wal_overhead (inde vs inde_wal throughput gap) exceeds the WAL
-        budget, or its disk_overhead (inde vs inde_disk, the mmap'd
-        segment-store window's paging tax) exceeds the disk budget —
-        again only at full scale, where the fsync / paging cost is
+        budget, or its disk_overhead (inde vs inde_disk, the
+        segment-store window's I/O tax) exceeds the disk budget —
+        again only at full scale, where the fsync / segment I/O cost is
         amortized over a realistic stream; at tiny/quick scale the gaps
         are noise-dominated and only reported. shard_scaling_efficiency
         (eps(s8) / 8*eps(s1), from the sharded ingestion rows) is

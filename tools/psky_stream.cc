@@ -41,8 +41,8 @@
 //   --keep-checkpoints N     checkpoint retention (default 2); WAL files
 //                            are pruned against the oldest kept checkpoint
 //   --window-store mem|disk  where the window buffer lives; disk keeps it
-//                            in memory-mapped segment files so only the
-//                            candidate set S_{N,q} stays in RAM
+//                            in segment files behind three segment
+//                            buffers, so its RAM does not grow with N
 //   --store-dir DIR          segment directory (default <ckpt-dir>/segments)
 //   --segment-elems K        elements per segment file (default 4096)
 //   --replay-at P|ts:T       historical query: rebuild the window state at
@@ -187,12 +187,9 @@ struct Args {
   std::string window_store = "mem";
   /// Segment directory; empty derives <checkpoint-dir>/segments.
   std::string store_dir;
-  /// Elements per memory-mapped segment file.
+  /// Elements per segment file, and per each of the disk window's three
+  /// segment buffers: peak RSS is ~ 3 * segment bytes + S_{N,q}.
   uint64_t segment_elems = 4096;
-  /// Maximum concurrently mapped segments (0 = unlimited; values below
-  /// the store's minimum of 3 are rounded up). Bounds the disk window's
-  /// resident set: peak RSS is ~ budget * segment bytes + S_{N,q}.
-  uint64_t segment_resident_budget = 8;
   /// Historical replay target ("<pos>" or "ts:<seconds>"); empty: off.
   std::string replay_at;
   psky::BadInputPolicy on_bad_input = psky::BadInputPolicy::kFail;
@@ -239,7 +236,6 @@ struct Args {
                "                   [--keep-checkpoints N]\n"
                "                   [--window-store mem|disk] [--store-dir "
                "DIR] [--segment-elems K]\n"
-               "                   [--segment-resident-budget N]\n"
                "                   [--replay-at POS|ts:SECS]\n"
                "                   [--io-retries N] [--io-backoff-ms MS]\n"
                "                   [--max-queue N] [--overload-policy "
@@ -345,8 +341,6 @@ Args Parse(int argc, char** argv) {
       args.store_dir = need(i++);
     } else if (flag == "--segment-elems") {
       args.segment_elems = ParseUint64Value(flag, need(i++));
-    } else if (flag == "--segment-resident-budget") {
-      args.segment_resident_budget = ParseUint64Value(flag, need(i++));
     } else if (flag == "--replay-at") {
       args.replay_at = need(i++);
     } else if (flag == "--max-queue") {
@@ -691,6 +685,8 @@ void QuarantineOnCheckFailure(const char* condition, const char* file,
   std::snprintf(reason, sizeof reason, "PSKY_CHECK failed: %s at %s:%d",
                 condition, file, line);
   DumpQuarantine(reason);
+  // CheckFailed aborts next; the dump above already covers it.
+  std::signal(SIGABRT, SIG_DFL);
 }
 
 void QuarantineOnFatalSignal(int signum) {
@@ -800,6 +796,25 @@ struct ProducerJoiner {
   }
 };
 
+// Prints the io-retry exit line on every return from main once the I/O
+// retry policy is set up, the runs that exit 3 because their retries ran
+// out included.
+struct IoRetryReport {
+  bool enabled = false;
+  psky::RetryStats stats;
+  ~IoRetryReport() {
+    if (!enabled && stats.retries == 0) return;
+    std::fprintf(stderr,
+                 "io-retry: attempts=%llu retries=%llu backoff-ms=%llu "
+                 "exhausted=%llu permanent=%llu\n",
+                 static_cast<unsigned long long>(stats.attempts),
+                 static_cast<unsigned long long>(stats.retries),
+                 static_cast<unsigned long long>(stats.backoff_ms_total),
+                 static_cast<unsigned long long>(stats.exhausted),
+                 static_cast<unsigned long long>(stats.permanent_failures));
+  }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -880,8 +895,6 @@ int main(int argc, char** argv) {
                          : "psky-segments";
     store_opts.dims = args.dims;
     store_opts.elements_per_segment = args.segment_elems;
-    store_opts.resident_budget =
-        static_cast<size_t>(args.segment_resident_budget);
     disk_window =
         std::make_unique<psky::StoredCountWindow>(args.window, store_opts);
     std::string error;
@@ -1098,7 +1111,9 @@ int main(int argc, char** argv) {
   io_policy.max_attempts = args.io_retries + 1;
   io_policy.base_backoff_ms = args.io_backoff_ms;
   io_policy.seed = args.seed ^ 0x9E3779B97F4A7C15ull;
-  psky::RetryStats io_stats;
+  IoRetryReport io_retry_report;
+  io_retry_report.enabled = args.io_retries > 0;
+  psky::RetryStats& io_stats = io_retry_report.stats;
 
   // --- write-ahead log ---------------------------------------------------
   psky::WalWriter wal;
@@ -1324,7 +1339,6 @@ int main(int argc, char** argv) {
                      old_rung, new_rung, pressure);
       });
   psky::DegradationLadder::Effects effects;  // defaults: no degradation
-  size_t applied_budget_divisor = 1;  // last divisor applied to the store
   if (queue_mode) {
     queue = std::make_unique<psky::BoundedIngestQueue>(args.max_queue,
                                                        args.overload_policy);
@@ -1472,24 +1486,15 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(qs.shed_incoming), ladder.rung(),
           static_cast<unsigned long long>(audit_lag));
       if (disk_window != nullptr) {
-        // Out-of-core window health: residency should sit at the budget
-        // (or 3 in steady state) and the readahead hit rate near 100%;
-        // nonzero pressure means audits/cursors are fighting the budget.
+        // Out-of-core window health: live segments track the window
+        // length; resident segment buffers stay at most 3.
         const psky::SegmentStore::Stats ss = disk_window->store_stats();
-        const uint64_t ra_total = ss.readahead_hits + ss.readahead_misses;
-        const double hit_rate =
-            ra_total > 0 ? 100.0 * static_cast<double>(ss.readahead_hits) /
-                               static_cast<double>(ra_total)
-                         : 100.0;
-        std::fprintf(
-            stderr,
-            "segment-heartbeat live=%llu resident=%llu budget=%zu "
-            "recycled=%llu readahead-hit=%.0f%% pressure=%llu\n",
-            static_cast<unsigned long long>(ss.segments_live),
-            static_cast<unsigned long long>(ss.segments_resident),
-            disk_window->resident_budget(),
-            static_cast<unsigned long long>(ss.segments_recycled), hit_rate,
-            static_cast<unsigned long long>(ss.recycle_pressure));
+        std::fprintf(stderr,
+                     "segment-heartbeat live=%llu resident=%llu "
+                     "created=%llu\n",
+                     static_cast<unsigned long long>(ss.segments_live),
+                     static_cast<unsigned long long>(ss.segments_resident),
+                     static_cast<unsigned long long>(ss.segments_created));
       }
       if (engine != nullptr) {
         // Per-shard health: SPSC backlog, window imbalance (1.0 = even),
@@ -1596,20 +1601,6 @@ int main(int argc, char** argv) {
       if (engine != nullptr) {
         engine->SetAuditDegradation(effects.suspend_oracle,
                                     effects.audit_stretch);
-      }
-      if (disk_window != nullptr &&
-          effects.segment_budget_divisor != applied_budget_divisor) {
-        // Rung >= 2 memory relief: shrink the mapped-segment budget (the
-        // store clamps at its minimum of 3); divisor 1 restores the
-        // configured budget. An unlimited budget (0) has no meaningful
-        // fraction to shrink to, so it is left alone.
-        applied_budget_divisor = effects.segment_budget_divisor;
-        const size_t base =
-            static_cast<size_t>(args.segment_resident_budget);
-        if (base > 0) {
-          disk_window->SetResidentBudget(
-              std::max<size_t>(1, base / applied_budget_divisor));
-        }
       }
     }
     if (producer.thread.joinable()) {
@@ -1775,26 +1766,10 @@ int main(int argc, char** argv) {
   if (disk_window != nullptr) {
     const psky::SegmentStore::Stats ss = disk_window->store_stats();
     std::fprintf(stderr,
-                 "segment-store: created=%llu recycled=%llu live=%llu "
-                 "resident=%llu readahead-hits=%llu readahead-misses=%llu "
-                 "recycle-pressure=%llu\n",
+                 "segment-store: created=%llu live=%llu resident=%llu\n",
                  static_cast<unsigned long long>(ss.segments_created),
-                 static_cast<unsigned long long>(ss.segments_recycled),
                  static_cast<unsigned long long>(ss.segments_live),
-                 static_cast<unsigned long long>(ss.segments_resident),
-                 static_cast<unsigned long long>(ss.readahead_hits),
-                 static_cast<unsigned long long>(ss.readahead_misses),
-                 static_cast<unsigned long long>(ss.recycle_pressure));
-  }
-  if (args.io_retries > 0 || io_stats.retries > 0) {
-    std::fprintf(stderr,
-                 "io-retry: attempts=%llu retries=%llu backoff-ms=%llu "
-                 "exhausted=%llu permanent=%llu\n",
-                 static_cast<unsigned long long>(io_stats.attempts),
-                 static_cast<unsigned long long>(io_stats.retries),
-                 static_cast<unsigned long long>(io_stats.backoff_ms_total),
-                 static_cast<unsigned long long>(io_stats.exhausted),
-                 static_cast<unsigned long long>(io_stats.permanent_failures));
+                 static_cast<unsigned long long>(ss.segments_resident));
   }
   if (psky::fault::Enabled()) {
     const psky::fault::Stats fs = psky::fault::StatsSnapshot();
