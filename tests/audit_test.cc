@@ -1008,6 +1008,19 @@ uint64_t ReportHash(const AuditReport& r) {
   return h;
 }
 
+// ReportHash without max_drift: what the audit decided, not how far the
+// values it compared had drifted.
+uint64_t OutcomeHash(const AuditReport& r) {
+  uint64_t h = 0;
+  for (const uint64_t v :
+       {r.steps_seen, r.elements_audited, r.drift_beyond_tolerance,
+        r.repairs_applied, r.band_flips_prevented, r.false_evictions,
+        r.oracle_replays, r.oracle_mismatches, r.violations_unrepaired}) {
+    h = Mix(h ^ v);
+  }
+  return h;
+}
+
 uint64_t CountersHash(const SkyTree::Counters& c) {
   uint64_t h = 0;
   for (const uint64_t v : {c.nodes_visited, c.elements_touched, c.evictions,
@@ -1029,6 +1042,15 @@ uint64_t CandidateHash(const SkyTree& tree) {
   return Mix(sum ^ tree.size());
 }
 
+// Order-independent: a sum of per-candidate hashes over (seq, band) only.
+uint64_t MembershipHash(const SkyTree& tree) {
+  uint64_t sum = 0;
+  tree.ForEach([&sum](const SkylineMember& m, int band) {
+    sum += Mix(Mix(m.element.seq) ^ static_cast<uint64_t>(band));
+  });
+  return Mix(sum ^ tree.size());
+}
+
 constexpr size_t kGoldenWindow = 600;  // three 256-position blocks
 
 // Slice schedules: cadences 1, 4 and 64 with 4-element slices, and a
@@ -1045,14 +1067,18 @@ constexpr GoldenSchedule kGoldenSchedules[] = {
 // third window: one's P_old (a band flip) and another's P_new, which can
 // evict it early. Check mode keeps finding them (the second, once
 // evicted, as a false eviction); repair mode heals what is still held on
-// its slice or on an oracle escalation.
+// its slice or on an oracle escalation. `*outcome` chains the same
+// snapshots over OutcomeHash and MembershipHash only.
 template <typename P>
-uint64_t GoldenRun(P* p, bool plant) {
+uint64_t GoldenRun(P* p, bool plant, uint64_t* outcome) {
   uint64_t state = 0;
+  *outcome = 0;
   const auto snapshot = [&] {
     state = Mix(state ^ ReportHash(p->audit.report()));
     state = Mix(state ^ CountersHash(p->op.tree().counters()));
     state = Mix(state ^ CandidateHash(p->op.tree()));
+    *outcome = Mix(*outcome ^ OutcomeHash(p->audit.report()));
+    *outcome = Mix(*outcome ^ MembershipHash(p->op.tree()));
   };
   for (int w = 0; w < 3; ++w) {
     if (plant && w == 2) {
@@ -1073,6 +1099,7 @@ struct AuditGoldenCase {
   bool disk;   // StoredCountWindow instead of CountWindow
   bool plant;  // planted drift
   uint64_t hash[std::size(kGoldenSchedules)];
+  uint64_t outcome[std::size(kGoldenSchedules)];
 };
 
 std::string AuditGoldenName(const AuditGoldenCase& c) {
@@ -1091,28 +1118,36 @@ class AuditGolden : public ::testing::TestWithParam<AuditGoldenCase> {};
 TEST_P(AuditGolden, MatchesRecordedReports) {
   const AuditGoldenCase& want = GetParam();
   std::ostringstream got;
+  std::ostringstream got_outcome;
   got << std::hex;
+  got_outcome << std::hex;
   bool all_match = true;
+  bool outcomes_match = true;
   for (size_t s = 0; s < std::size(kGoldenSchedules); ++s) {
     AuditOptions options = Options(want.mode);
     options.audit_every = kGoldenSchedules[s].every;
     options.elements_per_audit = kGoldenSchedules[s].width;
     options.oracle_every = 100;
     uint64_t hash = 0;
+    uint64_t outcome = 0;
     if (want.disk) {
       StreamedPipeline p(options,
                          "golden_" + AuditGoldenName(want) + std::to_string(s),
                          want.dist, kGoldenWindow);
-      hash = GoldenRun(&p, want.plant);
+      hash = GoldenRun(&p, want.plant, &outcome);
     } else {
       Pipeline p(options, want.dist, kGoldenWindow);
-      hash = GoldenRun(&p, want.plant);
+      hash = GoldenRun(&p, want.plant, &outcome);
     }
     got << (s == 0 ? "0x" : "ULL, 0x") << hash;
+    got_outcome << (s == 0 ? "0x" : "ULL, 0x") << outcome;
     all_match = all_match && hash == want.hash[s];
+    outcomes_match = outcomes_match && outcome == want.outcome[s];
   }
   EXPECT_TRUE(all_match) << "audit outcomes differ; got {" << got.str()
                          << "ULL}";
+  EXPECT_TRUE(outcomes_match) << "audit decisions or membership differ; got {"
+                              << got_outcome.str() << "ULL}";
 }
 
 constexpr SpatialDistribution kGAnti = SpatialDistribution::kAntiCorrelated;
@@ -1125,53 +1160,77 @@ constexpr AuditMode kGRepair = AuditMode::kRepair;
 // clang-format off
 constexpr AuditGoldenCase kAuditGoldenCases[] = {
     {kGAnti, kGCheck, false, false,
-     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL}},
+     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL},
+     {0x91f5b4c54e141932ULL, 0xbfcde6d05ea22545ULL, 0xc286013dea37bd9aULL, 0x7bceeafbb1741ea3ULL}},
     {kGAnti, kGCheck, false, true,
-     {0x69c80a633f0d0aceULL, 0x15860f71835bf95ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL}},
+     {0x69c80a633f0d0aceULL, 0x15860f71835bf95ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL},
+     {0x3a2f8c1193f15766ULL, 0x3a660ad6acee5312ULL, 0xc286013dea37bd9aULL, 0x8d7cfe6d5c75e31cULL}},
     {kGAnti, kGCheck, true, false,
-     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL}},
+     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL},
+     {0x91f5b4c54e141932ULL, 0xbfcde6d05ea22545ULL, 0xc286013dea37bd9aULL, 0x7bceeafbb1741ea3ULL}},
     {kGAnti, kGCheck, true, true,
-     {0x69c80a633f0d0aceULL, 0x15860f71835bf95ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL}},
+     {0x69c80a633f0d0aceULL, 0x15860f71835bf95ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL},
+     {0x3a2f8c1193f15766ULL, 0x3a660ad6acee5312ULL, 0xc286013dea37bd9aULL, 0x8d7cfe6d5c75e31cULL}},
     {kGAnti, kGRepair, false, false,
-     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL}},
+     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL},
+     {0x91f5b4c54e141932ULL, 0xbfcde6d05ea22545ULL, 0xc286013dea37bd9aULL, 0x7bceeafbb1741ea3ULL}},
     {kGAnti, kGRepair, false, true,
-     {0x60837778aa322fb6ULL, 0xe189a9edc3e52dc7ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL}},
+     {0x60837778aa322fb6ULL, 0xe189a9edc3e52dc7ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL},
+     {0x9c2f293bdaa5cd5eULL, 0x66d883b000048197ULL, 0xc286013dea37bd9aULL, 0x8d7cfe6d5c75e31cULL}},
     {kGAnti, kGRepair, true, false,
-     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL}},
+     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL},
+     {0x91f5b4c54e141932ULL, 0xbfcde6d05ea22545ULL, 0xc286013dea37bd9aULL, 0x7bceeafbb1741ea3ULL}},
     {kGAnti, kGRepair, true, true,
-     {0x60837778aa322fb6ULL, 0xe189a9edc3e52dc7ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL}},
+     {0x60837778aa322fb6ULL, 0xe189a9edc3e52dc7ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL},
+     {0x9c2f293bdaa5cd5eULL, 0x66d883b000048197ULL, 0xc286013dea37bd9aULL, 0x8d7cfe6d5c75e31cULL}},
     {kGInde, kGCheck, false, false,
-     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL}},
+     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL},
+     {0x51605981c6c2f024ULL, 0x32445101fd4e8a82ULL, 0x4802b7ee85bc74a2ULL, 0x18afe9ab3b99124eULL}},
     {kGInde, kGCheck, false, true,
-     {0xadb3554af29a50b8ULL, 0x6e4b504a3a37b39ULL, 0xc7472463200074e1ULL, 0xd635807b57352ea2ULL}},
+     {0xadb3554af29a50b8ULL, 0x6e4b504a3a37b39ULL, 0xc7472463200074e1ULL, 0xd635807b57352ea2ULL},
+     {0x1df423d241d43f5bULL, 0xcbd10241572b056ULL, 0x4802b7ee85bc74a2ULL, 0xdb2daf30b0be80d5ULL}},
     {kGInde, kGCheck, true, false,
-     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL}},
+     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL},
+     {0x51605981c6c2f024ULL, 0x32445101fd4e8a82ULL, 0x4802b7ee85bc74a2ULL, 0x18afe9ab3b99124eULL}},
     {kGInde, kGCheck, true, true,
-     {0xadb3554af29a50b8ULL, 0x6e4b504a3a37b39ULL, 0xc7472463200074e1ULL, 0xd635807b57352ea2ULL}},
+     {0xadb3554af29a50b8ULL, 0x6e4b504a3a37b39ULL, 0xc7472463200074e1ULL, 0xd635807b57352ea2ULL},
+     {0x1df423d241d43f5bULL, 0xcbd10241572b056ULL, 0x4802b7ee85bc74a2ULL, 0xdb2daf30b0be80d5ULL}},
     {kGInde, kGRepair, false, false,
-     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL}},
+     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL},
+     {0x51605981c6c2f024ULL, 0x32445101fd4e8a82ULL, 0x4802b7ee85bc74a2ULL, 0x18afe9ab3b99124eULL}},
     {kGInde, kGRepair, false, true,
-     {0xadb3554af29a50b8ULL, 0x6d0062afecbc5642ULL, 0xc7472463200074e1ULL, 0xda4f7ef9d07aab6aULL}},
+     {0xadb3554af29a50b8ULL, 0x6d0062afecbc5642ULL, 0xc7472463200074e1ULL, 0xda4f7ef9d07aab6aULL},
+     {0x1df423d241d43f5bULL, 0x16a515836a31890bULL, 0x4802b7ee85bc74a2ULL, 0x7c1fdad820962822ULL}},
     {kGInde, kGRepair, true, false,
-     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL}},
+     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL},
+     {0x51605981c6c2f024ULL, 0x32445101fd4e8a82ULL, 0x4802b7ee85bc74a2ULL, 0x18afe9ab3b99124eULL}},
     {kGInde, kGRepair, true, true,
-     {0xadb3554af29a50b8ULL, 0x6d0062afecbc5642ULL, 0xc7472463200074e1ULL, 0xda4f7ef9d07aab6aULL}},
+     {0xadb3554af29a50b8ULL, 0x6d0062afecbc5642ULL, 0xc7472463200074e1ULL, 0xda4f7ef9d07aab6aULL},
+     {0x1df423d241d43f5bULL, 0x16a515836a31890bULL, 0x4802b7ee85bc74a2ULL, 0x7c1fdad820962822ULL}},
     {kGCorr, kGCheck, false, false,
-     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL}},
+     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL},
+     {0xf97bf67b1ce108eaULL, 0xb6ed55d13076b408ULL, 0x35ee067f538b56dfULL, 0x68468fa34729b556ULL}},
     {kGCorr, kGCheck, false, true,
-     {0x605912e382ff75d4ULL, 0x1ceca30f2521fcfdULL, 0x84dce6b3ca5f3b9eULL, 0x474391918d14f723ULL}},
+     {0x605912e382ff75d4ULL, 0x1ceca30f2521fcfdULL, 0x84dce6b3ca5f3b9eULL, 0x474391918d14f723ULL},
+     {0x2ed58da2460f42aaULL, 0xe47ad06c5ff3729eULL, 0x24252bbbfd1b5439ULL, 0xadee164cd99c34b4ULL}},
     {kGCorr, kGCheck, true, false,
-     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL}},
+     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL},
+     {0xf97bf67b1ce108eaULL, 0xb6ed55d13076b408ULL, 0x35ee067f538b56dfULL, 0x68468fa34729b556ULL}},
     {kGCorr, kGCheck, true, true,
-     {0x605912e382ff75d4ULL, 0x1ceca30f2521fcfdULL, 0x84dce6b3ca5f3b9eULL, 0x474391918d14f723ULL}},
+     {0x605912e382ff75d4ULL, 0x1ceca30f2521fcfdULL, 0x84dce6b3ca5f3b9eULL, 0x474391918d14f723ULL},
+     {0x2ed58da2460f42aaULL, 0xe47ad06c5ff3729eULL, 0x24252bbbfd1b5439ULL, 0xadee164cd99c34b4ULL}},
     {kGCorr, kGRepair, false, false,
-     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL}},
+     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL},
+     {0xf97bf67b1ce108eaULL, 0xb6ed55d13076b408ULL, 0x35ee067f538b56dfULL, 0x68468fa34729b556ULL}},
     {kGCorr, kGRepair, false, true,
-     {0x73f9569c01ee01a2ULL, 0x5be5e3b0078b450bULL, 0xab7673d65b2ad23ULL, 0x49a53fb9bdf72507ULL}},
+     {0x73f9569c01ee01a2ULL, 0x5be5e3b0078b450bULL, 0xab7673d65b2ad23ULL, 0x49a53fb9bdf72507ULL},
+     {0x3afc3dd8e607f5b2ULL, 0x1c471bae68f6d9bbULL, 0x9e16b0044a4393cdULL, 0x31fc4f9cb8fd5920ULL}},
     {kGCorr, kGRepair, true, false,
-     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL}},
+     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL},
+     {0xf97bf67b1ce108eaULL, 0xb6ed55d13076b408ULL, 0x35ee067f538b56dfULL, 0x68468fa34729b556ULL}},
     {kGCorr, kGRepair, true, true,
-     {0x73f9569c01ee01a2ULL, 0x5be5e3b0078b450bULL, 0xab7673d65b2ad23ULL, 0x49a53fb9bdf72507ULL}},
+     {0x73f9569c01ee01a2ULL, 0x5be5e3b0078b450bULL, 0xab7673d65b2ad23ULL, 0x49a53fb9bdf72507ULL},
+     {0x3afc3dd8e607f5b2ULL, 0x1c471bae68f6d9bbULL, 0x9e16b0044a4393cdULL, 0x31fc4f9cb8fd5920ULL}},
 };
 // clang-format on
 

@@ -324,6 +324,7 @@ struct GoldenCase {
   int fanout;      // SkyTree::Options::max_entries
   uint64_t state;  // chained over the per-snapshot candidate hashes
   uint64_t work;   // chained over the per-snapshot counters
+  uint64_t membership;  // chained over the per-snapshot (seq, band) sets
   uint64_t nodes_visited;
   uint64_t elements_touched;
   uint64_t evictions;
@@ -353,6 +354,16 @@ uint64_t CandidateHash(const SkyTree& tree) {
     h = Mix(h ^ std::bit_cast<uint64_t>(m.pnew));
     h = Mix(h ^ std::bit_cast<uint64_t>(m.pold));
     sum += h;
+  });
+  return Mix(sum ^ tree.size());
+}
+
+// Order-independent: a sum of per-candidate hashes over (seq, band) only,
+// so it pins membership of S_{N,q} and of every band, not the values.
+uint64_t MembershipHash(const SkyTree& tree) {
+  uint64_t sum = 0;
+  tree.ForEach([&sum](const SkylineMember& m, int band) {
+    sum += Mix(Mix(m.element.seq) ^ static_cast<uint64_t>(band));
   });
   return Mix(sum ^ tree.size());
 }
@@ -404,6 +415,7 @@ TEST_P(SkyTreeGolden, MatchesRecordedState) {
 
   uint64_t state = 0;
   uint64_t work = 0;
+  uint64_t membership = 0;
   for (size_t step = 1; step <= kGoldenSteps; ++step) {
     const UncertainElement e = gen.Next();
     const std::optional<UncertainElement> expired = window.Push(e);
@@ -417,15 +429,19 @@ TEST_P(SkyTreeGolden, MatchesRecordedState) {
     if (step % kGoldenEvery == 0) {
       state = Mix(state ^ CandidateHash(tree));
       work = Mix(work ^ CountersHash(tree.counters()));
+      membership = Mix(membership ^ MembershipHash(tree));
     }
   }
   tree.CheckInvariants();
 
   // On a mismatch, the hash columns as the table spells them.
   std::ostringstream got;
-  got << std::hex << "0x" << state << "ULL, 0x" << work << "ULL";
+  got << std::hex << "0x" << state << "ULL, 0x" << work << "ULL, 0x"
+      << membership << "ULL";
   EXPECT_EQ(state, want.state) << "state differs; got " << got.str();
   EXPECT_EQ(work, want.work) << "work differs; got " << got.str();
+  EXPECT_EQ(membership, want.membership)
+      << "membership differs; got " << got.str();
   const SkyTree::Counters& c = tree.counters();
   EXPECT_EQ(c.nodes_visited, want.nodes_visited);
   EXPECT_EQ(c.elements_touched, want.elements_touched);
@@ -436,30 +452,30 @@ TEST_P(SkyTreeGolden, MatchesRecordedState) {
 
 // clang-format off
 constexpr GoldenCase kGoldenCases[] = {
-    {kAnti, 2, Engine::kSsky, 128, 0xd20814823850660fULL, 0x5c06737883927b61ULL, 204792, 3970849, 19658, 1, 203},
-    {kAnti, 2, Engine::kMsky, 128, 0xec527c4ca06dc8d4ULL, 0xbd96b75f9b91091cULL, 204792, 3970849, 19658, 1, 266},
-    {kAnti, 3, Engine::kSsky, 128, 0x12f7946b9bc49081ULL, 0x769311bacbc996d0ULL, 357123, 7153108, 18990, 0, 479},
-    {kAnti, 3, Engine::kMsky, 128, 0x722d4f617e435b51ULL, 0x1f37f2fac9ad6299ULL, 357123, 7153108, 18990, 0, 676},
-    {kAnti, 4, Engine::kSsky, 128, 0x0e450423c67493bfULL, 0x86443d36e8cfee37ULL, 550528, 9219325, 17614, 0, 1084},
-    {kAnti, 4, Engine::kMsky, 128, 0x1d3ad474b7f3bc63ULL, 0x030bf3deb756a77bULL, 550528, 9219325, 17614, 0, 1573},
-    {kInde, 2, Engine::kSsky, 128, 0x3d5ea7227b4818c0ULL, 0x330bbe16bc068d6cULL, 108637, 3238951, 19813, 1, 86},
-    {kInde, 2, Engine::kMsky, 128, 0xa5bdf441fef31388ULL, 0xe61fbedf10b5ba1aULL, 108637, 3238951, 19813, 1, 129},
-    {kInde, 3, Engine::kSsky, 128, 0x93a3854676a78600ULL, 0x953b6d7c4b8ea4f4ULL, 322413, 5154118, 19297, 1, 377},
-    {kInde, 3, Engine::kMsky, 128, 0x156237e4bdce3cf1ULL, 0x7fe4bab2e301a018ULL, 322413, 5154122, 19297, 1, 523},
-    {kInde, 4, Engine::kSsky, 128, 0x2a949a20484a352dULL, 0x242ba380755e3994ULL, 462480, 9211419, 18042, 0, 800},
-    {kInde, 4, Engine::kMsky, 128, 0x44c747f4dd310b03ULL, 0x046de47164bc82e3ULL, 462480, 9211419, 18042, 0, 1119},
-    {kCorr, 2, Engine::kSsky, 128, 0x70808366eacec4c2ULL, 0x53cb82791bfc4c78ULL, 110344, 1124376, 19879, 4, 54},
-    {kCorr, 2, Engine::kMsky, 128, 0x3f2dc6db45d3f478ULL, 0x76910b8e0fe14a9fULL, 110344, 1124382, 19879, 4, 89},
-    {kCorr, 3, Engine::kSsky, 128, 0x50ef6d3049d3bcacULL, 0x14a1e16f6637d76dULL, 110044, 1608227, 19793, 5, 81},
-    {kCorr, 3, Engine::kMsky, 128, 0xb43506b81b32be97ULL, 0x8830acea04ef1498ULL, 110044, 1608230, 19793, 5, 127},
-    {kCorr, 4, Engine::kSsky, 128, 0xfeb5a4fdf4a047f0ULL, 0xb48abae4a4d0d14fULL, 109733, 1912379, 19713, 1, 81},
-    {kCorr, 4, Engine::kMsky, 128, 0xb7ed5fbb52b170e4ULL, 0xc2f4de9f3ebce437ULL, 109733, 1912388, 19713, 1, 119},
-    {kAnti, 3, Engine::kSsky, 8, 0xc6e42eda51912907ULL, 0xc353c35d5b702c1dULL, 1519070, 1836866, 18990, 1407, 479},
-    {kAnti, 3, Engine::kMsky, 8, 0x516f596fd21c38c6ULL, 0x593224a8d395467eULL, 1519070, 1836913, 18990, 1407, 676},
-    {kInde, 3, Engine::kSsky, 8, 0xccee2baf66fd2d18ULL, 0x55247d9638d17911ULL, 1261643, 1809476, 19297, 1320, 377},
-    {kInde, 3, Engine::kMsky, 8, 0x4f71dc96d58d8152ULL, 0x2155fa6661f66d3aULL, 1261643, 1809534, 19297, 1320, 523},
-    {kCorr, 3, Engine::kSsky, 8, 0x0da71946ee166939ULL, 0xdae683c7e1aa7842ULL, 426011, 250685, 19793, 3362, 81},
-    {kCorr, 3, Engine::kMsky, 8, 0xba5c1fd6a7bcf5b9ULL, 0x3da2fef0473230dcULL, 426011, 250704, 19793, 3362, 127},
+    {kAnti, 2, Engine::kSsky, 128, 0xd20814823850660fULL, 0x5c06737883927b61ULL, 0x3985e2c551d8ffb0ULL, 204792, 3970849, 19658, 1, 203},
+    {kAnti, 2, Engine::kMsky, 128, 0xec527c4ca06dc8d4ULL, 0xbd96b75f9b91091cULL, 0x430414a4e1ae230ULL, 204792, 3970849, 19658, 1, 266},
+    {kAnti, 3, Engine::kSsky, 128, 0x12f7946b9bc49081ULL, 0x769311bacbc996d0ULL, 0x586c1c122eef1a0dULL, 357123, 7153108, 18990, 0, 479},
+    {kAnti, 3, Engine::kMsky, 128, 0x722d4f617e435b51ULL, 0x1f37f2fac9ad6299ULL, 0xc2acfee2599c15cbULL, 357123, 7153108, 18990, 0, 676},
+    {kAnti, 4, Engine::kSsky, 128, 0x0e450423c67493bfULL, 0x86443d36e8cfee37ULL, 0x3795fdc7d6b506f9ULL, 550528, 9219325, 17614, 0, 1084},
+    {kAnti, 4, Engine::kMsky, 128, 0x1d3ad474b7f3bc63ULL, 0x030bf3deb756a77bULL, 0x99f99f67995fcc9fULL, 550528, 9219325, 17614, 0, 1573},
+    {kInde, 2, Engine::kSsky, 128, 0x3d5ea7227b4818c0ULL, 0x330bbe16bc068d6cULL, 0xfa80f47c51fd74c7ULL, 108637, 3238951, 19813, 1, 86},
+    {kInde, 2, Engine::kMsky, 128, 0xa5bdf441fef31388ULL, 0xe61fbedf10b5ba1aULL, 0xcb96ec0a633f19e7ULL, 108637, 3238951, 19813, 1, 129},
+    {kInde, 3, Engine::kSsky, 128, 0x93a3854676a78600ULL, 0x953b6d7c4b8ea4f4ULL, 0xd9bf8f438c683bd5ULL, 322413, 5154118, 19297, 1, 377},
+    {kInde, 3, Engine::kMsky, 128, 0x156237e4bdce3cf1ULL, 0x7fe4bab2e301a018ULL, 0x93dcd55d6050725eULL, 322413, 5154122, 19297, 1, 523},
+    {kInde, 4, Engine::kSsky, 128, 0x2a949a20484a352dULL, 0x242ba380755e3994ULL, 0xfb3d499e0aca56feULL, 462480, 9211419, 18042, 0, 800},
+    {kInde, 4, Engine::kMsky, 128, 0x44c747f4dd310b03ULL, 0x046de47164bc82e3ULL, 0xc6690ce25d3042ceULL, 462480, 9211419, 18042, 0, 1119},
+    {kCorr, 2, Engine::kSsky, 128, 0x70808366eacec4c2ULL, 0x53cb82791bfc4c78ULL, 0x9d32a53782ce5aa4ULL, 110344, 1124376, 19879, 4, 54},
+    {kCorr, 2, Engine::kMsky, 128, 0x3f2dc6db45d3f478ULL, 0x76910b8e0fe14a9fULL, 0x8c1b94f895683456ULL, 110344, 1124382, 19879, 4, 89},
+    {kCorr, 3, Engine::kSsky, 128, 0x50ef6d3049d3bcacULL, 0x14a1e16f6637d76dULL, 0x281e344304998517ULL, 110044, 1608227, 19793, 5, 81},
+    {kCorr, 3, Engine::kMsky, 128, 0xb43506b81b32be97ULL, 0x8830acea04ef1498ULL, 0x7c5206c13e0e8c57ULL, 110044, 1608230, 19793, 5, 127},
+    {kCorr, 4, Engine::kSsky, 128, 0xfeb5a4fdf4a047f0ULL, 0xb48abae4a4d0d14fULL, 0xdc42c5aa362931beULL, 109733, 1912379, 19713, 1, 81},
+    {kCorr, 4, Engine::kMsky, 128, 0xb7ed5fbb52b170e4ULL, 0xc2f4de9f3ebce437ULL, 0x9b7d9bba531712eULL, 109733, 1912388, 19713, 1, 119},
+    {kAnti, 3, Engine::kSsky, 8, 0xc6e42eda51912907ULL, 0xc353c35d5b702c1dULL, 0x586c1c122eef1a0dULL, 1519070, 1836866, 18990, 1407, 479},
+    {kAnti, 3, Engine::kMsky, 8, 0x516f596fd21c38c6ULL, 0x593224a8d395467eULL, 0xc2acfee2599c15cbULL, 1519070, 1836913, 18990, 1407, 676},
+    {kInde, 3, Engine::kSsky, 8, 0xccee2baf66fd2d18ULL, 0x55247d9638d17911ULL, 0xd9bf8f438c683bd5ULL, 1261643, 1809476, 19297, 1320, 377},
+    {kInde, 3, Engine::kMsky, 8, 0x4f71dc96d58d8152ULL, 0x2155fa6661f66d3aULL, 0x93dcd55d6050725eULL, 1261643, 1809534, 19297, 1320, 523},
+    {kCorr, 3, Engine::kSsky, 8, 0x0da71946ee166939ULL, 0xdae683c7e1aa7842ULL, 0x281e344304998517ULL, 426011, 250685, 19793, 3362, 81},
+    {kCorr, 3, Engine::kMsky, 8, 0xba5c1fd6a7bcf5b9ULL, 0x3da2fef0473230dcULL, 0x7c5206c13e0e8c57ULL, 426011, 250704, 19793, 3362, 127},
 };
 // clang-format on
 
