@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the individual building blocks:
 // R-tree maintenance, certain-data skyline algorithms, steady-state
-// sky-tree arrivals, and the ad-hoc / top-k query paths.
+// SSKY arrivals, and the ad-hoc / top-k query paths.
 
 #include <benchmark/benchmark.h>
 
@@ -78,12 +78,15 @@ void BM_RTreeRangeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeRangeQuery);
 
-// One probe against a full 128-entry SoA leaf block — the sky-tree's
-// innermost loop. `which` selects the portable sweep or the runtime
-// dispatcher (AVX2 where the CPU has it).
+// One probe against 128 candidates in a dim-major block — the candidate
+// store's innermost loop, on half a 256-slot block. `dispatch` selects
+// the portable sweep or the runtime dispatcher (AVX2 where the CPU has
+// it).
 void BM_DominanceKernel(benchmark::State& state, bool dispatch) {
   constexpr int kDims = 3;
-  constexpr int kStride = 129;  // max_entries + 1, as the sky-tree sizes it
+  // One slot longer than the candidates, so every row after the first
+  // starts off a 32-byte boundary: the kernel's loads are unaligned.
+  constexpr int kStride = 129;
   constexpr int kCount = 128;
   const auto pts = RandomPoints(kCount + 1, kDims, 11);
   std::vector<double> block(static_cast<size_t>(kStride) * kDims);

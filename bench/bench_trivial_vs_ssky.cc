@@ -3,9 +3,10 @@
 // anti (3d)."
 //
 // This harness reproduces that comparison: the naive flat-list operator
-// (amortized O(|S_{N,q}|) per element) vs the aggregate-tree SSKY, on
-// anti-correlated 3-d data. The naive operator is quadratic-ish, so the
-// driven stream is capped; both operators see identical input.
+// (amortized O(|S_{N,q}|) per element) vs SSKY on its block-scanned
+// candidate store, on anti-correlated 3-d data. The naive operator is
+// quadratic-ish, so the driven stream is capped; both operators see
+// identical input.
 
 #include <algorithm>
 

@@ -31,46 +31,43 @@ AuditManager::AuditManager(SskyOperator* op, AuditOptions options,
     : op_(op),
       options_(options),
       window_(std::move(window)),
-      q_log_(std::log(op->threshold())) {}
+      settle_bound_(QuantizeLog(std::log(op->threshold())) +
+                    QuantizeLog(options.tolerance)) {}
 
 void AuditManager::AuditBatch(const std::vector<Target>& targets) {
   if (targets.empty()) return;
   // Exact P_new from first principles: every dominator that arrived after
   // a target is still in the window (windows expire oldest-first), so the
-  // sum over newer window dominators *is* the true accumulated P_new — no
-  // lazy state consulted. One oldest→newest pass accumulates every
+  // sum of the newer window dominators' terms *is* the true P_new — no
+  // stored sum consulted. One oldest→newest pass accumulates every
   // target's sum, so a slice of k elements costs one pass over the
   // window, not k, and the pass starts just past the oldest target: no
   // earlier position is newer than any of them.
   //
-  // The pass packs positions into dim-major blocks (the sky-tree leaves'
-  // layout) and tests each target against a whole block with the
-  // dominance kernel. A block position's log(1 - P) factor is computed
-  // once, if it dominates any target. Mask bits are walked ascending and
-  // blocks are taken oldest first, so each target's sum receives the
-  // same terms in the same order as a per-element scan: the sums, and
-  // every drift and repair derived from them, are bit-identical to it.
+  // The pass packs positions into dim-major blocks (the candidate
+  // store's layout) and tests each target against a whole block with the
+  // dominance kernel. A block position's term is computed once, if it
+  // dominates any target. The terms are the store's quantized integers,
+  // so a target's sum is exact and in no particular order.
   //
-  // A target the tree no longer holds needs only its verdict: a false
-  // eviction iff its exact P_new >= q_log_ + tolerance (AuditElement).
-  // Every later term log1p(-P) is <= 0, and adding a term <= 0 can only
-  // round the sum down, so once its partial sum is below that bound the
-  // verdict is "sound". After each block such a target settles: the
-  // kernel skips it, and the pass ends when only settled targets remain
-  // (audit.h gives the expected cost). A held target never settles: its
-  // sum is the full scan.
+  // A target the store no longer holds needs only its verdict: a false
+  // eviction iff its exact P_new >= the settle bound (AuditElement).
+  // Every later term is negative, so once its partial sum is below that
+  // bound the verdict is "sound". After each block such a target settles:
+  // the kernel skips it, and the pass ends when only settled targets
+  // remain (audit.h gives the expected cost). A held target never
+  // settles: its sum is the full scan.
   constexpr int kBlock = kDominanceKernelMaxBlock;
   constexpr int kWords = kDominanceKernelMaskWords;
   const int dims = op_->dims();
-  const double settle_below = q_log_ + options_.tolerance;
   uint64_t oldest = targets.front().index;
   for (const Target& t : targets) oldest = std::min(oldest, t.index);
   const uint64_t n = window_.size();
   std::vector<double> coords(static_cast<size_t>(dims) * kBlock);
   double prob[kBlock];
-  double factor[kBlock];
+  int64_t term[kBlock];
   std::vector<uint64_t> masks(targets.size() * kWords);
-  std::vector<double> exact_pnew(targets.size(), 0.0);
+  std::vector<LogSum> exact_pnew(targets.size(), 0);
   std::vector<char> settled(targets.size(), 0);
   size_t unsettled = targets.size();
   for (uint64_t start = oldest + 1; start < n && unsettled > 0;
@@ -104,24 +101,23 @@ void AuditManager::AuditBatch(const std::vector<Target>& targets) {
       }
       for (int wd = 0; wd < words; ++wd) any[wd] |= mask[wd];
     }
-    // All factors first, then the sums: the log1p calls run back to back
-    // instead of inside each target's dependent chain of additions.
+    // All terms first, then the sums: the log1p calls run back to back
+    // instead of inside each target's chain of additions.
     for (int wd = 0; wd < words; ++wd) {
       for (uint64_t bits = any[wd]; bits != 0; bits &= bits - 1) {
         const int r = wd * 64 + std::countr_zero(bits);
-        factor[r] = LogOneMinusProb(ClampProb(prob[r]));
+        term[r] = LogTermOf(ClampProb(prob[r]));
       }
     }
     for (size_t t = 0; t < targets.size(); ++t) {
       const uint64_t* mask = &masks[t * kWords];
       for (int wd = 0; wd < words; ++wd) {
         for (uint64_t bits = mask[wd]; bits != 0; bits &= bits - 1) {
-          // order-sensitive: oldest-first window order, as a scalar scan.
-          exact_pnew[t] += factor[wd * 64 + std::countr_zero(bits)];
+          exact_pnew[t] += term[wd * 64 + std::countr_zero(bits)];
         }
       }
       if (settled[t] == 0 && !targets[t].held &&
-          exact_pnew[t] < settle_below) {
+          exact_pnew[t] < settle_bound_) {
         settled[t] = 1;
         --unsettled;
       }
@@ -134,7 +130,7 @@ void AuditManager::AuditBatch(const std::vector<Target>& targets) {
   }
 }
 
-void AuditManager::AuditElement(const UncertainElement& e, double exact_pnew) {
+void AuditManager::AuditElement(const UncertainElement& e, LogSum exact_pnew) {
   ++report_.elements_audited;
   const SkyTree* tree = &op_->tree();
   const SkyTree::AuditView view = tree->LookupForAudit(e.pos, e.seq);
@@ -142,8 +138,8 @@ void AuditManager::AuditElement(const UncertainElement& e, double exact_pnew) {
     // Evicted from S_{N,q}. Eviction is sound iff exact P_new sits below
     // the retention threshold; newer dominators only shrink P_new, so a
     // correct eviction can never look wrong later. The tolerance margin
-    // keeps honest boundary rounding from flagging.
-    if (exact_pnew >= q_log_ + options_.tolerance) {
+    // keeps a planted or real defect within it from flagging.
+    if (exact_pnew >= settle_bound_) {
       ++report_.false_evictions;
       ++report_.violations_unrepaired;
     }
@@ -152,17 +148,22 @@ void AuditManager::AuditElement(const UncertainElement& e, double exact_pnew) {
 
   // Exact P_old: the combined dominator sum over the live candidate set
   // fixes P_sky, and P_old is the remainder after the window-exact P_new
-  // (eviction compensation is booked against P_old, paper Lemma 2).
+  // (eviction compensation is booked against P_old, paper Lemma 2). For
+  // a live element every newer window dominator is live, so this is the
+  // older dominators' sum, exactly.
   const SkyTree::DominatorSums sums = tree->ExactDominators(e.pos, e.seq);
-  const double exact_total = sums.newer_log + sums.older_log;
-  const double exact_pold = exact_total - exact_pnew;
+  const LogSum exact_total = sums.newer + sums.older;
+  const LogSum exact_pold = exact_total - exact_pnew;
 
-  const double drift_new = std::abs(view.pnew_log - exact_pnew);
-  const double drift_old = std::abs(view.pold_log - exact_pold);
+  const auto distance = [](LogSum a, LogSum b) {
+    return LogSumToDouble(a > b ? a - b : b - a);
+  };
+  const double drift_new = distance(view.pnew, exact_pnew);
+  const double drift_old = distance(view.pold, exact_pold);
   report_.max_drift = std::max({report_.max_drift, drift_new, drift_old});
 
-  const double exact_psky = std::log(ClampProb(e.prob)) + exact_total;
-  const int exact_band = tree->BandOfLog(exact_psky);
+  const LogSum exact_psky = LogProbOf(ClampProb(e.prob)) + exact_total;
+  const int exact_band = tree->BandOf(exact_psky);
   const bool drifted =
       drift_new > options_.tolerance || drift_old > options_.tolerance;
   const bool band_wrong = exact_band != view.band;
@@ -173,14 +174,8 @@ void AuditManager::AuditElement(const UncertainElement& e, double exact_pnew) {
     ++report_.violations_unrepaired;
     return;
   }
-  // A live element has no evicted newer dominator (that dominator's own
-  // newer dominators dominate the element too, so it would have been
-  // evicted first): its true P_old is the product over older candidate
-  // dominators, <= 0 in the log domain. The difference above sums the
-  // newer dominators in two orders and can round a zero P_old a few ulps
-  // positive, which RepairElement rejects.
-  const SkyTree::RepairOutcome outcome = op_->mutable_tree()->RepairElement(
-      e.pos, e.seq, exact_pnew, std::min(exact_pold, 0.0));
+  const SkyTree::RepairOutcome outcome =
+      op_->mutable_tree()->RepairElement(e.pos, e.seq, exact_pnew, exact_pold);
   ++report_.repairs_applied;
   if (outcome.found && outcome.old_band != outcome.new_band) {
     ++report_.band_flips_prevented;

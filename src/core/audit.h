@@ -1,20 +1,21 @@
 // Online state-integrity auditing for the SSKY operator.
 //
-// SSKY's probability state is maintained by lazy log-domain addends
-// (sky_tree.h): every arrival and eviction adds or restores factors, so
-// floating-point rounding drifts without bound over an unbounded stream.
-// The paper's minimal-candidate-set guarantees (Theorems 2-5) are exact in
-// real arithmetic but say nothing about accumulated rounding — an element
-// whose P_sky sits near a threshold can silently flip bands. This module
-// keeps a long-running operator provably honest:
+// SSKY's probability state is a set of exact integer sums of quantized
+// log terms (core/operator.h): every arrival and eviction adds or
+// takes back a term, and no rounding accumulates. What the sums can
+// still suffer is damage — a bookkeeping defect, a bit flip, the
+// planted corruption of --inject-drift-at — and an element whose P_sky
+// is damaged can silently flip bands. This module keeps a long-running
+// operator provably honest:
 //
 //  1. An *incremental slice auditor*: every `audit_every` steps it
 //     re-derives exact P_new/P_old for a rotating slice of window
-//     elements — from raw element probabilities only, never from lazy
-//     state — and compares against the operator's materialized values
-//     within a drift tolerance. A slice scans the window from its oldest
-//     target, but the scan for a target the tree no longer holds stops
-//     once its partial P_new is below the retention bound (AuditBatch):
+//     elements — from raw element probabilities only, never from stored
+//     sums — and compares them with the operator's stored values: equal
+//     on a healthy operator, so a clean audit's max drift is exactly 0.
+//     A slice scans the window from its oldest target, but the scan for
+//     a target the store no longer holds stops once its partial P_new is
+//     below the retention bound (AuditBatch):
 //     its verdict cannot change after that. Every arrival enters
 //     S_{N,q} (Algorithm 4, Phase D) and stays about E|S_{N,q}| steps
 //     (Little's law), and an evicted target's scan settles about where
@@ -24,8 +25,8 @@
 //     Theorem 8, and the cost per stream step is
 //     O(|S_{N,q}| / audit_every), down from O(N / audit_every).
 //  2. *Self-healing repair*: in kRepair mode, drift beyond tolerance (or a
-//     band misclassification) renormalizes the affected leaf path in
-//     place (SkyTree::RepairElement) and recounts. Counters record the
+//     band misclassification) writes the exact sums back in place
+//     (SkyTree::RepairElement) and re-bands. Counters record the
 //     max observed drift, repairs applied, and band flips prevented.
 //  3. A *sampled shadow oracle*: every `oracle_every` steps the current
 //     window is replayed through the naive reference operator and the
@@ -55,7 +56,8 @@
 //
 // since every newer dominator of a live element is still in the window
 // (windows expire oldest-first) and eviction compensation is booked
-// against P_old (sky_tree.cc Phase C, paper Lemma 2). For an element
+// against P_old (SkyTree::Arrive, paper Lemma 2). The auditor adds the
+// store's own quantized terms, so the re-derivation is exact. For an element
 // *evicted* from S the auditor checks eviction soundness instead: its
 // exact P_new must sit below the retention threshold, and stays there
 // because newer dominators only shrink it.
@@ -77,7 +79,7 @@ namespace psky {
 enum class AuditMode {
   kOff,     ///< auditing disabled; Step() is a no-op
   kCheck,   ///< detect and count violations, never mutate operator state
-  kRepair,  ///< renormalize drifted elements in place
+  kRepair,  ///< write the exact sums back into damaged elements
 };
 
 struct AuditOptions {
@@ -87,9 +89,8 @@ struct AuditOptions {
   /// Window elements re-derived per audit (the rotating slice width).
   int elements_per_audit = 4;
   /// Absolute log-domain drift beyond which a value counts as corrupted.
-  /// Rounding accrues ~1 ulp per lazy addend; 1e-7 is orders of magnitude
-  /// above honest drift for any realistic stream yet far below any gap
-  /// that could matter at a threshold.
+  /// Honest sums drift by exactly 0; 1e-7 is far below any gap that
+  /// could matter at a threshold.
   double tolerance = 1e-7;
   /// Steps between shadow-oracle replays (0 disables the oracle). Each
   /// replay runs inline on the caller's thread and costs O(window^2);
@@ -102,7 +103,7 @@ struct AuditOptions {
 struct AuditReport {
   uint64_t steps_seen = 0;
   uint64_t elements_audited = 0;
-  /// Largest |materialized - exact| observed in the log domain, over both
+  /// Largest |stored - exact| observed in the log domain, over both
   /// P_new and P_old, including drift below tolerance.
   double max_drift = 0.0;
   uint64_t drift_beyond_tolerance = 0;
@@ -200,7 +201,7 @@ class AuditManager {
  private:
   // Exact-state check given `e`'s window-exact P_new; all the tree
   // lookups, drift accounting, and repairs live here.
-  void AuditElement(const UncertainElement& e, double exact_pnew);
+  void AuditElement(const UncertainElement& e, LogSum exact_pnew);
   // One audit target: a window position, its element, and whether the
   // tree still holds it (SkyTree::Contains, asked before the pass).
   struct Target {
@@ -221,7 +222,9 @@ class AuditManager {
   WindowStream window_;
   AuditReport report_;
   uint64_t cursor_ = 0;  // rotating position into the window
-  double q_log_;
+  // log q + tolerance: an evicted target whose exact P_new reaches it is
+  // a false eviction, and one whose partial sum falls below it settles.
+  LogSum settle_bound_;
   // Degradation state (SetDegradation); defaults are "no degradation".
   bool suspend_oracle_ = false;
   uint64_t audit_stretch_ = 1;

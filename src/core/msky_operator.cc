@@ -1,6 +1,5 @@
 #include "core/msky_operator.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace psky {
@@ -24,11 +23,7 @@ std::vector<SkylineMember> MskyOperator::Skyline(int i) const {
   tree_.ForEach([&out, i](const SkylineMember& m, int band) {
     if (band <= i) out.push_back(m);
   });
-  std::sort(out.begin(), out.end(),
-            [](const SkylineMember& a, const SkylineMember& b) {
-              return a.element.seq < b.element.seq;
-            });
-  return out;
+  return out;  // ForEach visits in seq order
 }
 
 std::vector<SkylineMember> MskyOperator::AdHocQuery(double q_prime) const {

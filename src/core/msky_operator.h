@@ -2,7 +2,7 @@
 // threshold queries (paper Section IV-D).
 //
 // For descending thresholds q_1 > q_2 > ... > q_k, the operator maintains
-// the candidate set S_{N,q_k} in one aggregate sky-tree whose bands are the
+// the candidate set S_{N,q_k} in one candidate store whose bands are the
 // paper's k + 1 solution sets: band i holds elements with
 // P_sky ∈ [q_i, q_{i-1}), band k + 1 the remaining candidates. An ad-hoc
 // query with q' >= q_k (QSKY) is answered from the same structure without
@@ -44,10 +44,10 @@ class MskyOperator {
   std::vector<SkylineMember> Skyline(int i) const;
 
   /// Ad-hoc query (QSKY): skyline with probability at least q', where
-  /// q' >= q_k. Read-only; does not update any aggregate information.
+  /// q' >= q_k. Read-only; changes no stored state.
   std::vector<SkylineMember> AdHocQuery(double q_prime) const;
 
-  /// Ad-hoc count-only query; prunes whole subtrees via the P_sky bounds.
+  /// Ad-hoc count-only query: one scan of the stored P_sky sums.
   size_t AdHocCount(double q_prime) const;
 
   const SkyTree& tree() const { return tree_; }

@@ -9,7 +9,7 @@
 namespace psky {
 
 NaiveSkylineOperator::NaiveSkylineOperator(int dims, double q)
-    : dims_(dims), q_(q), q_log_(std::log(q)) {
+    : dims_(dims), q_(q), q_sum_(QuantizeLog(std::log(q))) {
   PSKY_CHECK_MSG(dims >= 1 && dims <= kMaxDims, "dims out of range");
   PSKY_CHECK_MSG(q > 1e-9 && q <= 1.0, "threshold must be in (1e-9, 1]");
 }
@@ -18,17 +18,17 @@ void NaiveSkylineOperator::Insert(const UncertainElement& raw) {
   ++stats_.arrivals;
   UncertainElement e = raw;
   e.prob = ClampProb(e.prob);
-  const double e_log_factor = LogOneMinusProb(e.prob);
+  const int64_t e_term = LogTermOf(e.prob);
 
   // 1) P_old of the arrival over the current candidate set, and P_new
   //    updates of the candidates it dominates.
-  double pold_log_new = 0.0;
+  LogSum pold_new = 0;
   for (Entry& entry : set_) {
     ++stats_.elements_touched;
     if (Dominates(entry.elem.pos, e.pos)) {
-      pold_log_new += LogOneMinusProb(entry.elem.prob);
+      pold_new += entry.term;
     } else if (Dominates(e.pos, entry.elem.pos)) {
-      entry.pnew_log += e_log_factor;
+      entry.pnew += e_term;
     }
   }
 
@@ -36,7 +36,7 @@ void NaiveSkylineOperator::Insert(const UncertainElement& raw) {
   std::vector<Entry> evicted;
   size_t keep = 0;
   for (size_t i = 0; i < set_.size(); ++i) {
-    if (set_[i].pnew_log < q_log_) {
+    if (set_[i].pnew < q_sum_) {
       evicted.push_back(set_[i]);
     } else {
       set_[keep++] = set_[i];
@@ -53,14 +53,15 @@ void NaiveSkylineOperator::Insert(const UncertainElement& raw) {
       for (const Entry& gone : evicted) {
         ++stats_.elements_touched;
         if (Dominates(gone.elem.pos, entry.elem.pos)) {
-          entry.pold_log -= LogOneMinusProb(gone.elem.prob);
+          entry.pold -= gone.term;
         }
       }
     }
   }
 
   // 4) The arrival always joins S_{N,q} (its P_new is 1).
-  set_.push_back(Entry{e, /*pnew_log=*/0.0, /*pold_log=*/pold_log_new});
+  set_.push_back(Entry{e, e_term, LogProbOf(e.prob), /*pnew=*/0,
+                       /*pold=*/pold_new});
 }
 
 void NaiveSkylineOperator::Expire(const UncertainElement& e) {
@@ -71,13 +72,15 @@ void NaiveSkylineOperator::Expire(const UncertainElement& e) {
     return entry.elem.seq == e.seq;
   });
   if (it == set_.end()) return;
-  const UncertainElement gone = it->elem;
+  const Entry gone = *it;
   set_.erase(it);
-  const double gone_log = LogOneMinusProb(gone.prob);
+  // The oldest window element is older than every candidate, so its term
+  // sits in their P_old; an element expired out of window order also
+  // sits in the P_new of the older candidates it dominates.
   for (Entry& entry : set_) {
     ++stats_.elements_touched;
-    if (Dominates(gone.pos, entry.elem.pos)) {
-      entry.pold_log -= gone_log;
+    if (Dominates(gone.elem.pos, entry.elem.pos)) {
+      (entry.elem.seq > gone.elem.seq ? entry.pold : entry.pnew) -= gone.term;
     }
   }
 }
@@ -85,7 +88,7 @@ void NaiveSkylineOperator::Expire(const UncertainElement& e) {
 size_t NaiveSkylineOperator::skyline_count() const {
   size_t n = 0;
   for (const Entry& entry : set_) {
-    if (entry.psky_log() >= q_log_) ++n;
+    if (entry.psky() >= q_sum_) ++n;
   }
   return n;
 }
@@ -94,16 +97,10 @@ std::vector<SkylineMember> NaiveSkylineOperator::Collect(
     bool skyline_only) const {
   std::vector<SkylineMember> out;
   for (const Entry& entry : set_) {
-    const double psky_log = entry.psky_log();
-    const bool in_sky = psky_log >= q_log_;
+    const bool in_sky = entry.psky() >= q_sum_;
     if (skyline_only && !in_sky) continue;
-    SkylineMember m;
-    m.element = entry.elem;
-    m.pnew = std::exp(entry.pnew_log);
-    m.pold = std::exp(entry.pold_log);
-    m.psky = std::exp(psky_log);
-    m.in_skyline = in_sky;
-    out.push_back(m);
+    out.push_back(MakeSkylineMember(entry.elem, entry.log_prob, entry.pnew,
+                                    entry.pold, in_sky));
   }
   std::sort(out.begin(), out.end(),
             [](const SkylineMember& a, const SkylineMember& b) {

@@ -11,7 +11,7 @@
 #ifndef PSKY_CORE_NAIVE_OPERATOR_H_
 #define PSKY_CORE_NAIVE_OPERATOR_H_
 
-#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/operator.h"
@@ -37,21 +37,23 @@ class NaiveSkylineOperator : public WindowSkylineOperator {
   int dims() const override { return dims_; }
 
  private:
-  // Probability bookkeeping is kept in log space; see operator.h.
+  // Probability bookkeeping is in exact log-space sums of quantized
+  // terms, as in the candidate store (see operator.h): a step's decisions
+  // match the store's bit for bit, at a threshold too.
   struct Entry {
     UncertainElement elem;
-    double pnew_log = 0.0;
-    double pold_log = 0.0;
-    double psky_log() const {
-      return std::log(elem.prob) + pnew_log + pold_log;
-    }
+    int64_t term = 0;
+    int64_t log_prob = 0;
+    LogSum pnew = 0;
+    LogSum pold = 0;
+    LogSum psky() const { return log_prob + pnew + pold; }
   };
 
   std::vector<SkylineMember> Collect(bool skyline_only) const;
 
   int dims_;
   double q_;
-  double q_log_;
+  LogSum q_sum_;
   std::vector<Entry> set_;
   OperatorStats stats_;
 };

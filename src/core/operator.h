@@ -117,9 +117,10 @@ class StreamProcessor {
 
 /// Occurrence probabilities are clamped into [kMinElementProb,
 /// kMaxElementProb] on ingestion so that (1 - P) factors are never exactly
-/// zero; this keeps the multiplicative P_old bookkeeping invertible. The
-/// induced error on any reported probability is below 1e-9 and therefore
-/// invisible at any meaningful threshold q.
+/// zero: every log(1 - P) is finite and a departing dominator's factor can
+/// always be taken back out. The induced error on any reported
+/// probability is below 1e-9 and therefore invisible at any meaningful
+/// threshold q.
 inline constexpr double kMinElementProb = 1e-12;
 inline constexpr double kMaxElementProb = 1.0 - 1e-12;
 
@@ -130,13 +131,55 @@ inline double ClampProb(double p) {
   return p;
 }
 
-/// All operators keep P_new / P_old bookkeeping in log space: an element
-/// can accumulate thousands of (1 - P) factors, whose product underflows
-/// double precision, and P_old must remain exactly divisible when a
-/// dominator leaves the candidate set. log1p(-p) of a clamped probability
-/// is finite (>= ~-27.6), sums never underflow, and subtracting the same
-/// rounded constant that was added cancels exactly.
+/// P_new / P_old bookkeeping is in log space: an element can accumulate
+/// thousands of (1 - P) factors, whose product underflows double
+/// precision. log1p(-p) of a clamped probability is finite (>= ~-27.6).
 inline double LogOneMinusProb(double p) { return std::log1p(-p); }
+
+/// Exact log-domain sums. Each log value is quantized once, to the
+/// nearest multiple of 2^-kLogSumBits, into an integer term (an int64:
+/// |log| <= 27.7 for a clamped probability), and every P_new, P_old and
+/// P_sky is an integer sum of such terms. Integer addition is exact and
+/// does not depend on order, so a sum restored by subtracting the term it
+/// once added is exactly what it was, and any two computations over the
+/// same terms (sequential, sharded, resumed, audited) agree bit for bit.
+/// Each term is off by at most 2^-(kLogSumBits + 1) from the real log.
+using LogSum = __int128;
+inline constexpr int kLogSumBits = 47;
+
+/// The term of a log value `x`: llround(x * 2^47).
+inline int64_t QuantizeLog(double x) {
+  return std::llround(std::ldexp(x, kLogSumBits));
+}
+
+/// log(1 - P) of a clamped probability, quantized: the factor an element
+/// contributes to the P_new or P_old of every element it dominates.
+inline int64_t LogTermOf(double prob) {
+  return QuantizeLog(LogOneMinusProb(prob));
+}
+
+/// log P of a clamped probability, quantized.
+inline int64_t LogProbOf(double prob) { return QuantizeLog(std::log(prob)); }
+
+/// A sum back in the log domain, as a double.
+inline double LogSumToDouble(LogSum sum) {
+  return std::ldexp(static_cast<double>(sum), -kLogSumBits);
+}
+
+/// The one reporter: a candidate's SkylineMember from its exact sums.
+/// `log_prob` is LogProbOf(e.prob). Every operator and the shard merge
+/// report through it, so equal sums report equal bits.
+inline SkylineMember MakeSkylineMember(const UncertainElement& e,
+                                       int64_t log_prob, LogSum pnew,
+                                       LogSum pold, bool in_skyline) {
+  SkylineMember m;
+  m.element = e;
+  m.pnew = std::exp(LogSumToDouble(pnew));
+  m.pold = std::exp(LogSumToDouble(pold));
+  m.psky = std::exp(LogSumToDouble(log_prob + pnew + pold));
+  m.in_skyline = in_skyline;
+  return m;
+}
 
 }  // namespace psky
 

@@ -261,7 +261,7 @@ std::vector<SkylineMember> ShardEngine::GlobalSkyline(
   Barrier();
   const Timer timer;
   ++merges_;
-  const double q_log = std::log(options_.q);
+  const LogSum q_sum = QuantizeLog(std::log(options_.q));
 
   // U = union of shard-local candidate sets, each sorted by seq.
   merge_u_.clear();
@@ -273,7 +273,7 @@ std::vector<SkylineMember> ShardEngine::GlobalSkyline(
   const size_t u_size = merge_u_.size();
   merge_candidates_ += u_size;
 
-  // Exact dominator sums over U. Every shard's tree is probed for all
+  // Exact dominator sums over U. Every shard's store is probed for all
   // of U: shard 0's by the router itself (its worker is parked after the
   // barrier), the others' by their workers.
   Command probe;
@@ -283,34 +283,24 @@ std::vector<SkylineMember> ShardEngine::GlobalSkyline(
   WaitApplied();
   merge_probes_ += shards_.size() * u_size;
 
-  // Each candidate's sums fold in shard-index order, as a serial
-  // (candidate, shard) loop adds them. A candidate is in S* when its
-  // full-window P_new >= q, and a q-skyline member when its P_sky over
-  // the U-sums is (see file comment for why both are exact).
+  // Each candidate's integer sums fold across shards. A candidate is in
+  // S* when its full-window P_new >= q, and a q-skyline member when its
+  // P_sky over the U-sums is (see file comment for why both are exact).
   std::vector<SkylineMember> out;
   size_t sstar = 0;
   for (size_t k = 0; k < u_size; ++k) {
-    double newer_log = 0.0;
-    double older_log = 0.0;
+    LogSum newer = 0;
+    LogSum older = 0;
     for (const auto& shard : shards_) {
-      // order-sensitive: shard-index order per candidate; the
-      // bit-identity contract of the merge rests on it.
-      newer_log += shard->merge_sums[k].newer_log;
-      // order-sensitive: same fold order as newer_log above.
-      older_log += shard->merge_sums[k].older_log;
+      newer += shard->merge_sums[k].newer;
+      older += shard->merge_sums[k].older;
     }
-    if (!(newer_log >= q_log)) continue;
+    if (newer < q_sum) continue;
     ++sstar;
     const UncertainElement& a = merge_u_[k];
-    const double psky_log = std::log(a.prob) + newer_log + older_log;
-    if (psky_log >= q_log) {
-      SkylineMember m;
-      m.element = a;
-      m.pnew = std::exp(newer_log);
-      m.pold = std::exp(older_log);
-      m.psky = std::exp(psky_log);
-      m.in_skyline = true;
-      out.push_back(m);
+    const int64_t log_prob = LogProbOf(a.prob);
+    if (log_prob + newer + older >= q_sum) {
+      out.push_back(MakeSkylineMember(a, log_prob, newer, older, true));
     }
   }
   if (candidate_count != nullptr) *candidate_count = sstar;

@@ -1,5 +1,5 @@
-// Sharded parallel ingestion engine: per-shard sky-trees behind SPSC
-// queues, with an exact cross-shard merge at query time.
+// Sharded parallel ingestion engine: per-shard candidate stores behind
+// SPSC queues, with an exact cross-shard merge at query time.
 //
 // Architecture
 // ------------
@@ -74,9 +74,10 @@
 // The merge makes one pass over U:
 //
 //   1. For every a in U, compute the U-sums newer_U(a) and older_U(a):
-//      sums of log(1-P(b)) over the dominators b in U newer and older
-//      than a (per-shard SkyTree::ExactDominators, summed in
-//      shard-index order). Define S* = { a : newer_U(a) >= log q }.
+//      sums of the terms log(1-P(b)) over the dominators b in U newer
+//      and older than a (per-shard SkyTree::ExactDominators, exact
+//      integers summed across shards). Define
+//      S* = { a : newer_U(a) >= log q }.
 //      Then S* = S_{N,q} exactly: for a in S_{N,q} every newer window
 //      dominator is itself in S_{N,q} (subset of U), so newer_U(a) is
 //      the true full-window log P_new >= log q; for a not in S_{N,q},
@@ -98,14 +99,13 @@
 //      carries all of them.)
 //
 // The merged skyline therefore contains exactly the sequential skyline
-// members with exactly the same probability factor multisets; reported
-// doubles can differ from the sequential operator's lazily accumulated
-// values only by summation-order rounding (ulps — the equivalence tests
-// bound it at 1e-9). The argument above is exact arithmetic: in doubles
-// the one-pass output could differ from a merge that first restricts
-// the sums to S* only where a member's sum lands within rounding of
-// log q, and MergeBitIdentity (tests/shard_engine_test.cc) checks it
-// bitwise against such a two-phase serial reference.
+// members with exactly the same multisets of quantized terms. The sums
+// are exact integers (core/operator.h), so the argument above holds in
+// the arithmetic the code does, and MakeSkylineMember reports the same
+// bits as the sequential store: the equivalence tests compare at
+// tolerance 0, and MergeBitIdentity (tests/shard_engine_test.cc) checks
+// the merge bitwise against a two-phase serial reference that first
+// restricts the sums to S*.
 //
 // Where the merge runs
 // --------------------
@@ -121,7 +121,7 @@
 //     parked (it has no command), instead of idling.
 //   router: waits until every shard has applied its probe command (an
 //     internal round, not counted in Stats::barriers), then folds each
-//     candidate's merge_sums in shard-index order and decides it.
+//     candidate's merge_sums across the shards and decides it.
 //
 // During the probe round every shard's tree and merge_sums have exactly
 // one user (shard 0's: the router; the others': their workers), and
@@ -129,9 +129,9 @@
 // publishes merge_u_ to the workers, and the applied counter's release /
 // acquire publishes merge_sums back — no lock or atomic beyond the
 // existing ones. (Shard 0's sums need neither: the router wrote them.)
-// The fold adds the same terms in the same order as a serial loop over
-// (candidate, shard), so the merged output is bit-identical to the
-// single-threaded merge for any shard count.
+// Integer sums do not depend on the order of the fold, so the merged
+// output is bit-identical to a single-threaded merge for any shard
+// count.
 //
 // Thread-safety: Route/Insert/Expire/Barrier/GlobalSkyline/
 // WindowSnapshot/GetStats must all be called from one thread (the

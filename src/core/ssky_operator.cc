@@ -26,11 +26,7 @@ std::vector<SkylineMember> SskyOperator::Skyline() const {
   tree_.ForEach([&out](const SkylineMember& m, int band) {
     if (band == 1) out.push_back(m);
   });
-  std::sort(out.begin(), out.end(),
-            [](const SkylineMember& a, const SkylineMember& b) {
-              return a.element.seq < b.element.seq;
-            });
-  return out;
+  return out;  // ForEach visits in seq order
 }
 
 std::vector<SkylineMember> SskyOperator::Candidates() const {
@@ -38,10 +34,6 @@ std::vector<SkylineMember> SskyOperator::Candidates() const {
   out.reserve(tree_.size());
   tree_.ForEach(
       [&out](const SkylineMember& m, int /*band*/) { out.push_back(m); });
-  std::sort(out.begin(), out.end(),
-            [](const SkylineMember& a, const SkylineMember& b) {
-              return a.element.seq < b.element.seq;
-            });
   return out;
 }
 

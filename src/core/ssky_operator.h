@@ -1,5 +1,5 @@
 // SSKY: the paper's efficient continuous q-skyline operator (Section IV),
-// built on the aggregate sky-tree.
+// built on the flat candidate store (core/sky_tree.h).
 
 #ifndef PSKY_CORE_SSKY_OPERATOR_H_
 #define PSKY_CORE_SSKY_OPERATOR_H_
@@ -41,8 +41,8 @@ class SskyOperator : public WindowSkylineOperator {
   /// Underlying tree, exposed for instrumentation and invariant checks.
   const SkyTree& tree() const { return tree_; }
 
-  /// Mutable tree access for the integrity subsystem (core/audit.h): the
-  /// auditor repairs drifted per-element probability state in place via
+  /// Mutable store access for the integrity subsystem (core/audit.h): the
+  /// auditor repairs damaged per-element sums in place via
   /// SkyTree::RepairElement. Not part of the operator interface.
   SkyTree* mutable_tree() { return &tree_; }
 

@@ -20,10 +20,10 @@ void TopKSkylineOperator::Expire(const UncertainElement& e) {
 
 std::vector<SkylineMember> TopKSkylineOperator::TopK() const {
   std::vector<SkylineMember> best = tree_.TopK(k_);
-  // The tree retains candidates below q (they may re-enter the skyline
-  // later); the reported top-k must not include them.
-  const double q = threshold();
-  while (!best.empty() && best.back().psky < q) best.pop_back();
+  // The store retains candidates below q (they may re-enter the skyline
+  // later); the reported top-k must not include them. Ranked by P_sky, so
+  // they form a suffix.
+  while (!best.empty() && !best.back().in_skyline) best.pop_back();
   return best;
 }
 

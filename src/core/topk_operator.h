@@ -2,8 +2,8 @@
 // the k elements with the highest skyline probabilities among those with
 // P_sky >= q.
 //
-// Maintenance is identical to SSKY; queries run best-first on the
-// P_sky,max aggregates — the paper's "treat R1 and R2 as heap trees".
+// Maintenance is identical to SSKY; a query ranks the stored P_sky sums
+// (the paper treats R1 and R2 as heap trees to the same end).
 
 #ifndef PSKY_CORE_TOPK_OPERATOR_H_
 #define PSKY_CORE_TOPK_OPERATOR_H_

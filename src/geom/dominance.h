@@ -18,7 +18,7 @@
 // probability.
 //
 // Everything here is inline: these predicates run hundreds of times per
-// stream step inside the sky-tree traversals, and an out-of-line call per
+// stream step inside the operators' scans, and an out-of-line call per
 // point pair dominates the hot-path profile. The block-oriented SoA kernel
 // lives in dominance_kernel.h.
 
@@ -97,7 +97,7 @@ inline DomRelation Classify(const Mbr& e, const Point& p) {
 }
 
 /// Both directions of the point-vs-entry relation, computed in a single
-/// pass over the dimensions (hot path of the sky-tree's arrival probe).
+/// pass over the dimensions.
 struct PointEntryRelation {
   DomRelation entry_over_point = DomRelation::kNone;  ///< E vs p
   DomRelation point_over_entry = DomRelation::kNone;  ///< p vs E

@@ -1,22 +1,20 @@
 // Block dominance kernel: one probe point against a contiguous SoA block
 // of candidate coordinates, branchlessly.
 //
-// The sky-tree's arrival and expiry traversals spend most of their time in
-// leaf loops testing one probe point against every element of a leaf. With
-// the leaf coordinates mirrored into a dim-major structure-of-arrays block
-// (sky_tree.h SoaArena), the mutual dominance relation of the probe
-// against all n candidates reduces to d passes of elementwise compares
-// over contiguous rows — no branches, no pointer chasing, and directly
-// vectorizable.
+// The candidate store's arrivals, restores and audit probes spend most of
+// their time testing one probe point against every candidate of a block.
+// With the coordinates kept dim-major (structure-of-arrays, one 256-slot
+// block at a time in core/sky_tree.h), the mutual dominance relation of
+// the probe against all n candidates reduces to d passes of elementwise
+// compares over contiguous rows — no branches, no pointer chasing, and
+// directly vectorizable.
 //
 // The kernel emits two bitmasks rather than per-element bytes: bit i of
 // `cand_over_probe` is set iff candidate i ≺ probe, bit i of
 // `probe_over_cand` iff probe ≺ candidate i (never both; ties dominate
 // neither way). Dominance relations are sparse in practice, so callers
-// walk set bits with countr_zero instead of branching on every element —
-// and walking bits ascending preserves element order, which keeps
-// floating-point accumulations bit-identical to the scalar loops this
-// kernel replaces. Per element the semantics are EXACTLY
+// walk set bits with countr_zero instead of branching on every element.
+// Per element the semantics are EXACTLY
 // DominanceCompare(candidate_i, probe) (see dominance.h): exact IEEE
 // compares, no tolerance.
 //
@@ -50,8 +48,8 @@
 
 namespace psky {
 
-/// Upper bound on the block size a single kernel call supports; callers
-/// keep per-leaf blocks (fanout + 1) at or below this.
+/// Upper bound on the block size a single kernel call supports: the
+/// candidate store's and the auditor's block size.
 inline constexpr int kDominanceKernelMaxBlock = 256;
 
 /// 64-bit words needed for one mask over a maximal block.

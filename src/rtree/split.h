@@ -1,5 +1,4 @@
-// Guttman's quadratic node-split, shared by the generic R-tree and the
-// core aggregate sky-tree.
+// Guttman's quadratic node-split of the generic R-tree.
 
 #ifndef PSKY_RTREE_SPLIT_H_
 #define PSKY_RTREE_SPLIT_H_

@@ -144,6 +144,7 @@ bool StreamRecovery(const std::string& dir,
     any_readable = true;
     state.active_wal = wal_files[i];
     state.active_wal_start = contents.start_step;
+    state.active_wal_tail = WalTailOf(contents);
     if (contents.tail_truncated) {
       state.tail_truncated = true;
       Note(&state.notes, wal_files[i] + ": " + contents.tail_diagnostic);

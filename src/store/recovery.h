@@ -59,6 +59,9 @@ struct RecoveredState {
   /// none exists or the newest one is unreadable.
   std::string active_wal;
   uint64_t active_wal_start = 0;
+  /// From the decode of active_wal the rebuild already did, so that
+  /// WalWriter::OpenForAppend reopens it without reading it again.
+  WalTail active_wal_tail;
 
   /// True when any WAL file in the chain had a torn tail (the torn bytes
   /// are ignored here; WalWriter::OpenForAppend repairs them on disk).

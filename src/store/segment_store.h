@@ -2,9 +2,9 @@
 // fixed-size segment files, read and written with plain file I/O.
 //
 // The paper's Theorem 8 bounds the live candidate set S_{N,q} at
-// O(polylog^d N), so for giant windows only the sky-tree needs RAM — the
-// raw window contents (needed solely to know *which* element expires
-// next) can live on disk. This store keeps them there: elements append
+// O(polylog^d N), so for giant windows only the candidate store needs
+// RAM — the raw window contents (needed solely to know *which* element
+// expires next) can live on disk. This store keeps them there: elements append
 // to the newest segment and pop from the oldest.
 //
 // Memory is three segment buffers, whatever the window length:

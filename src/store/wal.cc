@@ -276,13 +276,12 @@ bool ReadWalFile(const std::string& path, WalContents* out,
 namespace {
 
 // Cuts a torn tail that ReadWalFile reported in `contents` off `path`.
-bool TruncateToValidPrefix(const std::string& path,
-                           const WalContents& contents, std::string* error) {
-  if (!contents.tail_truncated) return true;
-  if (::truncate(path.c_str(), static_cast<off_t>(contents.valid_bytes)) !=
-      0) {
+bool TruncateToValidPrefix(const std::string& path, const WalTail& tail,
+                           std::string* error) {
+  if (!tail.torn) return true;
+  if (::truncate(path.c_str(), static_cast<off_t>(tail.valid_bytes)) != 0) {
     return Fail(error, "cannot truncate " + path + " to " +
-                           std::to_string(contents.valid_bytes) + ": " +
+                           std::to_string(tail.valid_bytes) + ": " +
                            ErrnoString(errno));
   }
   return true;
@@ -290,10 +289,21 @@ bool TruncateToValidPrefix(const std::string& path,
 
 }  // namespace
 
+WalTail WalTailOf(const WalContents& contents) {
+  WalTail tail;
+  tail.dims = contents.dims;
+  tail.valid_bytes = contents.valid_bytes;
+  tail.torn = contents.tail_truncated;
+  tail.next_step = contents.records.empty()
+                       ? contents.start_step + 1
+                       : contents.records.back().step_after + 1;
+  return tail;
+}
+
 bool RepairWalFile(const std::string& path, std::string* error) {
   WalContents contents;
   return ReadWalFile(path, &contents, error) &&
-         TruncateToValidPrefix(path, contents, error);
+         TruncateToValidPrefix(path, WalTailOf(contents), error);
 }
 
 std::string WalFileName(uint64_t start_step) {
@@ -422,13 +432,10 @@ bool WalWriter::Create(const std::string& path, uint32_t dims,
   return true;
 }
 
-bool WalWriter::OpenForAppend(const std::string& path, std::string* error,
-                              int* out_errno, uint64_t* out_next_step) {
+bool WalWriter::OpenForAppend(const std::string& path, const WalTail& tail,
+                              std::string* error, int* out_errno) {
   Close();
-  // One decode repairs the tail and yields the next step.
-  WalContents contents;
-  if (!ReadWalFile(path, &contents, error) ||
-      !TruncateToValidPrefix(path, contents, error)) {
+  if (!TruncateToValidPrefix(path, tail, error)) {
     if (out_errno != nullptr) *out_errno = 0;
     return false;
   }
@@ -440,14 +447,9 @@ bool WalWriter::OpenForAppend(const std::string& path, std::string* error,
   fd_ = fd;
   UpdateAsyncTarget(fd_);
   path_ = path;
-  dims_ = contents.dims;
+  dims_ = tail.dims;
   buffer_.clear();
   pending_ = 0;
-  if (out_next_step != nullptr) {
-    *out_next_step = contents.records.empty()
-                         ? contents.start_step + 1
-                         : contents.records.back().step_after + 1;
-  }
   return true;
 }
 

@@ -96,6 +96,18 @@ bool DecodeWalBytes(std::string_view bytes, WalContents* out,
 bool ReadWalFile(const std::string& path, WalContents* out,
                  std::string* error);
 
+/// What reopening a log for appending needs from one decode of it.
+struct WalTail {
+  uint32_t dims = 0;
+  uint64_t valid_bytes = 0;  ///< WalContents::valid_bytes
+  bool torn = false;         ///< WalContents::tail_truncated
+  /// step_after of the next record to append.
+  uint64_t next_step = 0;
+};
+
+/// The WalTail of a decoded log.
+WalTail WalTailOf(const WalContents& contents);
+
 /// Truncates `path` to the valid prefix reported by ReadWalFile so a
 /// writer can append after the last whole record. No-op when the tail is
 /// already clean.
@@ -141,11 +153,13 @@ class WalWriter {
   bool Create(const std::string& path, uint32_t dims, uint64_t start_step,
               std::string* error, int* out_errno);
 
-  /// Opens an existing log for appending, cutting a torn tail first (as
-  /// RepairWalFile does, from the same single decode). `*out_next_step`
-  /// receives the step_after the next appended record should carry.
-  bool OpenForAppend(const std::string& path, std::string* error,
-                     int* out_errno, uint64_t* out_next_step);
+  /// Opens an existing log for appending without reading it: `tail`
+  /// comes from the decode its caller already did (WalTailOf, or
+  /// RecoveredState::active_wal_tail). A torn tail is cut to
+  /// `tail.valid_bytes` first, as RepairWalFile does; the next record
+  /// appended should carry `tail.next_step`.
+  bool OpenForAppend(const std::string& path, const WalTail& tail,
+                     std::string* error, int* out_errno);
 
   /// Buffers one record. Honors the wal-append fault site. Large buffers
   /// are flushed to the file (without fsync) to bound memory.

@@ -72,7 +72,8 @@ TEST_P(AuditSoakTest, MillionsOfStepsZeroBandMismatches) {
           op.tree().LookupForAudit(victim.element.pos, victim.element.seq);
       ASSERT_TRUE(view.found);
       op.mutable_tree()->RepairElement(victim.element.pos, victim.element.seq,
-                                       view.pnew_log, view.pold_log - 3.0);
+                                       view.pnew,
+                                       view.pold - QuantizeLog(3.0));
       ++injected;
       EXPECT_EQ(audit.AuditAll(), 0u) << "injected corruption not repaired";
     }

@@ -75,8 +75,8 @@ struct Pipeline {
 };
 
 // Corrupts the oldest skyline member's probability state in place by the
-// given log-domain deltas — the damage unbounded rounding drift would
-// cause, writ large. Safe for pnew in the tests that audit before any
+// given log-domain deltas — the damage a bookkeeping defect or a bit flip
+// would cause. Safe for pnew in the tests that audit before any
 // further arrival can act on the corrupted retention value. Returns the
 // victim's seq.
 uint64_t CorruptSkylineMember(SskyOperator* op, double delta_new,
@@ -88,8 +88,8 @@ uint64_t CorruptSkylineMember(SskyOperator* op, double delta_new,
       op->tree().LookupForAudit(victim.element.pos, victim.element.seq);
   EXPECT_TRUE(view.found);
   op->mutable_tree()->RepairElement(victim.element.pos, victim.element.seq,
-                                    view.pnew_log + delta_new,
-                                    view.pold_log + delta_old);
+                                    view.pnew + QuantizeLog(delta_new),
+                                    view.pold + QuantizeLog(delta_old));
   return victim.element.seq;
 }
 
@@ -111,6 +111,7 @@ TEST_P(AuditDistTest, CleanStreamAuditsClean) {
   const AuditReport& r = p.audit.report();
   EXPECT_GT(r.elements_audited, 1000u);
   EXPECT_LT(r.max_drift, options.tolerance);
+  EXPECT_EQ(r.max_drift, 0.0);  // exact sums: nothing to drift
   EXPECT_EQ(r.drift_beyond_tolerance, 0u);
   EXPECT_EQ(r.false_evictions, 0u);
   EXPECT_EQ(r.oracle_replays, 5u);
@@ -216,6 +217,13 @@ TEST(AuditTest, RepairModeHealsInjectedDrift) {
   ASSERT_EQ(SeqsOf(before), SeqsOf(after));
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_NEAR(before[i].psky, after[i].psky, 1e-9)
+        << "seq " << before[i].element.seq;
+    // The repair writes the exact sum back: the same bits as before.
+    EXPECT_EQ(std::bit_cast<uint64_t>(before[i].pnew),
+              std::bit_cast<uint64_t>(after[i].pnew))
+        << "seq " << before[i].element.seq;
+    EXPECT_EQ(std::bit_cast<uint64_t>(before[i].psky),
+              std::bit_cast<uint64_t>(after[i].psky))
         << "seq " << before[i].element.seq;
   }
 }
@@ -505,7 +513,7 @@ TEST(AuditStreamedTest, MatchesSnapshotAuditOnCleanStream) {
   const AuditReport& b = streamed.audit.report();
   EXPECT_EQ(a.elements_audited, b.elements_audited);
   EXPECT_EQ(a.oracle_replays, b.oracle_replays);
-  EXPECT_EQ(a.max_drift, b.max_drift);  // same sums, same order: bitwise
+  EXPECT_EQ(a.max_drift, b.max_drift);  // same exact sums: bitwise
   EXPECT_EQ(b.drift_beyond_tolerance, 0u);
   EXPECT_EQ(b.false_evictions, 0u);
   EXPECT_EQ(b.oracle_mismatches, 0u);
@@ -523,7 +531,8 @@ TEST(AuditStreamedTest, RepairsInjectedDriftThroughTheCursor) {
       p.op.tree().LookupForAudit(victim.element.pos, victim.element.seq);
   ASSERT_TRUE(view.found);
   p.op.mutable_tree()->RepairElement(victim.element.pos, victim.element.seq,
-                                     view.pnew_log - 2.0, view.pold_log);
+                                     view.pnew - QuantizeLog(2.0),
+                                     view.pold);
   EXPECT_EQ(p.audit.AuditAll(), 0u);
   const AuditReport& r = p.audit.report();
   EXPECT_GE(r.repairs_applied, 1u);
@@ -532,33 +541,31 @@ TEST(AuditStreamedTest, RepairsInjectedDriftThroughTheCursor) {
   const SkyTree::AuditView healed =
       p.op.tree().LookupForAudit(victim.element.pos, victim.element.seq);
   ASSERT_TRUE(healed.found);
-  EXPECT_NEAR(healed.pnew_log, view.pnew_log, 1e-9);
+  EXPECT_EQ(healed.pnew, view.pnew);
 }
 
 // --- block audit vs the per-element scan --------------------------------
 
 // The per-element scan the block audit replaced, kept as the reference:
-// oldest to newest, one Dominates test and one log factor per (window
-// element, target) pair.
-double ScalarExactPnew(const AuditManager::WindowStream& window,
+// oldest to newest, one Dominates test and one quantized term per
+// (window element, target) pair.
+LogSum ScalarExactPnew(const AuditManager::WindowStream& window,
                        uint64_t target) {
   const UncertainElement t = window.at(target);
-  double sum = 0.0;
+  LogSum sum = 0;
   uint64_t j = 0;
   window.scan([&](const UncertainElement& w) {
     if (j > target && Dominates(w.pos, t.pos)) {
-      sum += LogOneMinusProb(ClampProb(w.prob));
+      sum += LogTermOf(ClampProb(w.prob));
     }
     ++j;
   });
   return sum;
 }
 
-// Knocks the materialized P_new of every element at `indices` that is live
-// in the candidate set 2.0 off in the log domain, so the next audit of it
-// must repair it to its exact value. Returns the live indices. (Lazy
-// bookkeeping can leave a zero P_old a few ulps positive, which
-// RepairElement rejects; P_old is planted clamped to 0.)
+// Knocks the stored P_new of every element at `indices` that is live in
+// the candidate set 2.0 off in the log domain, so the next audit of it
+// must repair it to its exact value. Returns the live indices.
 template <typename P>
 std::vector<uint64_t> PlantDrift(P* p, const AuditManager::WindowStream& ws,
                                  const std::vector<uint64_t>& indices) {
@@ -567,8 +574,9 @@ std::vector<uint64_t> PlantDrift(P* p, const AuditManager::WindowStream& ws,
     const UncertainElement e = ws.at(i);
     const SkyTree::AuditView view = p->op.tree().LookupForAudit(e.pos, e.seq);
     if (!view.found) continue;
-    p->op.mutable_tree()->RepairElement(e.pos, e.seq, view.pnew_log - 2.0,
-                                        std::min(view.pold_log, 0.0));
+    p->op.mutable_tree()->RepairElement(e.pos, e.seq,
+                                        view.pnew - QuantizeLog(2.0),
+                                        view.pold);
     live.push_back(i);
   }
   return live;
@@ -583,8 +591,7 @@ void ExpectRepairedToScalar(P* p, const AuditManager::WindowStream& ws,
     const UncertainElement e = ws.at(i);
     const SkyTree::AuditView view = p->op.tree().LookupForAudit(e.pos, e.seq);
     ASSERT_TRUE(view.found) << "window index " << i;
-    EXPECT_EQ(std::bit_cast<uint64_t>(view.pnew_log),
-              std::bit_cast<uint64_t>(ScalarExactPnew(ws, i)))
+    EXPECT_EQ(view.pnew, ScalarExactPnew(ws, i))
         << "window index " << i << " of " << ws.size();
   }
 }
@@ -623,11 +630,12 @@ void ExpectBlockAuditMatchesScalarScan(P* p) {
 }
 
 // The auditor derives P_old as (candidate dominator sum) - P_new, summing
-// the newer dominators in two different orders. For a live element with
-// no older candidate dominator the true log P_old is 0, and the difference
-// can round a few ulps positive: this stream holds such an element at
-// window index 10 after 900 steps. Repairing it must write log P_old = 0,
-// not trip RepairElement's log-domain check.
+// the newer dominators twice. For a live element with no older candidate
+// dominator the true log P_old is 0; summed in two orders in doubles, the
+// difference once rounded a few ulps positive for the element this
+// stream holds at window index 10 after 900 steps, and needed a clamp.
+// Over exact integer terms the difference is exactly 0: repairing it
+// writes log P_old = 0 and never trips RepairElement's log-domain check.
 TEST(AuditTest, RepairClampsRoundedPositivePold) {
   SskyOperator op(kDims, kQ);
   CountWindow window(kWindow);
@@ -639,21 +647,20 @@ TEST(AuditTest, RepairClampsRoundedPositivePold) {
   }
   const AuditManager::WindowStream ws = AuditManager::WindowStream::Of(&window);
   const UncertainElement e = window.At(10);
-  const double exact_pnew = ScalarExactPnew(ws, 10);
+  const LogSum exact_pnew = ScalarExactPnew(ws, 10);
   const SkyTree::DominatorSums sums = op.tree().ExactDominators(e.pos, e.seq);
-  ASSERT_EQ(sums.older_log, 0.0);
-  ASSERT_GT(sums.newer_log + sums.older_log - exact_pnew, 0.0);
+  ASSERT_EQ(sums.older, 0);
+  ASSERT_EQ(sums.newer + sums.older - exact_pnew, 0);
 
   const SkyTree::AuditView view = op.tree().LookupForAudit(e.pos, e.seq);
   ASSERT_TRUE(view.found);
-  op.mutable_tree()->RepairElement(e.pos, e.seq, view.pnew_log - 2.0,
-                                   std::min(view.pold_log, 0.0));
+  op.mutable_tree()->RepairElement(e.pos, e.seq,
+                                   view.pnew - QuantizeLog(2.0), view.pold);
   AuditManager audit(&op, Options(AuditMode::kRepair), ws);
   EXPECT_EQ(audit.AuditAll(), 0u);
   const SkyTree::AuditView healed = op.tree().LookupForAudit(e.pos, e.seq);
-  EXPECT_EQ(std::bit_cast<uint64_t>(healed.pnew_log),
-            std::bit_cast<uint64_t>(exact_pnew));
-  EXPECT_EQ(healed.pold_log, 0.0);
+  EXPECT_EQ(healed.pnew, exact_pnew);
+  EXPECT_EQ(healed.pold, 0);
 }
 
 class BlockAuditTest
@@ -786,9 +793,8 @@ struct HandWindow {
 
   const UncertainElement& target() const { return window.At(0); }
 
-  // The auditor's sum for the target: its newer dominators' factors, in
-  // window order.
-  double ExactPnew() const {
+  // The auditor's sum for the target: its newer dominators' terms.
+  LogSum ExactPnew() const {
     return ScalarExactPnew(AuditManager::WindowStream::Of(&window), 0);
   }
 
@@ -802,8 +808,8 @@ struct HandWindow {
 };
 
 // The settle bound AuditElement's false-eviction test uses.
-double SettleBound(const AuditOptions& options) {
-  return std::log(kQ) + options.tolerance;
+LogSum SettleBound(const AuditOptions& options) {
+  return QuantizeLog(std::log(kQ)) + QuantizeLog(options.tolerance);
 }
 
 // An evicted target whose newer dominators sum to exactly the settle
@@ -811,14 +817,14 @@ double SettleBound(const AuditOptions& options) {
 // eviction, and its scan runs to the window end. A scan that settled at
 // <= would stop after the middle block.
 TEST(AuditFalseEvictionTest, TargetAtTheBoundScansToTheWindowEnd) {
-  const double bound = SettleBound(Options(AuditMode::kCheck));
+  const LogSum bound = SettleBound(Options(AuditMode::kCheck));
   // One dominator just above the bound, then a tiny one that brings the
-  // rounded sum to the bound exactly.
-  const double p1 = -std::expm1(bound + 5e-10);
-  const double a = LogOneMinusProb(ClampProb(p1));
+  // sum of their terms to the bound exactly.
+  const double p1 = -std::expm1(LogSumToDouble(bound) + 5e-10);
+  const LogSum a = LogTermOf(ClampProb(p1));
   ASSERT_GT(a, bound);
   const auto sum_with = [a](double p2) {
-    return a + LogOneMinusProb(ClampProb(p2));
+    return a + LogTermOf(ClampProb(p2));
   };
   double lo = kMinElementProb, hi = 1e-8;
   ASSERT_GT(sum_with(lo), bound);
@@ -863,7 +869,7 @@ TEST(AuditFalseEvictionTest, TargetInsideTheToleranceSettlesAtItsBlock) {
   const double p = -std::expm1(std::log(kQ) + options_check.tolerance / 2);
   HandWindow h({{100, p}});
   h.FillTo(HandWindow::kSize);
-  ASSERT_GE(h.ExactPnew(), std::log(kQ));
+  ASSERT_GE(h.ExactPnew(), QuantizeLog(std::log(kQ)));
   ASSERT_LT(h.ExactPnew(), SettleBound(options_check));
   ASSERT_TRUE(h.op.tree().Contains(h.target().pos, h.target().seq));
   h.op.Expire(h.target());
@@ -895,11 +901,11 @@ TEST(AuditFalseEvictionTest, HeldTargetBelowTheBoundScansToTheWindowEnd) {
   const SkyTree::AuditView view =
       h.op.tree().LookupForAudit(h.target().pos, h.target().seq);
   ASSERT_TRUE(view.found);
-  h.op.mutable_tree()->RepairElement(h.target().pos, h.target().seq, 0.0,
-                                     std::min(view.pold_log, 0.0));
+  h.op.mutable_tree()->RepairElement(h.target().pos, h.target().seq, 0,
+                                     view.pold);
   h.FillTo(HandWindow::kSize);
   ASSERT_TRUE(h.op.tree().Contains(h.target().pos, h.target().seq));
-  ASSERT_LT(h.ExactPnew(), std::log(kQ));
+  ASSERT_LT(h.ExactPnew(), QuantizeLog(std::log(kQ)));
 
   AuditOptions options = Options(AuditMode::kRepair);
   options.audit_every = 1;
@@ -914,8 +920,7 @@ TEST(AuditFalseEvictionTest, HeldTargetBelowTheBoundScansToTheWindowEnd) {
   const SkyTree::AuditView healed =
       h.op.tree().LookupForAudit(h.target().pos, h.target().seq);
   ASSERT_TRUE(healed.found);
-  EXPECT_EQ(std::bit_cast<uint64_t>(healed.pnew_log),
-            std::bit_cast<uint64_t>(h.ExactPnew()));
+  EXPECT_EQ(healed.pnew, h.ExactPnew());
 }
 
 // Every 4-wide slice of a clean window, against a test-local model of the
@@ -936,7 +941,7 @@ TEST(AuditFalseEvictionTest, EachSliceReadsToItsLastSettlingBlock) {
         AuditManager::WindowStream::Of(&p.window);
     AuditOptions options = Options(AuditMode::kCheck);
     options.audit_every = 1;
-    const double bound = SettleBound(options);
+    const LogSum bound = SettleBound(options);
     ReadCount reads;
     AuditManager audit(&p.op, options, Counted(ws, &reads));
 
@@ -954,11 +959,11 @@ TEST(AuditFalseEvictionTest, EachSliceReadsToItsLastSettlingBlock) {
           continue;
         }
         uint64_t settle = n - 1;
-        double sum = 0.0;
+        LogSum sum = 0;
         for (uint64_t j = t + 1; j < n; ++j) {
           const UncertainElement w = ws.at(j);
           if (Dominates(w.pos, e.pos)) {
-            sum += LogOneMinusProb(ClampProb(w.prob));
+            sum += LogTermOf(ClampProb(w.prob));
           }
           if ((j - start) % 256 == 255 && sum < bound) {
             settle = j;
@@ -984,9 +989,14 @@ TEST(AuditFalseEvictionTest, EachSliceReadsToItsLastSettlingBlock) {
 // --- recorded audit outcomes -----------------------------------------------
 
 // Every AuditReport field, every SkyTree counter and every candidate's
-// materialized values, recorded for 96 audited runs. Any change to which
-// terms a target's sum receives, in what order, or to which elements an
-// audit repairs and when, fails here; a failure prints the new columns.
+// reported values, recorded for 96 audited runs. Any change to which
+// terms a target's sum receives, or to which elements an audit repairs
+// and when, fails here; a failure prints the new columns. The `outcome`
+// column (every AuditReport field but max_drift, and the (seq, band) of
+// every candidate) was recorded on the aggregate sky-tree this store
+// replaced and must not change; the `hash` column was re-recorded once on
+// the flat store, whose exact sums change the reported doubles' last bits
+// and max_drift.
 
 uint64_t Mix(uint64_t x) {
   // splitmix64 finalizer
@@ -1160,76 +1170,76 @@ constexpr AuditMode kGRepair = AuditMode::kRepair;
 // clang-format off
 constexpr AuditGoldenCase kAuditGoldenCases[] = {
     {kGAnti, kGCheck, false, false,
-     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL},
+     {0x9fa61c18f7e42c92ULL, 0x4a592eb112366728ULL, 0x1eb580765ac261baULL, 0x5060bd3e35802285ULL},
      {0x91f5b4c54e141932ULL, 0xbfcde6d05ea22545ULL, 0xc286013dea37bd9aULL, 0x7bceeafbb1741ea3ULL}},
     {kGAnti, kGCheck, false, true,
-     {0x69c80a633f0d0aceULL, 0x15860f71835bf95ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL},
+     {0xda5673b488ce767cULL, 0x53654e7db6c874c7ULL, 0xef58540b0f4d8f8cULL, 0x5affb1bf1dadede8ULL},
      {0x3a2f8c1193f15766ULL, 0x3a660ad6acee5312ULL, 0xc286013dea37bd9aULL, 0x8d7cfe6d5c75e31cULL}},
     {kGAnti, kGCheck, true, false,
-     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL},
+     {0x9fa61c18f7e42c92ULL, 0x4a592eb112366728ULL, 0x1eb580765ac261baULL, 0x5060bd3e35802285ULL},
      {0x91f5b4c54e141932ULL, 0xbfcde6d05ea22545ULL, 0xc286013dea37bd9aULL, 0x7bceeafbb1741ea3ULL}},
     {kGAnti, kGCheck, true, true,
-     {0x69c80a633f0d0aceULL, 0x15860f71835bf95ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL},
+     {0xda5673b488ce767cULL, 0x53654e7db6c874c7ULL, 0xef58540b0f4d8f8cULL, 0x5affb1bf1dadede8ULL},
      {0x3a2f8c1193f15766ULL, 0x3a660ad6acee5312ULL, 0xc286013dea37bd9aULL, 0x8d7cfe6d5c75e31cULL}},
     {kGAnti, kGRepair, false, false,
-     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL},
+     {0x9fa61c18f7e42c92ULL, 0x4a592eb112366728ULL, 0x1eb580765ac261baULL, 0x5060bd3e35802285ULL},
      {0x91f5b4c54e141932ULL, 0xbfcde6d05ea22545ULL, 0xc286013dea37bd9aULL, 0x7bceeafbb1741ea3ULL}},
     {kGAnti, kGRepair, false, true,
-     {0x60837778aa322fb6ULL, 0xe189a9edc3e52dc7ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL},
+     {0x2c7315346e5eacbULL, 0xe585df9db90bef20ULL, 0xef58540b0f4d8f8cULL, 0x5affb1bf1dadede8ULL},
      {0x9c2f293bdaa5cd5eULL, 0x66d883b000048197ULL, 0xc286013dea37bd9aULL, 0x8d7cfe6d5c75e31cULL}},
     {kGAnti, kGRepair, true, false,
-     {0x48259e70cff6e93cULL, 0xd004e86b67dd681cULL, 0x9dd0a4b8b1ea0102ULL, 0x5908f09f1d7ea82eULL},
+     {0x9fa61c18f7e42c92ULL, 0x4a592eb112366728ULL, 0x1eb580765ac261baULL, 0x5060bd3e35802285ULL},
      {0x91f5b4c54e141932ULL, 0xbfcde6d05ea22545ULL, 0xc286013dea37bd9aULL, 0x7bceeafbb1741ea3ULL}},
     {kGAnti, kGRepair, true, true,
-     {0x60837778aa322fb6ULL, 0xe189a9edc3e52dc7ULL, 0xcffc4fbb5e06283bULL, 0xfde7431bed4a1059ULL},
+     {0x2c7315346e5eacbULL, 0xe585df9db90bef20ULL, 0xef58540b0f4d8f8cULL, 0x5affb1bf1dadede8ULL},
      {0x9c2f293bdaa5cd5eULL, 0x66d883b000048197ULL, 0xc286013dea37bd9aULL, 0x8d7cfe6d5c75e31cULL}},
     {kGInde, kGCheck, false, false,
-     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL},
+     {0xaf042f68d2d08ab1ULL, 0x122a353ab70aec4eULL, 0xeed77f8cc1bae014ULL, 0xf833878141fe65d2ULL},
      {0x51605981c6c2f024ULL, 0x32445101fd4e8a82ULL, 0x4802b7ee85bc74a2ULL, 0x18afe9ab3b99124eULL}},
     {kGInde, kGCheck, false, true,
-     {0xadb3554af29a50b8ULL, 0x6e4b504a3a37b39ULL, 0xc7472463200074e1ULL, 0xd635807b57352ea2ULL},
+     {0x4576f63ba85beff6ULL, 0x639599b363f59cf3ULL, 0x7f5070d734b7971bULL, 0x74e1d6ae999ab20cULL},
      {0x1df423d241d43f5bULL, 0xcbd10241572b056ULL, 0x4802b7ee85bc74a2ULL, 0xdb2daf30b0be80d5ULL}},
     {kGInde, kGCheck, true, false,
-     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL},
+     {0xaf042f68d2d08ab1ULL, 0x122a353ab70aec4eULL, 0xeed77f8cc1bae014ULL, 0xf833878141fe65d2ULL},
      {0x51605981c6c2f024ULL, 0x32445101fd4e8a82ULL, 0x4802b7ee85bc74a2ULL, 0x18afe9ab3b99124eULL}},
     {kGInde, kGCheck, true, true,
-     {0xadb3554af29a50b8ULL, 0x6e4b504a3a37b39ULL, 0xc7472463200074e1ULL, 0xd635807b57352ea2ULL},
+     {0x4576f63ba85beff6ULL, 0x639599b363f59cf3ULL, 0x7f5070d734b7971bULL, 0x74e1d6ae999ab20cULL},
      {0x1df423d241d43f5bULL, 0xcbd10241572b056ULL, 0x4802b7ee85bc74a2ULL, 0xdb2daf30b0be80d5ULL}},
     {kGInde, kGRepair, false, false,
-     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL},
+     {0xaf042f68d2d08ab1ULL, 0x122a353ab70aec4eULL, 0xeed77f8cc1bae014ULL, 0xf833878141fe65d2ULL},
      {0x51605981c6c2f024ULL, 0x32445101fd4e8a82ULL, 0x4802b7ee85bc74a2ULL, 0x18afe9ab3b99124eULL}},
     {kGInde, kGRepair, false, true,
-     {0xadb3554af29a50b8ULL, 0x6d0062afecbc5642ULL, 0xc7472463200074e1ULL, 0xda4f7ef9d07aab6aULL},
+     {0x4576f63ba85beff6ULL, 0x5f05d2f3f8cccd08ULL, 0x7f5070d734b7971bULL, 0x638917b2a5cc1ee8ULL},
      {0x1df423d241d43f5bULL, 0x16a515836a31890bULL, 0x4802b7ee85bc74a2ULL, 0x7c1fdad820962822ULL}},
     {kGInde, kGRepair, true, false,
-     {0x39c5d3268e8f5984ULL, 0xf71d126be118ed37ULL, 0x39f8f3e665d0c106ULL, 0xb3c672dd7160ec38ULL},
+     {0xaf042f68d2d08ab1ULL, 0x122a353ab70aec4eULL, 0xeed77f8cc1bae014ULL, 0xf833878141fe65d2ULL},
      {0x51605981c6c2f024ULL, 0x32445101fd4e8a82ULL, 0x4802b7ee85bc74a2ULL, 0x18afe9ab3b99124eULL}},
     {kGInde, kGRepair, true, true,
-     {0xadb3554af29a50b8ULL, 0x6d0062afecbc5642ULL, 0xc7472463200074e1ULL, 0xda4f7ef9d07aab6aULL},
+     {0x4576f63ba85beff6ULL, 0x5f05d2f3f8cccd08ULL, 0x7f5070d734b7971bULL, 0x638917b2a5cc1ee8ULL},
      {0x1df423d241d43f5bULL, 0x16a515836a31890bULL, 0x4802b7ee85bc74a2ULL, 0x7c1fdad820962822ULL}},
     {kGCorr, kGCheck, false, false,
-     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL},
+     {0x50adef576820ca1aULL, 0xa6a935cef9777847ULL, 0x4a904162d69e0ce1ULL, 0x4aaa6aa5c97ddb5dULL},
      {0xf97bf67b1ce108eaULL, 0xb6ed55d13076b408ULL, 0x35ee067f538b56dfULL, 0x68468fa34729b556ULL}},
     {kGCorr, kGCheck, false, true,
-     {0x605912e382ff75d4ULL, 0x1ceca30f2521fcfdULL, 0x84dce6b3ca5f3b9eULL, 0x474391918d14f723ULL},
+     {0x43ba012f93e14002ULL, 0x2e39f00abce000f1ULL, 0x7b1b5022db908e15ULL, 0x4dfb13924906320eULL},
      {0x2ed58da2460f42aaULL, 0xe47ad06c5ff3729eULL, 0x24252bbbfd1b5439ULL, 0xadee164cd99c34b4ULL}},
     {kGCorr, kGCheck, true, false,
-     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL},
+     {0x50adef576820ca1aULL, 0xa6a935cef9777847ULL, 0x4a904162d69e0ce1ULL, 0x4aaa6aa5c97ddb5dULL},
      {0xf97bf67b1ce108eaULL, 0xb6ed55d13076b408ULL, 0x35ee067f538b56dfULL, 0x68468fa34729b556ULL}},
     {kGCorr, kGCheck, true, true,
-     {0x605912e382ff75d4ULL, 0x1ceca30f2521fcfdULL, 0x84dce6b3ca5f3b9eULL, 0x474391918d14f723ULL},
+     {0x43ba012f93e14002ULL, 0x2e39f00abce000f1ULL, 0x7b1b5022db908e15ULL, 0x4dfb13924906320eULL},
      {0x2ed58da2460f42aaULL, 0xe47ad06c5ff3729eULL, 0x24252bbbfd1b5439ULL, 0xadee164cd99c34b4ULL}},
     {kGCorr, kGRepair, false, false,
-     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL},
+     {0x50adef576820ca1aULL, 0xa6a935cef9777847ULL, 0x4a904162d69e0ce1ULL, 0x4aaa6aa5c97ddb5dULL},
      {0xf97bf67b1ce108eaULL, 0xb6ed55d13076b408ULL, 0x35ee067f538b56dfULL, 0x68468fa34729b556ULL}},
     {kGCorr, kGRepair, false, true,
-     {0x73f9569c01ee01a2ULL, 0x5be5e3b0078b450bULL, 0xab7673d65b2ad23ULL, 0x49a53fb9bdf72507ULL},
+     {0x5aaa1e12e21a5e2ULL, 0x8bc8ecd309698165ULL, 0xcac85a40fab4ac54ULL, 0xacc2ff1d30908868ULL},
      {0x3afc3dd8e607f5b2ULL, 0x1c471bae68f6d9bbULL, 0x9e16b0044a4393cdULL, 0x31fc4f9cb8fd5920ULL}},
     {kGCorr, kGRepair, true, false,
-     {0x69a66c545d2b4c95ULL, 0x41102f2852306ee3ULL, 0x29aec06801d045c4ULL, 0x4ce6fae4eb93a205ULL},
+     {0x50adef576820ca1aULL, 0xa6a935cef9777847ULL, 0x4a904162d69e0ce1ULL, 0x4aaa6aa5c97ddb5dULL},
      {0xf97bf67b1ce108eaULL, 0xb6ed55d13076b408ULL, 0x35ee067f538b56dfULL, 0x68468fa34729b556ULL}},
     {kGCorr, kGRepair, true, true,
-     {0x73f9569c01ee01a2ULL, 0x5be5e3b0078b450bULL, 0xab7673d65b2ad23ULL, 0x49a53fb9bdf72507ULL},
+     {0x5aaa1e12e21a5e2ULL, 0x8bc8ecd309698165ULL, 0xcac85a40fab4ac54ULL, 0xacc2ff1d30908868ULL},
      {0x3afc3dd8e607f5b2ULL, 0x1c471bae68f6d9bbULL, 0x9e16b0044a4393cdULL, 0x31fc4f9cb8fd5920ULL}},
 };
 // clang-format on

@@ -215,19 +215,19 @@ TEST(Integration, CertainChainKeepsEveryElementAndTheOldest) {
   ASSERT_EQ(sky.size(), 1u);
   EXPECT_EQ(sky[0].element.seq, kCount - kWindow);
   // Its P_old is restored to 1 from a sum that passed -552,000 on the
-  // way, and the rounding left in that sum (it lands about 9e-9 above
-  // log 1) must not reach the report: a probability is at most 1, and
-  // within the 1e-9 that core/operator.h promises.
+  // way. The sum is an exact integer, so it lands on log 1 exactly, and a
+  // probability is at most 1, within the 1e-9 that core/operator.h
+  // promises.
   EXPECT_LE(sky[0].psky, 1.0);
   EXPECT_NEAR(sky[0].psky, 1.0, 1e-9);
 
   const SkyTree::AuditView newest = op.tree().LookupForAudit(e.pos, e.seq);
   ASSERT_TRUE(newest.found);
-  EXPECT_EQ(newest.pnew_log, 0.0);
+  EXPECT_EQ(newest.pnew, 0);
   const double want = static_cast<double>(kWindow - 1) *
                       LogOneMinusProb(ClampProb(1.0));
-  EXPECT_NEAR(newest.pold_log, want, 1e-9 * -want);
-  EXPECT_LT(newest.pold_log, -524288.0);
+  EXPECT_NEAR(LogSumToDouble(newest.pold), want, 1e-9 * -want);
+  EXPECT_LT(LogSumToDouble(newest.pold), -524288.0);
 }
 
 }  // namespace

@@ -2,13 +2,12 @@
 //
 // The contract under test (see core/shard_engine.h): the merged global
 // skyline contains exactly the same members, by arrival sequence, as the
-// sequential SSKY operator run over the same stream, and every reported
-// probability agrees within summation-order rounding. The sequential
-// side accumulates P_new/P_old lazily in arrival order while the merge
-// recomputes them canonically per shard, so doubles are compared within
-// 1e-9 — far above ulp noise, far below any honest probability gap —
-// while membership and ordering are compared exactly. Window snapshots,
-// by contrast, pass elements through untouched and must be
+// sequential SSKY operator run over the same stream, with the same bits
+// in every reported probability. Both sides hold P_new and P_old as
+// exact integer sums of the same quantized terms (core/operator.h), and
+// integer addition does not depend on order, so the sequential store's
+// incremental sums and the merge's per-shard probes agree exactly.
+// Window snapshots pass elements through untouched and must be
 // byte-identical (checkpoint interchangeability), and the merge itself
 // must be bitwise equal to a single-threaded reference that restricts
 // its sums to S* before deciding (MergeBitIdentity below), whichever
@@ -49,7 +48,6 @@ constexpr int kDims = 3;
 constexpr double kQ = 0.3;
 constexpr size_t kStream = 6000;
 constexpr size_t kWindow = 2000;
-constexpr double kTol = 1e-9;
 
 std::vector<UncertainElement> MakeStream(SpatialDistribution spatial,
                                          uint64_t seed = 77) {
@@ -60,14 +58,18 @@ std::vector<UncertainElement> MakeStream(SpatialDistribution spatial,
   return StreamGenerator(cfg).Take(kStream);
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 void ExpectSkylineEquivalent(const std::vector<SkylineMember>& seq,
                              const std::vector<SkylineMember>& sharded) {
   ASSERT_EQ(seq.size(), sharded.size());
   for (size_t i = 0; i < seq.size(); ++i) {
     ASSERT_EQ(seq[i].element.seq, sharded[i].element.seq);
-    EXPECT_NEAR(seq[i].pnew, sharded[i].pnew, kTol);
-    EXPECT_NEAR(seq[i].pold, sharded[i].pold, kTol);
-    EXPECT_NEAR(seq[i].psky, sharded[i].psky, kTol);
+    EXPECT_TRUE(SameBits(seq[i].pnew, sharded[i].pnew)) << "member " << i;
+    EXPECT_TRUE(SameBits(seq[i].pold, sharded[i].pold)) << "member " << i;
+    EXPECT_TRUE(SameBits(seq[i].psky, sharded[i].psky)) << "member " << i;
     EXPECT_TRUE(sharded[i].in_skyline);
   }
 }
@@ -467,11 +469,11 @@ struct ReferenceMerge {
 ReferenceMerge SerialReferenceMerge(const ShardEngine& engine) {
   struct Candidate {
     UncertainElement element;
-    double newer_log = 0.0;
-    double older_log = 0.0;
+    LogSum newer = 0;
+    LogSum older = 0;
     bool in_sstar = false;
   };
-  const double q_log = std::log(engine.threshold());
+  const LogSum q_sum = QuantizeLog(std::log(engine.threshold()));
   std::vector<Candidate> u;
   for (int i = 0; i < engine.shards(); ++i) {
     for (const SkylineMember& m : engine.shard_operator(i).Candidates()) {
@@ -483,10 +485,10 @@ ReferenceMerge SerialReferenceMerge(const ShardEngine& engine) {
       const SkyTree::DominatorSums sums =
           engine.shard_operator(j).tree().ExactDominators(c.element.pos,
                                                           c.element.seq);
-      c.newer_log += sums.newer_log;
-      c.older_log += sums.older_log;
+      c.newer += sums.newer;
+      c.older += sums.older;
     }
-    c.in_sstar = c.newer_log >= q_log;
+    c.in_sstar = c.newer >= q_sum;
   }
   std::vector<const Candidate*> rejected;
   for (const Candidate& c : u) {
@@ -499,23 +501,17 @@ ReferenceMerge SerialReferenceMerge(const ShardEngine& engine) {
     if (!c.in_sstar) continue;
     for (const Candidate* r : rejected) {
       if (!Dominates(r->element.pos, c.element.pos)) continue;
-      const double factor = LogOneMinusProb(r->element.prob);
+      const int64_t term = LogTermOf(r->element.prob);
       if (r->element.seq > c.element.seq) {
-        c.newer_log -= factor;
+        c.newer -= term;
       } else {
-        c.older_log -= factor;
+        c.older -= term;
       }
     }
-    const double psky_log = std::log(c.element.prob) + c.newer_log +
-                            c.older_log;
-    if (psky_log >= q_log) {
-      SkylineMember m;
-      m.element = c.element;
-      m.pnew = std::exp(c.newer_log);
-      m.pold = std::exp(c.older_log);
-      m.psky = std::exp(psky_log);
-      m.in_skyline = true;
-      ref.skyline.push_back(m);
+    const int64_t log_prob = LogProbOf(c.element.prob);
+    if (log_prob + c.newer + c.older >= q_sum) {
+      ref.skyline.push_back(
+          MakeSkylineMember(c.element, log_prob, c.newer, c.older, true));
     }
   }
   std::sort(ref.skyline.begin(), ref.skyline.end(),
@@ -523,10 +519,6 @@ ReferenceMerge SerialReferenceMerge(const ShardEngine& engine) {
               return a.element.seq < b.element.seq;
             });
   return ref;
-}
-
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 // Bitwise comparison of two merges: candidate counts, members by seq,
@@ -645,12 +637,12 @@ TEST(MergeBitIdentityEdge, EmptyShardsOnOneSectorStream) {
   EXPECT_EQ(stats.shards[3].inserted, 0u);
 }
 
-// The merge folds each candidate's per-shard sums in shard-index order,
-// as the serial reference does. A q-skyline member at d = 2 (hashed grid
-// cells) has one newer dominator in each of three shards, with P = 0.1,
-// 0.2 and 0.3 in shard-index order. Their log(1 - P) terms sum to other
-// bits in reverse order, so a merge that folded the shards in another
-// order would report another P_new and fail the bitwise comparison.
+// A q-skyline member at d = 2 (hashed grid cells) has one newer
+// dominator in each of three shards, with P = 0.1, 0.2 and 0.3 in
+// shard-index order. Their log(1 - P) terms sum to other bits in double
+// arithmetic when folded in reverse order, which is why the merge folds
+// integer terms instead: its P_new is the exact sum of the three, the
+// same bits whatever order the shards come in.
 TEST(MergeBitIdentityEdge, ThreeShardFoldOrderShowsInTheBits) {
   ShardEngine::Options opts = CountOptions(4);
   opts.dims = 2;
@@ -677,9 +669,11 @@ TEST(MergeBitIdentityEdge, ThreeShardFoldOrderShowsInTheBits) {
   ASSERT_EQ(by_shard.size(), 3u);
   const double probs[] = {0.1, 0.2, 0.3};
   double terms[3];
+  LogSum exact = 0;
   size_t k = 0;
   for (auto& [shard, d] : by_shard) {
     d = element(d.pos[0], d.pos[1], probs[k], k + 1);
+    exact += LogTermOf(d.prob);
     terms[k++] = LogOneMinusProb(d.prob);
   }
   const double forward = (terms[0] + terms[1]) + terms[2];
@@ -692,7 +686,7 @@ TEST(MergeBitIdentityEdge, ThreeShardFoldOrderShowsInTheBits) {
   const std::vector<SkylineMember> sky = engine.GlobalSkyline(&candidates);
   ASSERT_FALSE(sky.empty());
   ASSERT_EQ(sky.front().element.seq, member.seq);
-  EXPECT_TRUE(SameBits(sky.front().pnew, std::exp(forward)));
+  EXPECT_TRUE(SameBits(sky.front().pnew, std::exp(LogSumToDouble(exact))));
 }
 
 // --- Fed from the caller's window ---------------------------------------

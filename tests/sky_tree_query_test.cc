@@ -1,6 +1,6 @@
-// Query-path coverage of the aggregate sky-tree: ForEach / CollectAtLeast
+// Query-path coverage of the candidate store: ForEach / CollectAtLeast
 // / CountAtLeast / TopK consistency with each other and with oracles,
-// across live streams with pending lazy state.
+// across live streams with dead slots not yet compacted.
 
 #include <algorithm>
 #include <set>
@@ -17,8 +17,8 @@
 namespace psky {
 namespace {
 
-// A tree fed mid-stream so that lazy addends and dirty state are present
-// when the queries run.
+// A store fed mid-stream, with dead slots not yet compacted away, when
+// the queries run.
 class SkyTreeQueryTest : public ::testing::Test {
  protected:
   void Feed(SkyTree* tree, size_t n, size_t window, uint64_t seed) {
@@ -30,11 +30,16 @@ class SkyTreeQueryTest : public ::testing::Test {
     CountWindow win(window);
     for (size_t i = 0; i < n; ++i) {
       UncertainElement e = gen.Next();
+      // A second Feed continues the stream: seqs keep increasing.
+      e.seq = next_seq_++;
       e.prob = ClampProb(e.prob);
       if (auto expired = win.Push(e)) tree->Expire(*expired);
       tree->Arrive(e);
     }
   }
+
+ private:
+  uint64_t next_seq_ = 0;
 };
 
 TEST_F(SkyTreeQueryTest, ForEachVisitsEveryCandidateOnce) {

@@ -1,9 +1,8 @@
-// The heart of the validation: the aggregate sky-tree operator (SSKY) must
-// behave exactly like the naive reference operator on every stream step,
-// across dimensionalities, spatial distributions, probability models,
-// thresholds, window sizes and tree options — including the ablation
-// configurations (no lazy multipliers / no min-max pruning), which must be
-// functionally identical and only differ in work done.
+// The heart of the validation: the SSKY operator on the flat candidate
+// store must behave exactly like the naive reference operator on every
+// stream step, across dimensionalities, spatial distributions,
+// probability models, thresholds and window sizes, and its stored sums
+// must equal their recomputation from the live set exactly.
 
 #include <algorithm>
 #include <bit>
@@ -38,7 +37,6 @@ struct RunConfig {
   size_t window = 50;
   size_t stream_len = 400;
   uint64_t seed = 1;
-  SkyTree::Options tree_options;
 };
 
 void RunAgreementTest(const RunConfig& rc) {
@@ -51,7 +49,7 @@ void RunAgreementTest(const RunConfig& rc) {
   StreamGenerator gen(cfg);
 
   NaiveSkylineOperator naive(rc.dims, rc.q);
-  SskyOperator ssky(rc.dims, rc.q, rc.tree_options);
+  SskyOperator ssky(rc.dims, rc.q);
   StreamProcessor naive_proc(&naive, rc.window);
   StreamProcessor ssky_proc(&ssky, rc.window);
 
@@ -180,26 +178,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          ProbDistribution::kNormal),
                        ::testing::Values(0.1, 0.5, 0.9)));
 
-class SkyTreeOptions
-    : public ::testing::TestWithParam<std::tuple<bool, bool, int>> {};
-
-TEST_P(SkyTreeOptions, AblationModesAreFunctionallyIdentical) {
-  const auto [use_lazy, use_pruning, max_entries] = GetParam();
-  RunConfig rc;
-  rc.tree_options.use_lazy = use_lazy;
-  rc.tree_options.use_minmax_pruning = use_pruning;
-  rc.tree_options.max_entries = max_entries;
-  rc.tree_options.min_entries = max_entries / 3 > 2 ? max_entries / 3 : 2;
-  rc.dims = 3;
-  rc.seed = 4000 + static_cast<uint64_t>(max_entries);
-  RunAgreementTest(rc);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Ablations, SkyTreeOptions,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values(6, 12, 32)));
-
 TEST(SkyTree, StockStreamAgreement) {
   StockConfig cfg;
   cfg.seed = 8;
@@ -244,17 +222,14 @@ TEST(SkyTree, DuplicatePositionsAndProbabilityExtremes) {
 }
 
 TEST(SkyTree, LongChurnDeepInvariants) {
-  // Longer run with a small window: many expiries, evictions, splits and
-  // condensations; deep invariants checked sparsely.
+  // Longer run with a small window: many expiries, evictions and
+  // compactions; deep invariants checked sparsely.
   StreamConfig cfg;
   cfg.dims = 3;
   cfg.spatial = SpatialDistribution::kAntiCorrelated;
   cfg.seed = 99;
   StreamGenerator gen(cfg);
-  SkyTree::Options small_nodes;
-  small_nodes.max_entries = 4;
-  small_nodes.min_entries = 2;
-  SskyOperator ssky(3, 0.3, small_nodes);
+  SskyOperator ssky(3, 0.3);
   NaiveSkylineOperator naive(3, 0.3);
   StreamProcessor sp(&ssky, 64), np(&naive, 64);
   size_t step = 0;
@@ -275,41 +250,53 @@ TEST(SkyTree, EvictionsAreCountedAndPruningReducesWork) {
   cfg.dims = 3;
   cfg.spatial = SpatialDistribution::kAntiCorrelated;
   cfg.seed = 123;
-  auto run = [&cfg](bool lazy, bool pruning) {
-    SkyTree::Options opt;
-    // Small fanout so this 500-element window spans enough nodes for
-    // wholesale keep/evict decisions to be measurable.
-    opt.max_entries = 12;
-    opt.min_entries = 4;
-    opt.use_lazy = lazy;
-    opt.use_minmax_pruning = pruning;
-    SskyOperator op(3, 0.3, opt);
-    StreamProcessor proc(&op, 500);
-    StreamGenerator gen(cfg);
-    for (const auto& e : gen.Take(2000)) proc.Step(e);
-    return op.stats();
-  };
-  const OperatorStats fast = run(true, true);
-  const OperatorStats eager = run(false, true);
-  const OperatorStats unpruned = run(true, false);
-  // Same semantics, hence identical eviction counts...
-  EXPECT_EQ(fast.evictions, eager.evictions);
-  EXPECT_EQ(fast.evictions, unpruned.evictions);
-  // ...but min/max pruning must cut the work substantially (the paper's
-  // wholesale keep/evict decisions), and laziness must never add work.
-  EXPECT_LT(2 * fast.elements_touched, unpruned.elements_touched);
-  EXPECT_LT(fast.nodes_visited, unpruned.nodes_visited);
-  EXPECT_LE(fast.elements_touched, eager.elements_touched);
+  SskyOperator op(3, 0.3);
+  NaiveSkylineOperator naive(3, 0.3);
+  StreamProcessor proc(&op, 500);
+  StreamProcessor naive_proc(&naive, 500);
+  StreamGenerator gen(cfg);
+  for (const auto& e : gen.Take(2000)) {
+    proc.Step(e);
+    naive_proc.Step(e);
+  }
+  // Same semantics, hence the reference's eviction count.
+  EXPECT_GT(op.stats().evictions, 0u);
+  EXPECT_EQ(op.stats().evictions, naive.stats().evictions);
+
+  // A certain chain: every candidate dominates every arrival, and the
+  // oldest dominates every candidate. The block aggregates settle each
+  // full block in O(1), by its term sum on arrival and its P_old shift
+  // on expiry, so the store compares far fewer slots per step than the
+  // |S_{N,q}| a scan of every slot would.
+  SskyOperator chain(3, 0.3);
+  StreamProcessor chain_proc(&chain, 2000);
+  uint64_t unpruned = 0;
+  UncertainElement e;
+  for (uint64_t i = 0; i < 6000; ++i) {
+    const double x = static_cast<double>(i);
+    e.pos = Point({x, x, x});
+    e.prob = 1.0;
+    e.seq = i;
+    unpruned += chain.candidate_count();
+    chain_proc.Step(e);
+  }
+  EXPECT_EQ(chain.candidate_count(), 2000u);
+  EXPECT_EQ(chain.skyline_count(), 1u);
+  EXPECT_EQ(chain.stats().evictions, 0u);
+  EXPECT_GT(chain.stats().nodes_visited, 0u);
+  EXPECT_LT(5 * chain.stats().elements_touched, unpruned);
+  chain.tree().CheckInvariants(/*deep=*/true);
 }
 
-// --- golden bit-identity --------------------------------------------------
-// A faster tree must reach exactly the same state as the one it replaces:
-// the same candidates in the same bands with bitwise-equal materialized
-// probabilities, after exactly the same work. Each row below was recorded
-// on commit 97496c7, before the sky-tree's O(d) leaf appends; the fanout-8
-// rows grow deeper trees than the default fanout does at this window. A
-// change that reorders any floating-point sum, or visits one node more,
-// fails it.
+// --- golden rows ------------------------------------------------------
+// Each row pins one stream's candidates, bands and work every 2,000
+// steps. `membership` (the (seq, band) sets) and `evictions` were
+// recorded on the aggregate sky-tree this store replaced and must never
+// change: they are what the paper's Theorems 2-5 decide. `state` adds the
+// bits of every reported P_new and P_old, and `work` and the counters the
+// store's work; those were re-recorded once, on the flat store, whose
+// quantized terms move the reported doubles in their last bits. A change
+// that alters any sum, or visits one block more, fails here.
 
 enum class Engine { kSsky, kMsky };
 
@@ -321,7 +308,6 @@ struct GoldenCase {
   SpatialDistribution dist;
   int dims;
   Engine engine;
-  int fanout;      // SkyTree::Options::max_entries
   uint64_t state;  // chained over the per-snapshot candidate hashes
   uint64_t work;   // chained over the per-snapshot counters
   uint64_t membership;  // chained over the per-snapshot (seq, band) sets
@@ -388,10 +374,12 @@ const char* DistName(SpatialDistribution d) {
   return "?";
 }
 
+// The rows keep the names they were first recorded under, on the
+// sky-tree at its fanout of 128.
 void PrintTo(const GoldenCase& c, std::ostream* os) {
   const char* engine = c.engine == Engine::kSsky ? "SSKY" : "MSKY";
   *os << DistName(c.dist) << " d=" << c.dims << " " << engine;
-  *os << " fanout=" << c.fanout;
+  *os << " fanout=128";
 }
 
 class SkyTreeGolden : public ::testing::TestWithParam<GoldenCase> {};
@@ -404,11 +392,8 @@ TEST_P(SkyTreeGolden, MatchesRecordedState) {
   cfg.seed = 20000 + static_cast<uint64_t>(want.dims);
   StreamGenerator gen(cfg);
 
-  SkyTree::Options options;
-  options.max_entries = want.fanout;
-  options.min_entries = std::min(options.min_entries, want.fanout / 2);
-  SskyOperator ssky(want.dims, 0.3, options);
-  MskyOperator msky(want.dims, {0.9, 0.6, 0.3}, options);
+  SskyOperator ssky(want.dims, 0.3);
+  MskyOperator msky(want.dims, {0.9, 0.6, 0.3});
   const SkyTree& tree =
       want.engine == Engine::kSsky ? ssky.tree() : msky.tree();
   CountWindow window(kGoldenWindow);
@@ -432,7 +417,7 @@ TEST_P(SkyTreeGolden, MatchesRecordedState) {
       membership = Mix(membership ^ MembershipHash(tree));
     }
   }
-  tree.CheckInvariants();
+  tree.CheckInvariants(/*deep=*/true);
 
   // On a mismatch, the hash columns as the table spells them.
   std::ostringstream got;
@@ -452,30 +437,24 @@ TEST_P(SkyTreeGolden, MatchesRecordedState) {
 
 // clang-format off
 constexpr GoldenCase kGoldenCases[] = {
-    {kAnti, 2, Engine::kSsky, 128, 0xd20814823850660fULL, 0x5c06737883927b61ULL, 0x3985e2c551d8ffb0ULL, 204792, 3970849, 19658, 1, 203},
-    {kAnti, 2, Engine::kMsky, 128, 0xec527c4ca06dc8d4ULL, 0xbd96b75f9b91091cULL, 0x430414a4e1ae230ULL, 204792, 3970849, 19658, 1, 266},
-    {kAnti, 3, Engine::kSsky, 128, 0x12f7946b9bc49081ULL, 0x769311bacbc996d0ULL, 0x586c1c122eef1a0dULL, 357123, 7153108, 18990, 0, 479},
-    {kAnti, 3, Engine::kMsky, 128, 0x722d4f617e435b51ULL, 0x1f37f2fac9ad6299ULL, 0xc2acfee2599c15cbULL, 357123, 7153108, 18990, 0, 676},
-    {kAnti, 4, Engine::kSsky, 128, 0x0e450423c67493bfULL, 0x86443d36e8cfee37ULL, 0x3795fdc7d6b506f9ULL, 550528, 9219325, 17614, 0, 1084},
-    {kAnti, 4, Engine::kMsky, 128, 0x1d3ad474b7f3bc63ULL, 0x030bf3deb756a77bULL, 0x99f99f67995fcc9fULL, 550528, 9219325, 17614, 0, 1573},
-    {kInde, 2, Engine::kSsky, 128, 0x3d5ea7227b4818c0ULL, 0x330bbe16bc068d6cULL, 0xfa80f47c51fd74c7ULL, 108637, 3238951, 19813, 1, 86},
-    {kInde, 2, Engine::kMsky, 128, 0xa5bdf441fef31388ULL, 0xe61fbedf10b5ba1aULL, 0xcb96ec0a633f19e7ULL, 108637, 3238951, 19813, 1, 129},
-    {kInde, 3, Engine::kSsky, 128, 0x93a3854676a78600ULL, 0x953b6d7c4b8ea4f4ULL, 0xd9bf8f438c683bd5ULL, 322413, 5154118, 19297, 1, 377},
-    {kInde, 3, Engine::kMsky, 128, 0x156237e4bdce3cf1ULL, 0x7fe4bab2e301a018ULL, 0x93dcd55d6050725eULL, 322413, 5154122, 19297, 1, 523},
-    {kInde, 4, Engine::kSsky, 128, 0x2a949a20484a352dULL, 0x242ba380755e3994ULL, 0xfb3d499e0aca56feULL, 462480, 9211419, 18042, 0, 800},
-    {kInde, 4, Engine::kMsky, 128, 0x44c747f4dd310b03ULL, 0x046de47164bc82e3ULL, 0xc6690ce25d3042ceULL, 462480, 9211419, 18042, 0, 1119},
-    {kCorr, 2, Engine::kSsky, 128, 0x70808366eacec4c2ULL, 0x53cb82791bfc4c78ULL, 0x9d32a53782ce5aa4ULL, 110344, 1124376, 19879, 4, 54},
-    {kCorr, 2, Engine::kMsky, 128, 0x3f2dc6db45d3f478ULL, 0x76910b8e0fe14a9fULL, 0x8c1b94f895683456ULL, 110344, 1124382, 19879, 4, 89},
-    {kCorr, 3, Engine::kSsky, 128, 0x50ef6d3049d3bcacULL, 0x14a1e16f6637d76dULL, 0x281e344304998517ULL, 110044, 1608227, 19793, 5, 81},
-    {kCorr, 3, Engine::kMsky, 128, 0xb43506b81b32be97ULL, 0x8830acea04ef1498ULL, 0x7c5206c13e0e8c57ULL, 110044, 1608230, 19793, 5, 127},
-    {kCorr, 4, Engine::kSsky, 128, 0xfeb5a4fdf4a047f0ULL, 0xb48abae4a4d0d14fULL, 0xdc42c5aa362931beULL, 109733, 1912379, 19713, 1, 81},
-    {kCorr, 4, Engine::kMsky, 128, 0xb7ed5fbb52b170e4ULL, 0xc2f4de9f3ebce437ULL, 0x9b7d9bba531712eULL, 109733, 1912388, 19713, 1, 119},
-    {kAnti, 3, Engine::kSsky, 8, 0xc6e42eda51912907ULL, 0xc353c35d5b702c1dULL, 0x586c1c122eef1a0dULL, 1519070, 1836866, 18990, 1407, 479},
-    {kAnti, 3, Engine::kMsky, 8, 0x516f596fd21c38c6ULL, 0x593224a8d395467eULL, 0xc2acfee2599c15cbULL, 1519070, 1836913, 18990, 1407, 676},
-    {kInde, 3, Engine::kSsky, 8, 0xccee2baf66fd2d18ULL, 0x55247d9638d17911ULL, 0xd9bf8f438c683bd5ULL, 1261643, 1809476, 19297, 1320, 377},
-    {kInde, 3, Engine::kMsky, 8, 0x4f71dc96d58d8152ULL, 0x2155fa6661f66d3aULL, 0x93dcd55d6050725eULL, 1261643, 1809534, 19297, 1320, 523},
-    {kCorr, 3, Engine::kSsky, 8, 0x0da71946ee166939ULL, 0xdae683c7e1aa7842ULL, 0x281e344304998517ULL, 426011, 250685, 19793, 3362, 81},
-    {kCorr, 3, Engine::kMsky, 8, 0xba5c1fd6a7bcf5b9ULL, 0x3da2fef0473230dcULL, 0x7c5206c13e0e8c57ULL, 426011, 250704, 19793, 3362, 127},
+    {kAnti, 2, Engine::kSsky, 0x6483947c4518c1ccULL, 0xcbc3ffb54573c8bdULL, 0x3985e2c551d8ffb0ULL, 39895, 4063100, 19658, 0, 203},
+    {kAnti, 2, Engine::kMsky, 0xbca1e3e75e47e203ULL, 0xa2c8315becfb0166ULL, 0x430414a4e1ae230ULL, 39895, 4063100, 19658, 0, 266},
+    {kAnti, 3, Engine::kSsky, 0xa805ec8d38e7caa6ULL, 0x53b518d1edc49b87ULL, 0x586c1c122eef1a0dULL, 53700, 8967225, 18990, 0, 479},
+    {kAnti, 3, Engine::kMsky, 0xdece989182a12400ULL, 0x4a6194b05ae7d1c9ULL, 0xc2acfee2599c15cbULL, 53700, 8967225, 18990, 0, 676},
+    {kAnti, 4, Engine::kSsky, 0x4c6bbe1ce0a46802ULL, 0x9300744dc8e7f872ULL, 0x3795fdc7d6b506f9ULL, 69906, 14064100, 17614, 0, 1084},
+    {kAnti, 4, Engine::kMsky, 0xd26bbcdf750ec8aaULL, 0x5ace93a4591adf69ULL, 0x99f99f67995fcc9fULL, 69906, 14064100, 17614, 0, 1573},
+    {kInde, 2, Engine::kSsky, 0x93fac279c74e339aULL, 0x6617e87a8c4873cfULL, 0xfa80f47c51fd74c7ULL, 39943, 2675665, 19813, 0, 86},
+    {kInde, 2, Engine::kMsky, 0x22a7fe0f5a976ee5ULL, 0x40f4cac8c0c435bcULL, 0xcb96ec0a633f19e7ULL, 39943, 2675665, 19813, 0, 129},
+    {kInde, 3, Engine::kSsky, 0x290326ff5ba49c38ULL, 0x6b8808b92c4c751aULL, 0xd9bf8f438c683bd5ULL, 40198, 7014092, 19297, 0, 377},
+    {kInde, 3, Engine::kMsky, 0x8080a500f3050633ULL, 0xdad1b2d3281f760dULL, 0x93dcd55d6050725eULL, 40198, 7014092, 19297, 0, 523},
+    {kInde, 4, Engine::kSsky, 0xace2ac12b86b7f41ULL, 0x10016e14d1c2803dULL, 0xfb3d499e0aca56feULL, 64255, 10970827, 18042, 0, 800},
+    {kInde, 4, Engine::kMsky, 0xeb3b27c4b83c6374ULL, 0x0da2cf13c411d14fULL, 0xc6690ce25d3042ceULL, 64255, 10970827, 18042, 0, 1119},
+    {kCorr, 2, Engine::kSsky, 0x845f6efb483bae3bULL, 0x9a5fea426646cfe8ULL, 0x9d32a53782ce5aa4ULL, 39964, 1160091, 19879, 0, 54},
+    {kCorr, 2, Engine::kMsky, 0xb25235411ebc20a5ULL, 0x6191fb0ce49f778cULL, 0x8c1b94f895683456ULL, 39964, 1160091, 19879, 0, 89},
+    {kCorr, 3, Engine::kSsky, 0x484c47ac6ac060d7ULL, 0xdf22560936da5d08ULL, 0x281e344304998517ULL, 39952, 1691803, 19793, 0, 81},
+    {kCorr, 3, Engine::kMsky, 0xc886396b4bbb69ceULL, 0x38c081174d5d4e63ULL, 0x7c5206c13e0e8c57ULL, 39952, 1691803, 19793, 0, 127},
+    {kCorr, 4, Engine::kSsky, 0x84868eaf1a390045ULL, 0x49b12bef9495628aULL, 0xdc42c5aa362931beULL, 39950, 2053801, 19713, 0, 81},
+    {kCorr, 4, Engine::kMsky, 0xaaf8974dec86929bULL, 0xe3b8469e3d23f5acULL, 0x9b7d9bba531712eULL, 39950, 2053801, 19713, 0, 119},
 };
 // clang-format on
 
@@ -485,10 +464,6 @@ std::string GoldenName(const ::testing::TestParamInfo<GoldenCase>& info) {
   name += 'D';
   name += std::to_string(c.dims);
   name += c.engine == Engine::kSsky ? "Ssky" : "Msky";
-  if (c.fanout != 128) {
-    name += 'F';
-    name += std::to_string(c.fanout);
-  }
   return name;
 }
 

@@ -1,8 +1,8 @@
-// Adversarial stress: patterns engineered to hit the sky-tree's hard
-// paths — monotone fronts (mass evictions), duplicate clusters (tie
-// handling in splits and dominance), alternating extreme probabilities
-// (huge log-space addends), tiny windows with high churn, and randomized
-// mixed regimes. Every configuration is cross-checked against the naive
+// Adversarial stress: patterns engineered to hit the candidate store's
+// hard paths — monotone fronts (mass evictions), duplicate clusters (tie
+// handling in dominance), alternating extreme probabilities (huge
+// log-space terms), tiny windows with high churn (compactions), and
+// randomized mixed regimes. Every configuration is cross-checked against the naive
 // operator and the deep structural invariants.
 
 #include <vector>
@@ -19,11 +19,8 @@ namespace {
 
 void RunBoth(const std::vector<UncertainElement>& stream, int dims, double q,
              size_t window, int check_every = 25) {
-  SkyTree::Options small_nodes;
-  small_nodes.max_entries = 4;
-  small_nodes.min_entries = 2;
   NaiveSkylineOperator naive(dims, q);
-  SskyOperator ssky(dims, q, small_nodes);
+  SskyOperator ssky(dims, q);
   StreamProcessor np(&naive, window), sp(&ssky, window);
   int step = 0;
   for (const UncertainElement& e : stream) {

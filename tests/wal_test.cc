@@ -257,8 +257,11 @@ TEST(WalWriterTest, AppendAfterTornTailContinuesCleanly) {
   WalWriter w;
   std::string error;
   int err = 0;
-  uint64_t next_step = 0;
-  ASSERT_TRUE(w.OpenForAppend(path, &error, &err, &next_step)) << error;
+  WalContents torn;
+  ASSERT_TRUE(ReadWalFile(path, &torn, &error)) << error;
+  const WalTail tail = WalTailOf(torn);
+  ASSERT_TRUE(w.OpenForAppend(path, tail, &error, &err)) << error;
+  const uint64_t next_step = tail.next_step;
   EXPECT_EQ(next_step, 14u);  // 3 whole records survive after step 10
   ASSERT_TRUE(w.Append(MakeRecord(2, next_step, 99), &error, &err)) << error;
   ASSERT_TRUE(w.Sync(&error, &err)) << error;

@@ -27,10 +27,11 @@ cannot check. This linter enforces them mechanically:
                    DominanceBlockCompare or mask bit-walking), and every
                    accumulation into a `pnoc_log` anywhere in src/, must
                    carry an `// order-sensitive` marker: summation order
-                   there is part of the bit-identity contract (with the
-                   scalar reference, and between the sky-tree's O(d)
-                   appends and its rescans), and the marker forces a
-                   reviewer to see it.
+                   there is part of the bit-identity contract (two
+                   derivations of one double sum agree only if they add
+                   in the same order), and the marker forces a reviewer
+                   to see it. Integer sums (LogSum) are exact and need
+                   none.
   sync-wrappers    No raw std::mutex / std::condition_variable /
                    std::lock_guard family in src/ or tools/ — all locking
                    goes through the annotated Mutex/MutexLock/CondVar in
@@ -408,9 +409,10 @@ KERNEL_CONTEXT_RE = re.compile(r"DominanceBlockCompare|countr_zero")
 FP_ACCUM_RE = re.compile(
     r"[A-Za-z_][\w.\->\[\]]*(?:_log|_acc)\s*[+\-]=|"
     r"\*\s*[A-Za-z_]\w*(?:_log|_acc)[\w.\->\[\]]*\s*[+\-]=")
-# The sky-tree's P_noc is one ordered sum that an append extends by its
-# last term and a rescan re-derives; both must add in the same order, in
-# any function.
+# A floating-point P_noc (pnoc_log) is an ordered sum: two derivations of
+# it agree bit for bit only if they add in the same order, in any
+# function. (The candidate store's sums are exact integers and need no
+# marker.)
 PNOC_ACCUM_RE = re.compile(r"\bpnoc_log\s*[+\-]=")
 ORDER_MARKER = "// order-sensitive"
 

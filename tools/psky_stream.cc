@@ -56,10 +56,10 @@
 //
 // Sharded parallel ingestion (see docs/algorithm.md "Sharded ingestion"):
 //   --shards N               partition the stream across N per-shard
-//                            sky-trees, each on its own worker thread
-//                            behind a lock-free SPSC queue; queries run
-//                            an exact cross-shard merge (bit-equivalent
-//                            window state, same skyline within rounding).
+//                            candidate stores, each on its own worker
+//                            thread behind a lock-free SPSC queue;
+//                            queries run an exact cross-shard merge (the
+//                            sequential skyline, bit for bit).
 //                            1 (default) keeps the sequential operator.
 //                            At --dims 3 and up an element goes to the
 //                            sector of its angle around the diagonal
@@ -166,7 +166,7 @@ struct Args {
   std::string emit = "counts";
   size_t every = 10000;
   size_t topk = 0;
-  /// Stream partitions, each with its own sky-tree and worker thread;
+  /// Stream partitions, each with its own store and worker thread;
   /// 1 keeps the sequential operator (the default, bit-identical to
   /// previous releases).
   int shards = 1;
@@ -864,10 +864,10 @@ int main(int argc, char** argv) {
   psky::SskyOperator op(args.dims, args.q, options);
 
   // --shards > 1: the sharded engine replaces the sequential operator;
-  // it runs one sky-tree per shard and is fed by the window below, like
-  // the operator. Queries merge exactly (same skyline within summation
-  // rounding). --replay-at always rebuilds into the sequential operator
-  // over a memory window.
+  // it runs one candidate store per shard and is fed by the window
+  // below, like the operator. Queries merge exactly (the sequential
+  // skyline, bit for bit). --replay-at always rebuilds into the
+  // sequential operator over a memory window.
   std::unique_ptr<psky::ShardEngine> engine;
   if (args.shards > 1 && !replay) {
     psky::ShardEngine::Options eng;
@@ -1123,9 +1123,9 @@ int main(int argc, char** argv) {
     int saved_errno = 0;
     bool opened = false;
     if (resumed && !recovered.active_wal.empty()) {
-      uint64_t next_step = 0;
-      if (wal.OpenForAppend(recovered.active_wal, &error, &saved_errno,
-                            &next_step)) {
+      const uint64_t next_step = recovered.active_wal_tail.next_step;
+      if (wal.OpenForAppend(recovered.active_wal, recovered.active_wal_tail,
+                            &error, &saved_errno)) {
         if (next_step == step + 1) {
           opened = true;
         } else {
@@ -1408,8 +1408,8 @@ int main(int argc, char** argv) {
         const psky::UncertainElement e = window_stream.at(i);
         const auto view = op.tree().LookupForAudit(e.pos, e.seq);
         if (!view.found) continue;
-        op.mutable_tree()->RepairElement(e.pos, e.seq, view.pnew_log,
-                                         view.pold_log - 2.0);
+        op.mutable_tree()->RepairElement(e.pos, e.seq, view.pnew,
+                                         view.pold - psky::QuantizeLog(2.0));
         std::fprintf(stderr, "injected drift into seq %llu at step %llu\n",
                      static_cast<unsigned long long>(e.seq),
                      static_cast<unsigned long long>(step));
