@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,6 +179,97 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ProbDistribution::kUniform,
                                          ProbDistribution::kNormal),
                        ::testing::Values(0.1, 0.5, 0.9)));
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// The store's optional modes, recording band-change events and keeping
+// MSKY bands above q, change only what it reports: at every step S_{N,q},
+// the bits of every sum and the work done equal those of a plain store
+// that agrees with the naive operator, and the recorded events replay to
+// every candidate's band. The suite keeps the name and the streams
+// (seed 4000 + k) of the aggregate tree's ablation rows.
+class SkyTreeOptions
+    : public ::testing::TestWithParam<std::tuple<bool, bool, int>> {};
+
+TEST_P(SkyTreeOptions, AblationModesAreFunctionallyIdentical) {
+  const auto [record_events, msky_bands, k] = GetParam();
+  StreamConfig cfg;
+  cfg.dims = 3;
+  cfg.spatial = SpatialDistribution::kAntiCorrelated;
+  cfg.seed = 4000 + static_cast<uint64_t>(k);
+  StreamGenerator gen(cfg);
+
+  SkyTree::Options options;
+  options.record_events = record_events;
+  SkyTree tree(3,
+               msky_bands ? std::vector<double>{0.9, 0.6, 0.3}
+                          : std::vector<double>{0.3},
+               options);
+  const int top = tree.num_thresholds();
+  SskyOperator plain(3, 0.3);
+  NaiveSkylineOperator naive(3, 0.3);
+  StreamProcessor plain_proc(&plain, 50), naive_proc(&naive, 50);
+  CountWindow window(50);
+  std::map<uint64_t, int> replayed;
+  std::vector<SkyTree::BandChange> events;
+
+  for (size_t step = 0; step < 400; ++step) {
+    UncertainElement e = gen.Next();
+    e.prob = ClampProb(e.prob);
+    if (const auto expired = window.Push(e)) tree.Expire(*expired);
+    tree.Arrive(e);
+    plain_proc.Step(e);
+    naive_proc.Step(e);
+    ASSERT_NO_FATAL_FAILURE(ExpectOperatorsAgree(naive, plain))
+        << "diverged at step " << step;
+
+    std::vector<std::pair<SkylineMember, int>> want, got;
+    plain.tree().ForEach([&want](const SkylineMember& m, int band) {
+      want.emplace_back(m, band);
+    });
+    tree.ForEach([&got](const SkylineMember& m, int band) {
+      got.emplace_back(m, band);
+    });
+    ASSERT_EQ(want.size(), got.size()) << "step " << step;
+    for (size_t i = 0; i < want.size(); ++i) {
+      const auto& [w, w_band] = want[i];
+      const auto& [g, g_band] = got[i];
+      ASSERT_EQ(w.element.seq, g.element.seq) << "step " << step;
+      EXPECT_EQ(Bits(w.pnew), Bits(g.pnew)) << "seq " << w.element.seq;
+      EXPECT_EQ(Bits(w.pold), Bits(g.pold)) << "seq " << w.element.seq;
+      EXPECT_EQ(Bits(w.psky), Bits(g.psky)) << "seq " << w.element.seq;
+      EXPECT_EQ(w_band == 1, g_band <= top) << "seq " << w.element.seq;
+    }
+    const SkyTree::Counters& pc = plain.tree().counters();
+    const SkyTree::Counters& tc = tree.counters();
+    EXPECT_EQ(pc.nodes_visited, tc.nodes_visited) << "step " << step;
+    EXPECT_EQ(pc.elements_touched, tc.elements_touched) << "step " << step;
+    EXPECT_EQ(pc.evictions, tc.evictions) << "step " << step;
+
+    tree.DrainBandChanges(&events);
+    if (record_events) {
+      for (const SkyTree::BandChange& ev : events) {
+        if (ev.new_band == 0) {
+          replayed.erase(ev.seq);
+        } else {
+          replayed[ev.seq] = ev.new_band;
+        }
+      }
+      std::map<uint64_t, int> bands;
+      for (const auto& [m, band] : got) bands[m.element.seq] = band;
+      ASSERT_EQ(bands, replayed) << "step " << step;
+    } else {
+      ASSERT_TRUE(events.empty()) << "step " << step;
+    }
+    if (step % 37 == 0) tree.CheckInvariants(/*deep=*/true);
+  }
+  tree.CheckInvariants(/*deep=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ablations, SkyTreeOptions,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(6, 12, 32)));
 
 TEST(SkyTree, StockStreamAgreement) {
   StockConfig cfg;
