@@ -78,36 +78,35 @@ void BM_RTreeRangeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeRangeQuery);
 
-// One probe against 128 candidates in a dim-major block — the candidate
-// store's innermost loop, on half a 256-slot block. `dispatch` selects
-// the portable sweep or the runtime dispatcher (AVX2 where the CPU has
-// it).
+// One probe against a full 256-slot dim-major block, the candidate
+// store's innermost loop, called the way the store calls it: the block
+// sits at the store's stride, and the dimension is a benchmark argument
+// (2-5), which the compiler cannot fold into a kernel specialized for one
+// d. `dispatch` selects the portable sweep or the runtime dispatcher
+// (AVX2 where the CPU has it).
 void BM_DominanceKernel(benchmark::State& state, bool dispatch) {
-  constexpr int kDims = 3;
-  // One slot longer than the candidates, so every row after the first
-  // starts off a 32-byte boundary: the kernel's loads are unaligned.
-  constexpr int kStride = 129;
-  constexpr int kCount = 128;
-  const auto pts = RandomPoints(kCount + 1, kDims, 11);
-  std::vector<double> block(static_cast<size_t>(kStride) * kDims);
-  for (int k = 0; k < kDims; ++k) {
-    for (int i = 0; i < kCount; ++i) block[k * kStride + i] = pts[i][k];
+  const int dims = static_cast<int>(state.range(0));
+  constexpr int kCount = kDominanceKernelMaxBlock;
+  const auto pts = RandomPoints(kCount + 1, dims, 11);
+  std::vector<double> block(static_cast<size_t>(kCount) * dims);
+  for (int k = 0; k < dims; ++k) {
+    for (int i = 0; i < kCount; ++i) block[k * kCount + i] = pts[i][k];
   }
   const Point& probe = pts[kCount];
   uint64_t cand[kDominanceKernelMaskWords];
   uint64_t dominated[kDominanceKernelMaskWords];
   for (auto _ : state) {
     if (dispatch) {
-      DominanceBlockCompare(probe.data(), kDims, block.data(), kStride,
-                            kCount, cand, dominated);
+      DominanceBlockCompare(probe.data(), dims, block.data(), kCount, kCount,
+                            cand, dominated);
     } else {
-      cand[0] = cand[1] = dominated[0] = dominated[1] = 0;
-      dominance_internal::BlockComparePortable(probe.data(), kDims,
-                                               block.data(), kStride, kCount,
+      dominance_internal::BlockComparePortable(probe.data(), dims,
+                                               block.data(), kCount, kCount,
                                                cand, dominated);
     }
-    benchmark::DoNotOptimize(cand[0]);
-    benchmark::DoNotOptimize(dominated[0]);
+    benchmark::DoNotOptimize(cand);
+    benchmark::DoNotOptimize(dominated);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kCount);
   state.SetLabel(dispatch ? DominanceKernelVariant() : "portable");
@@ -118,8 +117,8 @@ void BM_DominanceKernelPortable(benchmark::State& s) {
 void BM_DominanceKernelDispatch(benchmark::State& s) {
   BM_DominanceKernel(s, true);
 }
-BENCHMARK(BM_DominanceKernelPortable);
-BENCHMARK(BM_DominanceKernelDispatch);
+BENCHMARK(BM_DominanceKernelPortable)->DenseRange(2, 5);
+BENCHMARK(BM_DominanceKernelDispatch)->DenseRange(2, 5);
 
 void BM_CertainSkyline(benchmark::State& state, int which) {
   const auto pts =

@@ -16,15 +16,18 @@
 // walk set bits with countr_zero instead of branching on every element.
 // Per element the semantics are EXACTLY
 // DominanceCompare(candidate_i, probe) (see dominance.h): exact IEEE
-// compares, no tolerance.
+// compares, no tolerance. Both paths use one identity: c ≺ p iff c <= p
+// on every dimension and not p <= c on every dimension (that is, c and p
+// are not equal), so a dimension costs one "<=" and one ">=" compare.
 //
 // Two implementations behind one entry point:
 //   * a portable branchless fallback (flag-byte accumulation, no
 //     data-dependent branches) that works on every target;
 //   * an explicit AVX2 path (4 doubles per lane group, the last 1-3
-//     candidates in one masked group). On x86-64 GCC/Clang it is compiled
-//     via the target("avx2") function attribute regardless of the
-//     baseline -march, and selected at runtime with
+//     candidates in one masked group, each 64-bit mask word built in a
+//     register across its 16 groups and stored once). On x86-64
+//     GCC/Clang it is compiled via the target("avx2") function attribute
+//     regardless of the baseline -march, and selected at runtime with
 //     __builtin_cpu_supports — the default build stays safe on pre-AVX2
 //     CPUs yet uses 256-bit compares where the hardware has them.
 //
@@ -58,58 +61,62 @@ inline constexpr int kDominanceKernelMaskWords = kDominanceKernelMaxBlock / 64;
 namespace dominance_internal {
 
 // Portable branchless path: flag bytes per candidate, dimension-major
-// sweeps over contiguous rows, then a packing pass into the mask words.
-// The sweeps have no data-dependent branches, so -O2/-O3 auto-vectorizes
-// them at the target's native width. Mask words must be zeroed by the
-// caller.
+// sweeps over contiguous rows, then a packing pass that builds each mask
+// word in a register. The sweeps have no data-dependent branches, so
+// -O2/-O3 auto-vectorizes them at the target's native width. Writes the
+// first (n + 63) / 64 words of each mask.
 inline void BlockComparePortable(const double* probe, int dims,
                                  const double* block, int stride, int n,
                                  uint64_t* cand_over_probe,
                                  uint64_t* probe_over_cand) {
   uint8_t cand_le[kDominanceKernelMaxBlock];
   uint8_t probe_le[kDominanceKernelMaxBlock];
-  uint8_t strict[kDominanceKernelMaxBlock];
   for (int i = 0; i < n; ++i) {
     cand_le[i] = 1;
     probe_le[i] = 1;
-    strict[i] = 0;
   }
   for (int k = 0; k < dims; ++k) {
     const double pv = probe[k];
     const double* row = block + k * stride;
     for (int i = 0; i < n; ++i) {
-      const uint8_t gt = row[i] > pv;
-      const uint8_t lt = row[i] < pv;
-      cand_le[i] = static_cast<uint8_t>(cand_le[i] & (gt ^ 1));
-      probe_le[i] = static_cast<uint8_t>(probe_le[i] & (lt ^ 1));
-      strict[i] = static_cast<uint8_t>(strict[i] | gt | lt);
+      cand_le[i] = static_cast<uint8_t>(cand_le[i] & (row[i] <= pv));
+      probe_le[i] = static_cast<uint8_t>(probe_le[i] & (row[i] >= pv));
     }
   }
-  for (int i = 0; i < n; ++i) {
-    cand_over_probe[i >> 6] |= static_cast<uint64_t>(cand_le[i] & strict[i])
-                               << (i & 63);
-    probe_over_cand[i >> 6] |= static_cast<uint64_t>(probe_le[i] & strict[i])
-                               << (i & 63);
+  for (int w = 0; w * 64 < n; ++w) {
+    uint64_t over = 0;
+    uint64_t under = 0;
+    const int end = n - w * 64 < 64 ? n - w * 64 : 64;
+    for (int j = 0; j < end; ++j) {
+      const int i = w * 64 + j;
+      over |= static_cast<uint64_t>(cand_le[i] & (probe_le[i] ^ 1)) << j;
+      under |= static_cast<uint64_t>(probe_le[i] & (cand_le[i] ^ 1)) << j;
+    }
+    cand_over_probe[w] = over;
+    probe_over_cand[w] = under;
   }
 }
 
 #if PSKY_DOMKERNEL_X86_DISPATCH
 
+// The two 4-bit relation masks of one group of four candidates.
+struct GroupBits {
+  uint64_t over;   // candidate ≺ probe
+  uint64_t under;  // probe ≺ candidate
+};
+
 // The four candidates at [i, i + 4) against the broadcast probe `pv`:
-// lane masks accumulate "candidate <= probe on every dim so far", "probe
-// <= candidate ...", and "some dim differs". One movemask pair lands the
-// four relation bits directly in the output words (groups are 4-aligned,
-// so they never straddle a word). In the last, partial group
-// (kPartial), `lanes` selects the candidates that exist: the masked load
-// reads no memory in the other lanes, and `lane_bits` drops their bits.
+// lane masks accumulate "candidate <= probe on every dim so far" and
+// "probe <= candidate ...", and one movemask each gives their four bits.
+// In the last, partial group (kPartial), `lanes` selects the candidates
+// that exist: the masked load reads no memory in the other lanes, and
+// the caller drops their bits.
 template <bool kPartial>
-__attribute__((target("avx2"))) inline void CompareGroupAvx2(
+__attribute__((target("avx2"))) inline GroupBits CompareGroupAvx2(
     const __m256d* pv, int dims, const double* block, int stride, int i,
-    __m256i lanes, uint64_t lane_bits, uint64_t* cand_over_probe,
-    uint64_t* probe_over_cand) {
+    __m256i lanes) {
   __m256d cand_le = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   __m256d probe_le = cand_le;
-  __m256d strict = _mm256_setzero_pd();
   for (int k = 0; k < dims; ++k) {
     const double* src = block + k * stride + i;
     __m256d row;
@@ -118,23 +125,19 @@ __attribute__((target("avx2"))) inline void CompareGroupAvx2(
     } else {
       row = _mm256_loadu_pd(src);
     }
-    const __m256d gt = _mm256_cmp_pd(row, pv[k], _CMP_GT_OQ);
-    const __m256d lt = _mm256_cmp_pd(row, pv[k], _CMP_LT_OQ);
-    cand_le = _mm256_andnot_pd(gt, cand_le);
-    probe_le = _mm256_andnot_pd(lt, probe_le);
-    strict = _mm256_or_pd(strict, _mm256_or_pd(gt, lt));
+    cand_le = _mm256_and_pd(cand_le, _mm256_cmp_pd(row, pv[k], _CMP_LE_OQ));
+    probe_le = _mm256_and_pd(probe_le, _mm256_cmp_pd(row, pv[k], _CMP_GE_OQ));
   }
-  const uint64_t cand_bits = static_cast<uint64_t>(
-      _mm256_movemask_pd(_mm256_and_pd(cand_le, strict)));
-  const uint64_t probe_bits = static_cast<uint64_t>(
-      _mm256_movemask_pd(_mm256_and_pd(probe_le, strict)));
-  cand_over_probe[i >> 6] |= (cand_bits & lane_bits) << (i & 63);
-  probe_over_cand[i >> 6] |= (probe_bits & lane_bits) << (i & 63);
+  const auto le = static_cast<uint64_t>(_mm256_movemask_pd(cand_le));
+  const auto ge = static_cast<uint64_t>(_mm256_movemask_pd(probe_le));
+  return GroupBits{le & ~ge, ge & ~le};
 }
 
-// Broadcasts the probe once, runs every full group of four, then the last
-// 1-3 candidates as one masked group. Compiled for AVX2 via the target
-// attribute; call only after CpuHasAvx2() returns true.
+// Broadcasts the probe once, then builds each 64-slot mask word in a
+// register from its 16 groups of four and stores it once; the last 1-3
+// candidates run as one masked group. Groups are 4-aligned, so none
+// straddles a word. Compiled for AVX2 via the target attribute; call only
+// after CpuHasAvx2() returns true.
 __attribute__((target("avx2"))) inline void BlockCompareAvx2(
     const double* probe, int dims, const double* block, int stride, int n,
     uint64_t* cand_over_probe, uint64_t* probe_over_cand) {
@@ -142,18 +145,30 @@ __attribute__((target("avx2"))) inline void BlockCompareAvx2(
   for (int k = 0; k < dims; ++k) pv[k] = _mm256_set1_pd(probe[k]);
   const __m256i all_lanes = _mm256_set1_epi64x(-1);
   int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    CompareGroupAvx2<false>(pv, dims, block, stride, i, all_lanes, 0xF,
-                            cand_over_probe, probe_over_cand);
-  }
-  if (i < n) {
-    // Lane j exists iff j < n - i.
-    const __m256i left = _mm256_set1_epi64x(n - i);
-    const __m256i index = _mm256_setr_epi64x(0, 1, 2, 3);
-    const __m256i lanes = _mm256_cmpgt_epi64(left, index);
-    const uint64_t lane_bits = (uint64_t{1} << (n - i)) - 1;
-    CompareGroupAvx2<true>(pv, dims, block, stride, i, lanes, lane_bits,
-                           cand_over_probe, probe_over_cand);
+  for (int w = 0; i < n; ++w) {
+    const int end = n - w * 64 < 64 ? n : w * 64 + 64;
+    uint64_t over = 0;
+    uint64_t under = 0;
+    for (; i + 4 <= end; i += 4) {
+      const GroupBits g =
+          CompareGroupAvx2<false>(pv, dims, block, stride, i, all_lanes);
+      over |= g.over << (i & 63);
+      under |= g.under << (i & 63);
+    }
+    if (i < end) {
+      // Lane j exists iff j < end - i.
+      const __m256i left = _mm256_set1_epi64x(end - i);
+      const __m256i index = _mm256_setr_epi64x(0, 1, 2, 3);
+      const __m256i lanes = _mm256_cmpgt_epi64(left, index);
+      const uint64_t lane_bits = (uint64_t{1} << (end - i)) - 1;
+      const GroupBits g =
+          CompareGroupAvx2<true>(pv, dims, block, stride, i, lanes);
+      over |= (g.over & lane_bits) << (i & 63);
+      under |= (g.under & lane_bits) << (i & 63);
+      i = end;
+    }
+    cand_over_probe[w] = over;
+    probe_over_cand[w] = under;
   }
 }
 
@@ -179,10 +194,6 @@ inline void DominanceBlockCompare(const double* probe, int dims,
                                   uint64_t* probe_over_cand) {
   PSKY_DCHECK(n >= 0 && n <= stride && n <= kDominanceKernelMaxBlock);
   PSKY_DCHECK(dims >= 1 && dims <= kMaxDims);
-  for (int w = 0; w < (n + 63) / 64; ++w) {
-    cand_over_probe[w] = 0;
-    probe_over_cand[w] = 0;
-  }
 #if PSKY_DOMKERNEL_X86_DISPATCH
   if (dominance_internal::CpuHasAvx2()) {
     dominance_internal::BlockCompareAvx2(probe, dims, block, stride, n,

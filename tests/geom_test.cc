@@ -1,6 +1,3 @@
-#include <vector>
-#include <algorithm>
-
 #include <gtest/gtest.h>
 
 #include "base/random.h"
@@ -107,40 +104,6 @@ TEST(Mbr, ContainsMbr) {
   EXPECT_FALSE(inner.Contains(outer));
 }
 
-TEST(EntryDominance, FullPartialNone) {
-  // Mirrors Figure 2 of the paper (minimization space).
-  Mbr e(Point({2.0, 2.0}), Point({4.0, 4.0}));
-  // E fully dominates E3: E.max strictly dominates E3.min.
-  Mbr e3(Point({5.0, 5.0}), Point({7.0, 7.0}));
-  EXPECT_EQ(Classify(e, e3), DomRelation::kFull);
-  EXPECT_EQ(Classify(e3, e), DomRelation::kNone);
-  // Partial: E.min dominates E1.max but E.max does not dominate E1.min.
-  Mbr e1(Point({1.0, 3.0}), Point({3.0, 6.0}));
-  EXPECT_EQ(Classify(e, e1), DomRelation::kPartial);
-  // E1 does not dominate E (E1.min (1,3) !< E.max (4,4)? it does...).
-  // Pick a genuine none case:
-  Mbr above(Point({0.0, 5.0}), Point({1.0, 7.0}));
-  EXPECT_EQ(Classify(above, e), DomRelation::kNone);
-}
-
-TEST(EntryDominance, SharedCornerIsConservativelyPartial) {
-  // E.max == E'.min: the paper calls this full dominance when no element
-  // sits on the shared corner; we classify it as partial (conservative).
-  Mbr a(Point({0.0, 0.0}), Point({2.0, 2.0}));
-  Mbr b(Point({2.0, 2.0}), Point({4.0, 4.0}));
-  EXPECT_EQ(Classify(a, b), DomRelation::kPartial);
-}
-
-TEST(EntryDominance, PointVsMbr) {
-  Mbr e(Point({2.0, 2.0}), Point({4.0, 4.0}));
-  EXPECT_EQ(Classify(Point({1.0, 1.0}), e), DomRelation::kFull);
-  EXPECT_EQ(Classify(Point({3.0, 1.0}), e), DomRelation::kPartial);
-  EXPECT_EQ(Classify(Point({5.0, 5.0}), e), DomRelation::kNone);
-  EXPECT_EQ(Classify(e, Point({5.0, 5.0})), DomRelation::kFull);
-  EXPECT_EQ(Classify(e, Point({3.0, 5.0})), DomRelation::kPartial);
-  EXPECT_EQ(Classify(e, Point({1.0, 1.0})), DomRelation::kNone);
-}
-
 TEST(Dominance, DominanceCompareMatchesDominates) {
   Rng rng(7);
   for (int trial = 0; trial < 5000; ++trial) {
@@ -154,61 +117,6 @@ TEST(Dominance, DominanceCompareMatchesDominates) {
     const int rel = DominanceCompare(a, b);
     EXPECT_EQ((rel & 1) != 0, Dominates(a, b));
     EXPECT_EQ((rel & 2) != 0, Dominates(b, a));
-  }
-}
-
-TEST(EntryDominance, ClassifyPointEntryMatchesClassify) {
-  Rng rng(13);
-  for (int trial = 0; trial < 5000; ++trial) {
-    const int d = 2 + static_cast<int>(rng.NextBounded(3));
-    Point p(d), lo(d), hi(d);
-    for (int i = 0; i < d; ++i) {
-      p[i] = static_cast<double>(rng.NextBounded(5));
-      const double a = static_cast<double>(rng.NextBounded(5));
-      const double b = static_cast<double>(rng.NextBounded(5));
-      lo[i] = std::min(a, b);
-      hi[i] = std::max(a, b);
-    }
-    const Mbr box(lo, hi);
-    const PointEntryRelation rel = ClassifyPointEntry(p, box);
-    EXPECT_EQ(rel.entry_over_point, Classify(box, Mbr(p)));
-    EXPECT_EQ(rel.point_over_entry, Classify(Mbr(p), box));
-  }
-}
-
-// Theorem 1 (soundness of the classification): FULL implies every element
-// pair dominates; NONE implies no element of E' is dominated by any
-// element of E.
-TEST(EntryDominance, ClassificationSoundOnRandomBoxes) {
-  Rng rng(99);
-  for (int trial = 0; trial < 500; ++trial) {
-    const int d = 2 + static_cast<int>(rng.NextBounded(3));
-    // Random boxes with a few random member points each.
-    auto make_box = [&rng, d](std::vector<Point>* pts) {
-      Mbr box = Mbr::Empty(d);
-      const int n = 2 + static_cast<int>(rng.NextBounded(4));
-      for (int i = 0; i < n; ++i) {
-        Point p(d);
-        for (int j = 0; j < d; ++j) p[j] = rng.NextDouble();
-        pts->push_back(p);
-        box.Expand(p);
-      }
-      return box;
-    };
-    std::vector<Point> pa, pb;
-    const Mbr a = make_box(&pa);
-    const Mbr b = make_box(&pb);
-    const DomRelation rel = Classify(a, b);
-    if (rel == DomRelation::kFull) {
-      for (const Point& x : pa) {
-        for (const Point& y : pb) EXPECT_TRUE(Dominates(x, y));
-      }
-    }
-    if (rel == DomRelation::kNone) {
-      for (const Point& x : pa) {
-        for (const Point& y : pb) EXPECT_FALSE(Dominates(x, y));
-      }
-    }
   }
 }
 
